@@ -56,7 +56,7 @@ from .replay import (
     top1_agreement,
     top5_coverage,
 )
-from .bridge import bridge_run, free_run, lcs_length, sem_sim, seq_ratio, task_metric
+from .bridge import bridge_run, lcs_length, sem_sim, seq_ratio, task_metric
 from .report import (
     CrossingFinding,
     SweepSpec,

@@ -8,14 +8,12 @@ into one number.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cache import DECODE, CacheState
-from .model import ModelParams, accumulate_mass, forward_step
-from .replay import run_prefill
+from .cache import CacheState
+from .model import ModelParams, decode
 
 EMBED_WIDTH = 256
 EMBED_SEED = 17
@@ -27,26 +25,8 @@ def bridge_run(params: ModelParams, prompt, length: int,
     returns the emitted tokens and the terminal cache."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    total = len(prompt) + length + 1
-    budget = policy.budget if policy.budget is not None else total
-    cache = CacheState(budget=budget)
-    dist = run_prefill(params, cache, prompt, policy)
-    if dist is None:
-        raise ValueError("prompt must be nonempty")
-    tokens: list[int] = []
-    for _ in range(length):
-        tok = int(np.argmax(dist))
-        tokens.append(tok)
-        out = forward_step(params, cache, tok, origin=DECODE)
-        accumulate_mass(cache, out)
-        policy.force_append(cache, out.new_entry)
-        dist = out.distribution
+    tokens, _, _, cache = decode(params, prompt, length, policy)
     return tokens, cache
-
-
-def free_run(params: ModelParams, prompt, length: int, policy) -> list[int]:
-    """Greedy decode under the policy pipeline (token sequence only)."""
-    return bridge_run(params, prompt, length, policy)[0]
 
 
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
@@ -120,37 +100,3 @@ def task_metric(candidate: Sequence[int], reference: Sequence[int],
     if evaluator not in _TASK_METRICS:
         raise ValueError(f"unknown task evaluator {evaluator!r}")
     return _TASK_METRICS[evaluator](candidate, reference, annotation)
-
-
-@dataclass
-class BridgeRow:
-    seq_ratio: float
-    sem_sim: float
-    task_metric: float | None
-    terminal_saved: float
-    compression_events: int
-    prefix_ratio: float = 0.0
-    output_ratio: float = 1.0
-
-    def to_json(self) -> dict:
-        return {
-            "seq_ratio": self.seq_ratio,
-            "sem_sim": self.sem_sim,
-            "task_metric": self.task_metric,
-            "terminal_saved": self.terminal_saved,
-            "compression_events": self.compression_events,
-            "prefix_ratio": self.prefix_ratio,
-            "output_ratio": self.output_ratio,
-        }
-
-
-def common_prefix_ratio(candidate: Sequence[int], reference: Sequence[int]) -> float:
-    """Length of the shared leading run over the reference length."""
-    if not reference:
-        return 0.0
-    n = 0
-    for a, b in zip(candidate, reference):
-        if a != b:
-            break
-        n += 1
-    return n / len(reference)

@@ -62,15 +62,6 @@ class KVEntry:
         """Flat d-vector used for merge geometry (mean over layers)."""
         return self.key if self.key.ndim == 1 else self.key.mean(axis=0)
 
-    def snapshot(self) -> dict:
-        return {
-            "position": self.position,
-            "origin": self.origin,
-            "protected": self.protected,
-            "group_mass": self.group_mass,
-            "member_count": self.member_count,
-        }
-
 
 @dataclass
 class CompressionEvent:
@@ -78,14 +69,6 @@ class CompressionEvent:
     stage: str
     entries_before: int
     entries_after: int
-
-    def to_json(self) -> dict:
-        return {
-            "step": self.step,
-            "stage": self.stage,
-            "entries_before": self.entries_before,
-            "entries_after": self.entries_after,
-        }
 
 
 @dataclass
@@ -126,10 +109,6 @@ class CacheState:
         return sum(1 for ev in self.compression_events
                    if ev.stage == STAGE_DECODE_CONSOLIDATE)
 
-    def snapshot(self) -> list[dict]:
-        """JSON-serializable audit view of the live entries."""
-        return [e.snapshot() for e in self.entries]
-
 
 def append(cache: CacheState, entry: KVEntry) -> CacheState:
     """Append one token's entry; positions must be strictly increasing."""
@@ -143,26 +122,40 @@ def append(cache: CacheState, entry: KVEntry) -> CacheState:
     return cache
 
 
-def evict(cache: CacheState, positions: Iterable[int], *,
-          stage: str = STAGE_PREFIX_EVICT, record: bool = True) -> CacheState:
+def drop(cache: CacheState, positions: set[int]) -> int:
+    """Remove the entries at ``positions`` and count their members as
+    evicted tokens; returns how many entries were removed.  No protection
+    check and no event: callers decide both."""
+    before = len(cache.entries)
+    cache.evicted_tokens += sum(
+        e.member_count for e in cache.entries if e.position in positions
+    )
+    cache.entries = [e for e in cache.entries if e.position not in positions]
+    return before - len(cache.entries)
+
+
+def evict(cache: CacheState, positions: Iterable[int]) -> CacheState:
     """Remove the entries at ``positions``; protected entries are off-limits."""
     targets = set(positions)
-    if not targets:
-        return cache
     for e in cache.entries:
         if e.position in targets and e.protected:
             raise CacheError(f"protected entry at position {e.position}")
     before = len(cache.entries)
-    kept = [e for e in cache.entries if e.position not in targets]
-    removed = before - len(kept)
-    if removed:
-        cache.evicted_tokens += sum(
-            e.member_count for e in cache.entries if e.position in targets
-        )
-        cache.entries = kept
-        if record:
-            cache.record_event(stage, before, len(kept))
+    if drop(cache, targets):
+        cache.record_event(STAGE_PREFIX_EVICT, before, len(cache.entries))
     return cache
+
+
+def ltr_sum(values) -> float:
+    """Left-to-right float sum, the order every mass check assumes.
+
+    ``math.fsum`` (and ``sum`` on Python >= 3.12) round differently, which
+    would change merged masses and the rows built from them.
+    """
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
 
 
 def merge_replace(cache: CacheState, group_positions: Sequence[int],
@@ -183,9 +176,7 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
             raise CacheError(f"protected member at position {m.position}")
     if weights is None:
         weights = [m.score_mass for m in members]
-    total = 0.0
-    for w in weights:
-        total += float(w)
+    total = ltr_sum(weights)
     if representative.group_mass != total:
         raise CacheError(
             f"mass mismatch: representative carries {representative.group_mass}, "

@@ -11,26 +11,25 @@ import json
 import sys
 from pathlib import Path
 
-from .bridge import BridgeRow, bridge_run, common_prefix_ratio, sem_sim, seq_ratio, task_metric
-from .cache import terminal_saved_ratio
 from .model import (
     WITNESS_KINDS,
+    Witness,
     generate_reference,
     init_model,
     make_witness,
     read_witness_manifest,
     write_witness_manifest,
 )
-from .replay import make_policy, replay_row_json, summarize, teacher_forced_replay
 from .report import (
     SweepSpec,
     WitnessSpec,
+    bridge_row,
     detect_crossings,
     emit_tables,
     load_rows,
+    replay_row,
     run_sweep,
 )
-from .twostage import StageConfig, finalize_flags
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -40,14 +39,30 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--num-layers", type=int, default=1)
 
 
-def _single_run_setup(args):
-    witness = read_witness_manifest(args.witness)
-    params = init_model(args.seed, args.vocab_size, args.model_dim,
-                        args.num_layers)
-    ref = generate_reference(params, list(witness.prompt), witness.decode_len)
-    policy = make_policy(args.method,
-                         None if args.method == "none" else args.budget)
-    return witness, params, ref, policy
+def _read_witness(path, vocab_size: int) -> Witness:
+    """Read a manifest whose prompt is the one its recorded parameters
+    rebuild at ``vocab_size``; sweeps rebuild prompts, so any other prompt
+    would silently be replaced."""
+    w = read_witness_manifest(path)
+    rebuilt = make_witness(w.kind, w.seed, w.prefix_len, w.decode_len,
+                           w.redundancy, vocab_size)
+    if rebuilt.prompt != w.prompt:
+        raise ValueError(
+            f"witness manifest {path}: prompt differs from the {w.kind} "
+            f"seed-{w.seed} prompt rebuilt at vocab size {vocab_size}")
+    return w
+
+
+def _sweep_spec(args, witnesses: list[Witness], methods: list[str],
+                budgets: list[int], out_dir: str) -> SweepSpec:
+    return SweepSpec(
+        witnesses=[WitnessSpec(kind=w.kind, seed=w.seed,
+                               prefix_len=w.prefix_len,
+                               decode_len=w.decode_len,
+                               redundancy=w.redundancy) for w in witnesses],
+        methods=methods, budgets=budgets, out_dir=out_dir, seed=args.seed,
+        vocab_size=args.vocab_size, model_dim=args.model_dim,
+        num_layers=args.num_layers)
 
 
 def _cmd_gen_witness(args) -> int:
@@ -58,47 +73,21 @@ def _cmd_gen_witness(args) -> int:
     return 0
 
 
-def _cmd_replay(args) -> int:
-    witness, params, ref, policy = _single_run_setup(args)
-    record = teacher_forced_replay(params, list(witness.prompt), ref.tokens,
-                                   policy)
-    flags = finalize_flags(record.cache, StageConfig(budget=args.budget))
-    row = replay_row_json(witness.name, args.method, args.budget,
-                          summarize(record), flags)
+def _cmd_cell(args) -> int:
+    witness = _read_witness(args.witness, args.vocab_size)
+    spec = _sweep_spec(args, [witness], [args.method], [args.budget], "")
+    params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
+                        spec.num_layers)
+    ref = generate_reference(params, list(witness.prompt), witness.decode_len)
+    row = args.row(spec, params, witness, ref, args.method, args.budget)
     print(json.dumps(row, indent=2))
     return 0
 
 
-def _cmd_bridge(args) -> int:
-    witness, params, ref, policy = _single_run_setup(args)
-    candidate, cache = bridge_run(params, list(witness.prompt),
-                                  witness.decode_len, policy)
-    row = BridgeRow(
-        seq_ratio=seq_ratio(candidate, ref.tokens),
-        sem_sim=sem_sim(candidate, ref.tokens),
-        task_metric=task_metric(candidate, ref.tokens),
-        terminal_saved=terminal_saved_ratio(cache),
-        compression_events=len(cache.compression_events),
-        prefix_ratio=common_prefix_ratio(candidate, ref.tokens),
-        output_ratio=len(candidate) / witness.decode_len,
-    )
-    print(json.dumps(row.to_json(), indent=2))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
-    witnesses = []
-    for path in args.witness:
-        w = read_witness_manifest(path)
-        witnesses.append(WitnessSpec(kind=w.kind, seed=w.seed,
-                                     prefix_len=w.prefix_len,
-                                     decode_len=w.decode_len,
-                                     redundancy=w.redundancy))
+    witnesses = [_read_witness(path, args.vocab_size) for path in args.witness]
     budgets = [int(b) for b in args.budget_grid.split(",")]
-    spec = SweepSpec(witnesses=witnesses, methods=args.method,
-                     budgets=budgets, out_dir=args.out, seed=args.seed,
-                     vocab_size=args.vocab_size, model_dim=args.model_dim,
-                     num_layers=args.num_layers)
+    spec = _sweep_spec(args, witnesses, args.method, budgets, args.out)
     rows = run_sweep(spec)
     print(f"wrote {len(rows)} rows to {Path(args.out) / 'rows.jsonl'}")
     return 0
@@ -134,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_witness)
 
-    for name, fn in (("replay", _cmd_replay), ("bridge", _cmd_bridge)):
-        p = sub.add_parser(name, help=f"run a single {name} cell")
+    for name, row in (("replay", replay_row), ("bridge", bridge_row)):
+        p = sub.add_parser(name, help=f"print the {name} row of one cell")
         p.add_argument("--witness", required=True, help="witness manifest path")
         p.add_argument("--method", choices=("cask", "evict", "none"),
                        required=True)
         p.add_argument("--budget", type=int, required=True)
         _add_model_flags(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_cell, row=row)
 
     p = sub.add_parser("sweep", help="run a witness x method x budget grid")
     p.add_argument("--witness", action="append", required=True,

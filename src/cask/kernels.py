@@ -213,6 +213,8 @@ class QPConvergenceError(RuntimeError):
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex (sort-based)."""
     v = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("project_to_simplex needs finite input")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     rho = np.nonzero(u * np.arange(1, v.size + 1) > css)[0][-1]

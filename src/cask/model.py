@@ -1,4 +1,6 @@
-"""Deterministic toy causal-attention LM and synthetic witness prompts.
+"""Deterministic toy causal-attention LM, its one prefill + decode loop
+(shared by the reference, replay and bridge runs) and synthetic witness
+prompts.
 
 The model is a seeded, single-layer-by-default attention stack over token
 embeddings with no positional encoding, so identical tokens produce identical
@@ -24,6 +26,8 @@ WITNESS_KINDS = (
     "prompt-heavy-decode-active",
     "prompt-heavy-prefix-dominant",
 )
+
+METHOD_NONE = "none"
 
 _MOTIF_LEN = {
     "short-prompt-reasoning": 4,
@@ -148,6 +152,64 @@ def accumulate_mass(cache: CacheState, output: StepOutput) -> None:
             e.score_mass += float(a)
 
 
+class NoCompressionPolicy:
+    """Full-KV pipeline: appends everything, never compresses."""
+
+    method = METHOD_NONE
+    budget: int | None = None
+
+    def after_prefill(self, cache: CacheState) -> None:
+        pass
+
+    def force_append(self, cache: CacheState, entry: KVEntry) -> None:
+        append(cache, entry)
+
+
+def run_prefill(params: ModelParams, cache: CacheState, prompt,
+                policy) -> np.ndarray:
+    """Feed the prompt, accumulate attention mass, run the policy's
+    post-prefill hook, and return the next-token distribution in hand."""
+    dist = None
+    for tok in prompt:
+        out = forward_step(params, cache, int(tok), origin=PREFIX)
+        accumulate_mass(cache, out)
+        append(cache, out.new_entry)
+        dist = out.distribution
+    policy.after_prefill(cache)
+    return dist
+
+
+def decode(params: ModelParams, prompt, steps: int, policy, forced=None):
+    """Prefill ``prompt`` through ``policy``, then decode ``steps`` tokens.
+
+    Each step records the distribution in hand and the live cache size, then
+    feeds ``forced[t]`` (teacher forcing) or else the greedy argmax (ties go
+    to the lowest id) through the policy's append path.  Returns the fed
+    tokens, the ``(steps, V)`` distributions, the per-step cache sizes and
+    the terminal cache.
+    """
+    budget = policy.budget
+    if budget is None:
+        budget = len(prompt) + steps + 1
+    cache = CacheState(budget=budget)
+    dist = run_prefill(params, cache, prompt, policy)
+    if dist is None:
+        raise ValueError("prompt must be nonempty")
+    tokens: list[int] = []
+    dists = np.empty((steps, params.vocab_size))
+    sizes = np.empty(steps, dtype=np.int64)
+    for t in range(steps):
+        dists[t] = dist
+        sizes[t] = len(cache.entries)
+        tok = int(np.argmax(dist)) if forced is None else forced[t]
+        tokens.append(tok)
+        out = forward_step(params, cache, tok, origin=DECODE)
+        accumulate_mass(cache, out)
+        policy.force_append(cache, out.new_entry)
+        dist = out.distribution
+    return tokens, dists, sizes, cache
+
+
 @dataclass
 class ReferenceRun:
     """Greedy full-KV continuation with its per-step distributions and the
@@ -165,25 +227,8 @@ def generate_reference(params: ModelParams, prompt: list[int],
     """Greedy argmax continuation under full KV; ties go to the lowest id."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    if not prompt:
-        raise ValueError("prompt must be nonempty")
-    cache = CacheState(budget=len(prompt) + length + 1)
-    dist = None
-    for tok in prompt:
-        out = forward_step(params, cache, tok, origin=PREFIX)
-        accumulate_mass(cache, out)
-        append(cache, out.new_entry)
-        dist = out.distribution
-    tokens: list[int] = []
-    dists = np.empty((length, params.vocab_size))
-    for t in range(length):
-        dists[t] = dist
-        tok = int(np.argmax(dist))
-        tokens.append(tok)
-        out = forward_step(params, cache, tok, origin=DECODE)
-        accumulate_mass(cache, out)
-        append(cache, out.new_entry)
-        dist = out.distribution
+    tokens, dists, _, cache = decode(params, prompt, length,
+                                     NoCompressionPolicy())
     scores = {e.position: e.score_mass for e in cache.entries}
     return ReferenceRun(tokens=tokens, distributions=dists,
                         oracle_scores=scores, prompt_len=len(prompt),
@@ -197,7 +242,6 @@ class Witness:
     prefix_len: int
     decode_len: int
     redundancy: float
-    regime_label: str
     prompt: tuple[int, ...]
 
     @property
@@ -211,7 +255,6 @@ class Witness:
             "prefix_len": self.prefix_len,
             "decode_len": self.decode_len,
             "redundancy": self.redundancy,
-            "regime_label": self.regime_label,
             "prompt": list(self.prompt),
         }
 
@@ -252,7 +295,7 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
     prompt = (0, *body[:prefix_len])
     return Witness(kind=kind, seed=seed, prefix_len=prefix_len,
                    decode_len=decode_len, redundancy=redundancy,
-                   regime_label=kind, prompt=prompt)
+                   prompt=prompt)
 
 
 def write_witness_manifest(witness: Witness, path: str | Path) -> Path:
@@ -266,5 +309,4 @@ def read_witness_manifest(path: str | Path) -> Witness:
     return Witness(kind=data["kind"], seed=data["seed"],
                    prefix_len=data["prefix_len"], decode_len=data["decode_len"],
                    redundancy=data["redundancy"],
-                   regime_label=data["regime_label"],
                    prompt=tuple(data["prompt"]))

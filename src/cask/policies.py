@@ -18,6 +18,8 @@ from .cache import (
     STAGE_DECODE_CONSOLIDATE,
     CacheState,
     KVEntry,
+    drop,
+    ltr_sum,
     merge_replace,
 )
 from .kernels import (
@@ -74,12 +76,9 @@ class MergeGroup:
     def __post_init__(self):
         if len(self.positions) != len(self.weights):
             raise ValueError("positions and weights must align")
-        total = 0.0
-        for w in self.weights:
-            if w < 0:
-                raise ValueError("weights must be non-negative")
-            total += float(w)
-        if self.mass != total:
+        if any(w < 0 for w in self.weights):
+            raise ValueError("weights must be non-negative")
+        if self.mass != ltr_sum(self.weights):
             raise ValueError("mass must equal the left-to-right weight sum")
 
     def __len__(self) -> int:
@@ -115,9 +114,7 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
 
 
 def _weighted_centroid(keys: list[np.ndarray], weights: list[float]) -> np.ndarray:
-    total = 0.0
-    for w in weights:
-        total += w
+    total = ltr_sum(weights)
     if total == 0.0:
         return np.mean(keys, axis=0)
     acc = weights[0] * keys[0]
@@ -162,13 +159,10 @@ def form_merge_groups(cache: CacheState, config: CaskConfig,
                 weights.append(cand.score_mass)
         if len(members) >= 2:
             assigned.update(m.position for m in members)
-            mass = 0.0
-            for w in weights:
-                mass += w
             groups.append(MergeGroup(
                 positions=tuple(m.position for m in members),
                 weights=tuple(weights),
-                mass=mass,
+                mass=ltr_sum(weights),
                 keys=tuple(keys),
             ))
     return groups
@@ -183,9 +177,7 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
     """
     if len(group) != len(entries):
         raise ValueError("group and entries must align")
-    mass = 0.0
-    for w in group.weights:
-        mass += float(w)
+    mass = ltr_sum(group.weights)
     if mass <= 0.0:
         raise ValueError("all-zero weights")
     if len(entries) == 1:
@@ -262,23 +254,13 @@ def cask_compress(cache: CacheState, config: CaskConfig, budget: int,
         unprotected = [e for e in cache.entries if not e.protected]
         n_keep = budget - (len(cache.entries) - len(unprotected))
         keep = {e.position for e in _keep_order(unprotected)[:n_keep]}
-        to_evict = [e.position for e in unprotected if e.position not in keep]
-        _drop(cache, set(to_evict))
-        outcome.evicted = len(to_evict)
+        to_evict = {e.position for e in unprotected if e.position not in keep}
+        outcome.evicted = drop(cache, to_evict)
     outcome.fired = outcome.groups_folded > 0 or outcome.evicted > 0
     if outcome.fired:
         cache.record_event(STAGE_DECODE_CONSOLIDATE, before, len(cache.entries))
     detect_core(cache, config)
     return outcome
-
-
-def _drop(cache: CacheState, positions: set[int]) -> None:
-    if not positions:
-        return
-    cache.evicted_tokens += sum(
-        e.member_count for e in cache.entries if e.position in positions
-    )
-    cache.entries = [e for e in cache.entries if e.position not in positions]
 
 
 def evict_baseline(cache: CacheState, budget: int) -> CacheState:
@@ -291,7 +273,7 @@ def evict_baseline(cache: CacheState, budget: int) -> CacheState:
     if len(cache.entries) <= budget:
         return cache
     keep = {e.position for e in _keep_order(cache.entries)[:budget]}
-    _drop(cache, {e.position for e in cache.entries if e.position not in keep})
+    drop(cache, {e.position for e in cache.entries if e.position not in keep})
     return cache
 
 
@@ -302,57 +284,35 @@ class MassDiagnostics:
     rho_core: float
     rho_rep: float
     topk_size: int
-    lost_mass: tuple[float, ...] = ()
-    k_clamped: bool = False
-
-    def to_json(self, groups: int = 0, folded_members: int = 0) -> dict:
-        return {
-            "rho_core": self.rho_core,
-            "rho_rep": self.rho_rep,
-            "groups": groups,
-            "folded_members": folded_members,
-            "lost_mass_total": float(sum(self.lost_mass)),
-        }
 
 
 def mass_diagnostics(core: set[int], rep_set: set[int],
                      oracle_scores: dict[int, float], k: int,
-                     folded_members: set[int] | frozenset[int] = frozenset(),
-                     groups: list[MergeGroup] | None = None) -> MassDiagnostics:
+                     folded_members: set[int] | frozenset[int] = frozenset()
+                     ) -> MassDiagnostics:
     """Oracle mass coverage ratios over the top-k scored positions.
 
     A folded member counts as covered by its representative, so the covered
     set is ``rep_set | folded_members | core``.  Top-k selection orders by
     score descending then position descending; ``k`` beyond the population
-    clamps with a warning flag.
+    clamps to the population size (``topk_size``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if any(s < 0 for s in oracle_scores.values()):
         raise ValueError("oracle scores must be non-negative")
-    k_clamped = k > len(oracle_scores)
-    k_eff = min(k, len(oracle_scores))
     ranked = sorted(oracle_scores, key=lambda p: (-oracle_scores[p], -p))
-    topk = ranked[:k_eff]
-    denom = sum(oracle_scores[p] for p in topk)
+    topk = ranked[:k]
+    denom = ltr_sum(oracle_scores[p] for p in topk)
     covered = set(rep_set) | set(folded_members) | set(core)
     if denom == 0.0:
         rho_core = rho_rep = 0.0
     else:
-        rho_core = sum(oracle_scores[p] for p in topk if p in core) / denom
-        rho_rep = sum(oracle_scores[p] for p in topk if p in covered) / denom
-    lost = tuple(
-        abs(g.mass - _ltr_sum(g.weights)) for g in (groups or [])
-    )
+        rho_core = ltr_sum(oracle_scores[p] for p in topk if p in core) / denom
+        rho_rep = ltr_sum(oracle_scores[p] for p in topk
+                          if p in covered) / denom
     return MassDiagnostics(rho_core=rho_core, rho_rep=rho_rep,
-                           topk_size=k_eff, lost_mass=lost, k_clamped=k_clamped)
-
-
-def _ltr_sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total += float(v)
-    return total
+                           topk_size=len(topk))
 
 
 @dataclass
@@ -376,7 +336,7 @@ def perturbation_check(group: MergeGroup, representative: KVEntry,
     if not group.keys:
         raise ValueError("group carries no keys")
     rep_key = representative.geometry_key()
-    delta_m = representative.group_mass - _ltr_sum(group.weights)
+    delta_m = representative.group_mass - ltr_sum(group.weights)
     dispersion = 0.0
     for w, k in zip(group.weights, group.keys):
         dispersion += w * kappa_norm(k - rep_key, pi)

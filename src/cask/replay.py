@@ -13,9 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import DECODE, PREFIX, CacheState, KVEntry, append, terminal_saved_ratio
+from .cache import CacheState, KVEntry, append, terminal_saved_ratio
 from .kernels import HorizonDistribution
-from .model import ModelParams, accumulate_mass, forward_step
+from .model import (  # noqa: F401  (run_prefill is part of the replay API)
+    METHOD_NONE,
+    ModelParams,
+    NoCompressionPolicy,
+    decode,
+    run_prefill,
+)
 from .policies import CaskConfig, evict_baseline
 from .twostage import StageConfig, stage1_prefix_evict, stage2_step
 
@@ -23,20 +29,6 @@ NLL_FLOOR = 1e-12
 
 METHOD_CASK = "cask"
 METHOD_EVICT = "evict"
-METHOD_NONE = "none"
-
-
-class NoCompressionPolicy:
-    """Full-KV pipeline: appends everything, never compresses."""
-
-    method = METHOD_NONE
-    budget: int | None = None
-
-    def after_prefill(self, cache: CacheState) -> None:
-        pass
-
-    def force_append(self, cache: CacheState, entry: KVEntry) -> None:
-        append(cache, entry)
 
 
 class EvictionPolicy:
@@ -172,20 +164,6 @@ def _top5_hit(dist: np.ndarray, token: int, k: int) -> bool:
     return rank < k
 
 
-def run_prefill(params: ModelParams, cache: CacheState, prompt,
-                policy) -> np.ndarray:
-    """Feed the prompt, accumulate attention mass, run the policy's
-    post-prefill hook, and return the next-token distribution in hand."""
-    dist = None
-    for tok in prompt:
-        out = forward_step(params, cache, int(tok), origin=PREFIX)
-        accumulate_mass(cache, out)
-        append(cache, out.new_entry)
-        dist = out.distribution
-    policy.after_prefill(cache)
-    return dist
-
-
 def teacher_forced_replay(params: ModelParams, prompt, reference,
                           policy) -> ReplayRecord:
     """Replay the reference continuation under a compression policy."""
@@ -195,22 +173,8 @@ def teacher_forced_replay(params: ModelParams, prompt, reference,
     for t in reference:
         if not 0 <= t < params.vocab_size:
             raise ValueError(f"reference token {t} out of vocab")
-    total = len(prompt) + len(reference) + 1
-    budget = policy.budget if policy.budget is not None else total
-    cache = CacheState(budget=budget)
-    dist = run_prefill(params, cache, prompt, policy)
-    if dist is None:
-        raise ValueError("prompt must be nonempty")
-    T, V = len(reference), params.vocab_size
-    distributions = np.empty((T, V))
-    cache_sizes = np.empty(T, dtype=np.int64)
-    for t, ref_tok in enumerate(reference):
-        distributions[t] = dist
-        cache_sizes[t] = len(cache.entries)
-        out = forward_step(params, cache, ref_tok, origin=DECODE)
-        accumulate_mass(cache, out)
-        policy.force_append(cache, out.new_entry)
-        dist = out.distribution
+    _, distributions, cache_sizes, cache = decode(
+        params, prompt, len(reference), policy, forced=reference)
     return ReplayRecord.from_distributions(distributions, reference,
                                            cache=cache, cache_sizes=cache_sizes)
 
@@ -253,20 +217,3 @@ def summarize(record: ReplayRecord) -> FidelitySummary:
         top5_matches=int(np.sum(record.top5_flags)),
         top5_clamped=record.top5_clamped,
     )
-
-
-def replay_row_json(witness: str, method: str, budget: int,
-                    summary: FidelitySummary, flags) -> dict:
-    """Single-replay JSON row (the per-replay external interface)."""
-    return {
-        "witness": witness,
-        "method": method,
-        "budget": budget,
-        "top1": summary.top1,
-        "top5": summary.top5,
-        "mean_nll": summary.mean_nll,
-        "first_mismatch": summary.first_mismatch,
-        "saved_ratio": summary.saved_ratio,
-        "regime_flags": flags.to_json(),
-        "decode_events": flags.decode_events,
-    }

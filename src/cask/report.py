@@ -97,15 +97,6 @@ class SweepSpec:
         }
 
 
-def _policy_for(spec: SweepSpec, method: str, budget: int):
-    if method == METHOD_NONE:
-        return make_policy(METHOD_NONE)
-    if method == METHOD_EVICT:
-        return make_policy(METHOD_EVICT, budget)
-    return make_policy(METHOD_CASK, budget, cask_config=spec.cask,
-                       stage_config=spec.stage_config(budget))
-
-
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run every (witness, method, budget) cell and stream rows to disk.
 
@@ -135,26 +126,32 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def _blank_row() -> dict:
-    return {k: None for k in ROW_FIELDS}
-
-
 def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
               budget: int) -> list[dict]:
-    stage_cfg = spec.stage_config(budget)
-    policy = _policy_for(spec, method, budget)
+    """One sweep cell: its replay row, then its bridge row.  perfbench's
+    tracer labels cells by binding these parameter names."""
+    return [replay_row(spec, params, witness, ref, method, budget),
+            bridge_row(spec, params, witness, ref, method, budget)]
+
+
+def replay_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
+               budget: int) -> dict:
+    """Teacher-forced replay of ``ref`` under one (method, budget) cell,
+    as one ``ROW_FIELDS`` row of kind ``replay``."""
+    stage = spec.stage_config(budget)
+    policy = make_policy(method, budget, spec.cask, stage)
     record = teacher_forced_replay(params, list(witness.prompt),
                                    ref.tokens, policy)
     summary = summarize(record)
-    flags = finalize_flags(record.cache, stage_cfg)
+    flags = finalize_flags(record.cache, stage)
     live = {e.position for e in record.cache.entries}
     covered = covered_positions(record.cache)
     core = {e.position for e in record.cache.entries if e.protected}
     diag = mass_diagnostics(core, live, ref.oracle_scores,
                             k=min(budget, len(ref.oracle_scores)),
                             folded_members=covered - live)
-    replay_row = _blank_row()
-    replay_row.update({
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update({
         "kind": "replay",
         "witness": witness.name,
         "regime_label": flags.regime_label,
@@ -175,28 +172,36 @@ def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
         "top5_matches": summary.top5_matches,
         "seed": spec.seed,
     })
-    bridge_policy = _policy_for(spec, method, budget)
-    candidate, bridge_cache = bridge_run(params, list(witness.prompt),
-                                         witness.decode_len, bridge_policy)
-    bridge_flags = finalize_flags(bridge_cache, stage_cfg)
-    bridge_row = _blank_row()
-    bridge_row.update({
+    return row
+
+
+def bridge_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
+               budget: int) -> dict:
+    """Free-run greedy decode under one (method, budget) cell, scored
+    against ``ref``, as one ``ROW_FIELDS`` row of kind ``bridge``."""
+    stage = spec.stage_config(budget)
+    policy = make_policy(method, budget, spec.cask, stage)
+    candidate, cache = bridge_run(params, list(witness.prompt),
+                                  witness.decode_len, policy)
+    flags = finalize_flags(cache, stage)
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update({
         "kind": "bridge",
         "witness": witness.name,
-        "regime_label": bridge_flags.regime_label,
+        "regime_label": flags.regime_label,
         "method": method,
         "budget": budget,
-        "saved_ratio": terminal_saved_ratio(bridge_cache),
-        "decode_events": bridge_flags.decode_events,
-        "prefix_budget_exhausted": bridge_flags.prefix_budget_exhausted,
-        "merge_inactive": bridge_flags.merge_inactive,
+        "saved_ratio": terminal_saved_ratio(cache),
+        "decode_events": flags.decode_events,
+        "prefix_budget_exhausted": flags.prefix_budget_exhausted,
+        "merge_inactive": flags.merge_inactive,
         "seq_ratio": seq_ratio(candidate, ref.tokens),
         "sem_sim": sem_sim(candidate, ref.tokens),
         "task_metric": task_metric(candidate, ref.tokens),
         "T": len(candidate),
         "seed": spec.seed,
     })
-    return [replay_row, bridge_row]
+    return row
 
 
 @dataclass

@@ -45,15 +45,6 @@ class RegimeFlags:
     decode_events: int
     regime_label: str
 
-    def to_json(self) -> dict:
-        return {
-            "prefix_budget_exhausted": self.prefix_budget_exhausted,
-            "merge_inactive": self.merge_inactive,
-            "core_overflow": self.core_overflow,
-            "decode_events": self.decode_events,
-            "regime_label": self.regime_label,
-        }
-
 
 def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     """Trim prefix entries to floor(prefix_fraction * budget) once, post-prefill.

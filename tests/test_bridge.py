@@ -6,11 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cask.bridge import (
-    BridgeRow,
     bridge_run,
-    common_prefix_ratio,
     embed,
-    free_run,
     lcs_length,
     register_task_metric,
     sem_sim,
@@ -140,14 +137,17 @@ def test_task_metric_registration():
 def test_free_run_no_compression_equals_reference(params):
     w = make_witness("short-prompt-reasoning", 8, 20, 10, 0.5)
     ref = generate_reference(params, list(w.prompt), w.decode_len)
-    out = free_run(params, list(w.prompt), w.decode_len, make_policy("none"))
+    out = bridge_run(params, list(w.prompt), w.decode_len,
+                     make_policy("none"))[0]
     assert out == ref.tokens
 
 
 def test_free_run_deterministic(params):
     w = make_witness("short-prompt-reasoning", 8, 20, 10, 0.5)
-    a = free_run(params, list(w.prompt), w.decode_len, make_policy("cask", 16))
-    b = free_run(params, list(w.prompt), w.decode_len, make_policy("cask", 16))
+    a = bridge_run(params, list(w.prompt), w.decode_len,
+                   make_policy("cask", 16))[0]
+    b = bridge_run(params, list(w.prompt), w.decode_len,
+                   make_policy("cask", 16))[0]
     assert a == b
 
 
@@ -155,8 +155,8 @@ def test_free_run_unbounded_budget_equals_reference(params):
     w = make_witness("short-prompt-reasoning", 8, 20, 10, 0.5)
     ref = generate_reference(params, list(w.prompt), w.decode_len)
     total = len(w.prompt) + w.decode_len + 1
-    out = free_run(params, list(w.prompt), w.decode_len,
-                   make_policy("cask", total))
+    out = bridge_run(params, list(w.prompt), w.decode_len,
+                     make_policy("cask", total))[0]
     assert out == ref.tokens
 
 
@@ -166,14 +166,3 @@ def test_bridge_run_reports_cache(params):
                                    make_policy("cask", 24))
     assert len(tokens_out) == 32
     assert len(cache.entries) <= 24
-
-
-def test_prefix_and_output_ratio():
-    assert common_prefix_ratio([1, 2, 9], [1, 2, 3, 4]) == pytest.approx(0.5)
-    assert common_prefix_ratio([5], [1, 2]) == 0.0
-    row = BridgeRow(seq_ratio=0.5, sem_sim=0.4, task_metric=None,
-                    terminal_saved=0.2, compression_events=1)
-    data = row.to_json()
-    assert set(data) == {"seq_ratio", "sem_sim", "task_metric",
-                         "terminal_saved", "compression_events",
-                         "prefix_ratio", "output_ratio"}

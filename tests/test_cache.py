@@ -148,12 +148,6 @@ def test_merge_replace_keeps_positions_strictly_increasing():
     assert positions == [0, 1, 2, 3, 6, 7]
 
 
-def test_snapshot_is_json_friendly():
-    import json
-    cache = fill_cache([[1.0, 0.0]])
-    assert json.dumps(cache.snapshot())
-
-
 @given(st.lists(st.sampled_from(["append", "evict", "merge"]),
                 min_size=1, max_size=40),
        st.integers(min_value=0, max_value=2**32 - 1))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -32,7 +33,23 @@ def test_replay_command_prints_row(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)
     assert row["method"] == "cask"
     assert 0.0 <= row["top1"] <= 1.0
-    assert "regime_flags" in row
+
+
+def test_replay_and_bridge_print_the_sweep_rows(tmp_path, capsys):
+    path = gen_witness(tmp_path)
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--witness", str(path), "--method", "cask",
+               "--method", "evict", "--method", "none", "--budget-grid", "16",
+               "--out", str(out)])
+    assert rc == 0
+    swept = {(r["kind"], r["method"]): r for r in load_rows(out / "rows.jsonl")}
+    capsys.readouterr()
+    for kind in ("replay", "bridge"):
+        for method in ("cask", "evict", "none"):
+            rc = main([kind, "--witness", str(path), "--method", method,
+                       "--budget", "16"])
+            assert rc == 0
+            assert json.loads(capsys.readouterr().out) == swept[(kind, method)]
 
 
 def test_bridge_command_prints_row(tmp_path, capsys):
@@ -64,6 +81,28 @@ def test_sweep_and_report_roundtrip(tmp_path, capsys):
     assert {"fidelity.md", "weighted_aggregate.md", "same_budget.md",
             "audit_weighted_counts.md", "audit_same_budget_counts.md",
             "crossings.json"} <= names
+
+
+def test_sweep_rejects_manifest_with_another_prompt(tmp_path):
+    wide = tmp_path / "wide.json"
+    assert main(["gen-witness", "--kind", "prompt-heavy-decode-active",
+                 "--seed", "1", "--prefix-len", "16", "--decode-len", "12",
+                 "--redundancy", "0.7", "--vocab-size", "64",
+                 "--out", str(wide)]) == 0
+    edited = gen_witness(tmp_path, name="edited.json")
+    data = json.loads(edited.read_text())
+    data["prompt"][1] = data["prompt"][1] % 31 + 1
+    edited.write_text(json.dumps(data))
+    for path in (wide, edited):
+        for cmd in (["sweep", "--budget-grid", "16", "--out",
+                     str(tmp_path / "out")],
+                    ["replay", "--budget", "16"]):
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                main(cmd + ["--witness", str(path), "--method", "cask"])
+    assert not (tmp_path / "out" / "rows.jsonl").exists()
+    assert main(["sweep", "--witness", str(wide), "--method", "cask",
+                 "--budget-grid", "16", "--vocab-size", "64",
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_rejects_bad_method(tmp_path):

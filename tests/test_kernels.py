@@ -216,6 +216,12 @@ def test_simplex_projection_fixes_simplex_points():
     assert np.allclose(project_to_simplex(v), v, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simplex_projection_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError, match="finite"):
+        project_to_simplex(np.array([0.2, bad, 0.3]))
+
+
 def test_qp_identity_design_returns_target():
     tau = np.array([0.1, 0.6, 0.3])
     inst = QPInstance(np.eye(3), tau, np.ones(3))

@@ -177,7 +177,6 @@ def test_make_witness_zero_redundancy_has_no_motif_blocks():
 
 def test_make_witness_prefix_dominant_labeling():
     w = make_witness("prompt-heavy-prefix-dominant", 1, 900, 32, 0.3)
-    assert w.regime_label == "prompt-heavy-prefix-dominant"
     assert len(w.prompt) == 901  # far above a budget of 256
 
 
@@ -186,5 +185,5 @@ def test_witness_manifest_roundtrip(tmp_path):
     path = write_witness_manifest(w, tmp_path / "w.json")
     data = json.loads(path.read_text())
     assert set(data) == {"kind", "seed", "prefix_len", "decode_len",
-                         "redundancy", "regime_label", "prompt"}
+                         "redundancy", "prompt"}
     assert read_witness_manifest(path) == w

@@ -12,13 +12,11 @@ from cask.replay import (
     first_mismatch,
     make_policy,
     mean_nll,
-    replay_row_json,
     summarize,
     teacher_forced_replay,
     top1_agreement,
     top5_coverage,
 )
-from cask.twostage import StageConfig, finalize_flags
 
 
 def random_record(rng, T=8, V=12):
@@ -207,18 +205,6 @@ def test_replay_rejects_out_of_vocab(params):
 def test_replay_rejects_empty_reference(params):
     with pytest.raises(ValueError):
         teacher_forced_replay(params, [1, 2], [], make_policy("none"))
-
-
-def test_replay_row_json_schema(params):
-    w = make_witness("short-prompt-reasoning", 4, 16, 8, 0.5)
-    ref = generate_reference(params, list(w.prompt), w.decode_len)
-    record = teacher_forced_replay(params, list(w.prompt), ref.tokens,
-                                   make_policy("cask", 16))
-    flags = finalize_flags(record.cache, StageConfig(budget=16))
-    row = replay_row_json(w.name, "cask", 16, summarize(record), flags)
-    assert set(row) == {"witness", "method", "budget", "top1", "top5",
-                        "mean_nll", "first_mismatch", "saved_ratio",
-                        "regime_flags", "decode_events"}
 
 
 def test_make_policy_rejects_unknown_method():

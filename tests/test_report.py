@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -13,6 +14,10 @@ from cask.report import (
     load_rows,
     run_sweep,
 )
+
+# sha256 of rows.jsonl from the canonical frontier sweep
+# (scripts/frontier_sweep.py defaults).
+FRONTIER_DIGEST = "163530bdc1ed3e281f730c64f63a4d34c34f7255a5151ea6b54911194b2d0927"
 
 WSPEC = WitnessSpec(kind="prompt-heavy-decode-active", seed=1,
                     prefix_len=16, decode_len=16, redundancy=0.7)
@@ -79,6 +84,17 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
     run_sweep(small_spec(tmp_path))
     for f in files:
         assert (tmp_path / f).read_bytes() == first[f]
+
+
+def test_frontier_sweep_rows_match_golden_digest(tmp_path):
+    spec = SweepSpec(
+        witnesses=[WitnessSpec("prompt-heavy-decode-active", s, 24, 64, 0.7)
+                   for s in range(10)],
+        methods=["cask", "evict", "none"], budgets=[24, 32, 48],
+        out_dir=str(tmp_path), seed=0)
+    run_sweep(spec)
+    rows = (tmp_path / "rows.jsonl").read_bytes()
+    assert hashlib.sha256(rows).hexdigest() == FRONTIER_DIGEST
 
 
 def test_sweep_none_rows_are_identity(tmp_path):

@@ -6,7 +6,6 @@ from cask.twostage import (
     REGIME_BOUNDARY,
     REGIME_DECODE_ACTIVE,
     REGIME_PREFIX_DOMINANT,
-    RegimeFlags,
     StageConfig,
     finalize_flags,
     stage1_prefix_evict,
@@ -170,12 +169,3 @@ def test_finalize_label_priorities():
 
     flags = finalize_flags(CacheState(budget=8), stage_cfg)
     assert flags.regime_label == REGIME_BOUNDARY
-
-
-def test_flags_serialize():
-    flags = RegimeFlags(prefix_budget_exhausted=False, merge_inactive=True,
-                        core_overflow=False, decode_events=0,
-                        regime_label=REGIME_BOUNDARY)
-    row = flags.to_json()
-    assert set(row) == {"prefix_budget_exhausted", "merge_inactive",
-                        "core_overflow", "decode_events", "regime_label"}
