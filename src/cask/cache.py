@@ -54,10 +54,6 @@ class KVEntry:
         if not self.members:
             self.members = (self.position,)
 
-    @property
-    def merged(self) -> bool:
-        return self.member_count > 1
-
     def geometry_key(self) -> np.ndarray:
         """Flat d-vector used for merge geometry (mean over layers)."""
         return self.key if self.key.ndim == 1 else self.key.mean(axis=0)
@@ -89,9 +85,6 @@ class CacheState:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def positions(self) -> list[int]:
-        return [e.position for e in self.entries]
 
     def entry_at(self, position: int) -> KVEntry:
         for e in self.entries:

@@ -21,6 +21,7 @@ from .model import (
     write_witness_manifest,
 )
 from .report import (
+    VALID_METHODS,
     SweepSpec,
     WitnessSpec,
     bridge_row,
@@ -126,8 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, row in (("replay", replay_row), ("bridge", bridge_row)):
         p = sub.add_parser(name, help=f"print the {name} row of one cell")
         p.add_argument("--witness", required=True, help="witness manifest path")
-        p.add_argument("--method", choices=("cask", "evict", "none"),
-                       required=True)
+        p.add_argument("--method", choices=VALID_METHODS, required=True)
         p.add_argument("--budget", type=int, required=True)
         _add_model_flags(p)
         p.set_defaults(fn=_cmd_cell, row=row)
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="append", required=True,
                    help="witness manifest path (repeatable)")
     p.add_argument("--method", action="append", required=True,
-                   choices=("cask", "evict", "none"))
+                   choices=VALID_METHODS)
     p.add_argument("--budget-grid", required=True,
                    help="comma-separated increasing budgets, e.g. 32,48,64")
     p.add_argument("--out", required=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,38 +106,31 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     if not 0 <= token < params.vocab_size:
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
     L, d = params.num_layers, params.model_dim
-    for e in cache.entries:
-        if e.key.shape != (L, d):
-            raise ValueError(
-                f"cache entry at {e.position} has shape {e.key.shape}, "
-                f"model expects {(L, d)}"
-            )
-    n = len(cache.entries)
+    entries = cache.entries
+    n = len(entries)
+    # The cache is read once per call; slot n takes the new token's rows.
+    slot = np.empty((L, d))
+    try:
+        keys = np.array([e.key for e in entries] + [slot])
+        values = np.array([e.value for e in entries] + [slot])
+    except ValueError:
+        raise ValueError(f"cache entries must have shape {(L, d)}, "
+                         f"the model's (num_layers, model_dim)") from None
+    keys = keys.swapaxes(0, 1).copy()        # (L, n + 1, d), C order
+    values = values.swapaxes(0, 1).copy()
+    log_mass = np.log([e.group_mass for e in entries] + [1.0])
     h = params.embedding[token]
-    new_keys = np.empty((L, d))
-    new_values = np.empty((L, d))
     weights = np.empty((L, n + 1))
     sqrt_d = np.sqrt(d)
     for l in range(L):
         q = h @ params.wq[l]
-        k = h @ params.wk[l]
-        v = h @ params.wv[l]
-        new_keys[l] = k
-        new_values[l] = v
-        if n:
-            keys = np.stack([e.key[l] for e in cache.entries] + [k])
-            values = np.stack([e.value[l] for e in cache.entries] + [v])
-            masses = np.array([e.group_mass for e in cache.entries] + [1.0])
-        else:
-            keys = k[None, :]
-            values = v[None, :]
-            masses = np.ones(1)
-        logits = keys @ q / sqrt_d + np.log(masses)
-        w = _softmax(logits)
+        keys[l, n] = h @ params.wk[l]
+        values[l, n] = h @ params.wv[l]
+        w = _softmax(keys[l] @ q / sqrt_d + log_mass)
         weights[l] = w
-        h = h + (w @ values) @ params.wo[l]
+        h = h + (w @ values[l]) @ params.wo[l]
     dist = _softmax(h @ params.unembed)
-    entry = KVEntry(key=new_keys, value=new_values,
+    entry = KVEntry(key=keys[:, n].copy(), value=values[:, n].copy(),
                     position=cache.total_appended, origin=origin,
                     score_mass=float(weights[:, -1].mean()))
     return StepOutput(distribution=dist, new_entry=entry,
@@ -218,7 +211,6 @@ class ReferenceRun:
     tokens: list[int]
     distributions: np.ndarray      # (T, V)
     oracle_scores: dict[int, float]
-    prompt_len: int
     cache: CacheState
 
 
@@ -231,8 +223,7 @@ def generate_reference(params: ModelParams, prompt: list[int],
                                      NoCompressionPolicy())
     scores = {e.position: e.score_mass for e in cache.entries}
     return ReferenceRun(tokens=tokens, distributions=dists,
-                        oracle_scores=scores, prompt_len=len(prompt),
-                        cache=cache)
+                        oracle_scores=scores, cache=cache)
 
 
 @dataclass
@@ -306,6 +297,11 @@ def write_witness_manifest(witness: Witness, path: str | Path) -> Path:
 
 def read_witness_manifest(path: str | Path) -> Witness:
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"witness manifest {path}: expected a JSON object")
+    missing = [f.name for f in fields(Witness) if f.name not in data]
+    if missing:
+        raise ValueError(f"witness manifest {path}: missing keys {missing}")
     return Witness(kind=data["kind"], seed=data["seed"],
                    prefix_len=data["prefix_len"], decode_len=data["decode_len"],
                    redundancy=data["redundancy"],

@@ -215,9 +215,14 @@ class CompressOutcome:
     evicted: int = 0
 
 
-def _keep_order(entries: list[KVEntry]) -> list[KVEntry]:
+def keep_order(entries: list[KVEntry]) -> list[KVEntry]:
     """Keep priority: score mass descending, then recency (higher position)."""
     return sorted(entries, key=lambda e: (-e.score_mass, -e.position))
+
+
+def _drop_after(cache: CacheState, candidates: list[KVEntry], n: int) -> int:
+    """Drop every candidate after the first ``n`` in keep order."""
+    return drop(cache, {e.position for e in keep_order(candidates)[n:]})
 
 
 def cask_compress(cache: CacheState, config: CaskConfig, budget: int,
@@ -253,9 +258,7 @@ def cask_compress(cache: CacheState, config: CaskConfig, budget: int,
     if len(cache.entries) > budget:
         unprotected = [e for e in cache.entries if not e.protected]
         n_keep = budget - (len(cache.entries) - len(unprotected))
-        keep = {e.position for e in _keep_order(unprotected)[:n_keep]}
-        to_evict = {e.position for e in unprotected if e.position not in keep}
-        outcome.evicted = drop(cache, to_evict)
+        outcome.evicted = _drop_after(cache, unprotected, n_keep)
     outcome.fired = outcome.groups_folded > 0 or outcome.evicted > 0
     if outcome.fired:
         cache.record_event(STAGE_DECODE_CONSOLIDATE, before, len(cache.entries))
@@ -270,10 +273,7 @@ def evict_baseline(cache: CacheState, budget: int) -> CacheState:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if len(cache.entries) <= budget:
-        return cache
-    keep = {e.position for e in _keep_order(cache.entries)[:budget]}
-    drop(cache, {e.position for e in cache.entries if e.position not in keep})
+    _drop_after(cache, cache.entries, budget)
     return cache
 
 

@@ -62,17 +62,12 @@ class CaskPolicy:
         if self.stage_config.budget != budget:
             raise ValueError("stage_config.budget must match the policy budget")
         self.pi = pi if pi is not None else self.cask_config.horizon_distribution()
-        self.groups_folded = 0
-        self.members_folded = 0
 
     def after_prefill(self, cache: CacheState) -> None:
         stage1_prefix_evict(cache, self.stage_config)
 
     def force_append(self, cache: CacheState, entry: KVEntry) -> None:
-        outcome = stage2_step(cache, entry, self.cask_config,
-                              self.stage_config, self.pi)
-        self.groups_folded += outcome.groups_folded
-        self.members_folded += outcome.members_folded
+        stage2_step(cache, entry, self.cask_config, self.stage_config, self.pi)
 
 
 def make_policy(method: str, budget: int | None = None,
@@ -120,17 +115,16 @@ class ReplayRecord:
         T, V = distributions.shape
         if reference.shape != (T,):
             raise ValueError("reference must have one token per step")
-        k = min(5, V)
+        p = distributions[np.arange(T), reference]
+        # Rank of the reference token, ties going to lower ids.
+        rank = np.sum((distributions > p[:, None])
+                      | ((distributions == p[:, None])
+                         & (np.arange(V) < reference[:, None])), axis=1)
         rec = cls(
             reference=reference,
-            argmax=np.array([int(np.argmax(d)) for d in distributions],
-                            dtype=np.int64),
-            top5_flags=np.array(
-                [_top5_hit(d, int(t), k)
-                 for d, t in zip(distributions, reference)], dtype=bool),
-            log_probs=np.array(
-                [np.log(max(float(d[t]), NLL_FLOOR))
-                 for d, t in zip(distributions, reference)]),
+            argmax=np.argmax(distributions, axis=1),
+            top5_flags=rank < min(5, V),
+            log_probs=np.log(np.maximum(p, NLL_FLOOR)),
             cache_sizes=(cache_sizes if cache_sizes is not None
                          else np.zeros(T, dtype=np.int64)),
             distributions=distributions,
@@ -155,13 +149,6 @@ class FidelitySummary:
     def __post_init__(self):
         if self.top1 > self.top5:
             raise ValueError("top1 cannot exceed top5")
-
-
-def _top5_hit(dist: np.ndarray, token: int, k: int) -> bool:
-    """Token inside the k highest-probability slots, ties going to lower ids."""
-    p = dist[token]
-    rank = int(np.sum(dist > p) + np.sum((dist == p) & (np.arange(dist.size) < token)))
-    return rank < k
 
 
 def teacher_forced_replay(params: ModelParams, prompt, reference,

@@ -12,7 +12,7 @@ from math import floor
 
 from .cache import PREFIX, CacheState, KVEntry, append, evict
 from .kernels import HorizonDistribution
-from .policies import CaskConfig, CompressOutcome, cask_compress
+from .policies import CaskConfig, CompressOutcome, cask_compress, keep_order
 
 REGIME_DECODE_ACTIVE = "decode-active"
 REGIME_PREFIX_DOMINANT = "prefix-dominant"
@@ -58,10 +58,7 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     cap = floor(config.prefix_fraction * config.budget)
     if len(prefix) > cap:
         target = max(cap, config.min_prefix_keep)
-        n_evict = len(prefix) - target
-        if n_evict > 0:
-            by_priority = sorted(prefix, key=lambda e: (e.score_mass, e.position))
-            evict(cache, [e.position for e in by_priority[:n_evict]])
+        evict(cache, [e.position for e in keep_order(prefix)[target:]])
     prefix_after = sum(1 for e in cache.entries if e.origin == PREFIX)
     exhausted = (config.budget - prefix_after) < config.min_decode_slack
     cache.prefix_budget_exhausted = exhausted

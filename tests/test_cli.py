@@ -110,3 +110,16 @@ def test_cli_rejects_bad_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["replay", "--witness", str(path), "--method", "zap",
               "--budget", "16"])
+
+
+def test_replay_rejects_malformed_manifest(tmp_path):
+    path = gen_witness(tmp_path)
+    data = json.loads(path.read_text())
+    del data["prompt"]
+    for content, detail in ((json.dumps(data), r"missing keys \['prompt'\]"),
+                            ("[1, 2]", "JSON object")):
+        path.write_text(content)
+        with pytest.raises(ValueError,
+                           match=re.escape(str(path)) + ".*" + detail):
+            main(["replay", "--witness", str(path), "--method", "cask",
+                  "--budget", "16"])

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cask.cache import CacheState, append
+from cask.cache import DECODE, CacheState, KVEntry, append
 from cask.model import (
     WITNESS_KINDS,
+    StepOutput,
+    _softmax,
     accumulate_mass,
     forward_step,
     generate_reference,
@@ -68,12 +70,78 @@ def test_forward_step_rejects_out_of_vocab(params):
 
 
 def test_forward_step_rejects_dimension_mismatch(params):
-    other = init_model(0, 32, 8, 1)
-    cache = CacheState(budget=4)
-    out = forward_step(other, cache, 1)
-    append(cache, out.new_entry)
-    with pytest.raises(ValueError, match="shape"):
-        forward_step(params, cache, 1)
+    for models in ([(32, 8, 1)],                # model_dim mismatch
+                   [(32, 16, 2)],               # layer-count mismatch
+                   [(32, 16, 1), (32, 8, 1)]):  # ragged cache
+        cache = CacheState(budget=4)
+        for dims in models:
+            out = forward_step(init_model(0, *dims), CacheState(budget=4), 1)
+            append(cache, KVEntry(key=out.new_entry.key,
+                                  value=out.new_entry.value,
+                                  position=cache.total_appended))
+        with pytest.raises(ValueError, match=r"shape \(1, 16\)"):
+            forward_step(params, cache, 1)
+
+
+def _restack_forward_step(params, cache, token, origin=DECODE):
+    """Reference forward pass that re-stacks the cache once per layer."""
+    L, d = params.num_layers, params.model_dim
+    n = len(cache.entries)
+    h = params.embedding[token]
+    new_keys = np.empty((L, d))
+    new_values = np.empty((L, d))
+    weights = np.empty((L, n + 1))
+    sqrt_d = np.sqrt(d)
+    for l in range(L):
+        q = h @ params.wq[l]
+        k = h @ params.wk[l]
+        v = h @ params.wv[l]
+        new_keys[l] = k
+        new_values[l] = v
+        if n:
+            keys = np.stack([e.key[l] for e in cache.entries] + [k])
+            values = np.stack([e.value[l] for e in cache.entries] + [v])
+            masses = np.array([e.group_mass for e in cache.entries] + [1.0])
+        else:
+            keys = k[None, :]
+            values = v[None, :]
+            masses = np.ones(1)
+        logits = keys @ q / sqrt_d + np.log(masses)
+        w = _softmax(logits)
+        weights[l] = w
+        h = h + (w @ values) @ params.wo[l]
+    dist = _softmax(h @ params.unembed)
+    entry = KVEntry(key=new_keys, value=new_values,
+                    position=cache.total_appended, origin=origin,
+                    score_mass=float(weights[:, -1].mean()))
+    return StepOutput(distribution=dist, new_entry=entry,
+                      attention_weights=weights)
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, 9, 70])
+def test_forward_step_matches_per_layer_restack(num_layers, n):
+    params = init_model(5, 32, 16, num_layers)
+    rng = np.random.default_rng([num_layers, n])
+    cache = CacheState(budget=128)
+    for i in range(n):
+        members = int(rng.integers(1, 4))  # members > 1: a merged entry
+        append(cache, KVEntry(
+            key=rng.standard_normal((num_layers, 16)),
+            value=rng.standard_normal((num_layers, 16)),
+            position=3 * i, score_mass=float(rng.random()),
+            group_mass=1.0 if members == 1 else float(rng.uniform(0.1, 4.0)),
+            member_count=members))
+    for token in (0, 17, 31):
+        new = forward_step(params, cache, token)
+        old = _restack_forward_step(params, cache, token)
+        for a, b in ((new.distribution, old.distribution),
+                     (new.attention_weights, old.attention_weights),
+                     (new.new_entry.key, old.new_entry.key),
+                     (new.new_entry.value, old.new_entry.value)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert new.new_entry.score_mass == old.new_entry.score_mass
+        assert new.new_entry.key.flags.owndata
 
 
 def test_noop_compression_keeps_distributions_identical(params):

@@ -59,6 +59,25 @@ def test_metrics_match_brute_force_oracle(seed):
     assert first_mismatch(record) == o_fm
 
 
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80)
+def test_record_stats_equal_per_step_loop(seed):
+    rng = np.random.default_rng(seed)
+    T, V = int(rng.integers(0, 10)), int(rng.integers(1, 12))
+    dists = rng.integers(0, 4, size=(T, V)) / 4.0  # coarse values force ties
+    refs = rng.integers(0, V, size=T)
+    record = ReplayRecord.from_distributions(dists, refs)
+    k = min(5, V)
+    for t, (dist, ref) in enumerate(zip(dists, refs)):
+        p = dist[ref]
+        rank = np.sum(dist > p) + np.sum((dist == p) & (np.arange(V) < ref))
+        assert record.argmax[t] == np.argmax(dist)
+        assert record.top5_flags[t] == (rank < k)
+        assert record.log_probs[t] == np.log(max(float(p), 1e-12))
+    assert record.argmax.shape == record.top5_flags.shape == (T,)
+    assert record.log_probs.shape == (T,)
+
+
 def test_top1_all_match_and_none_match():
     dists = np.array([[0.9, 0.1], [0.8, 0.2]])
     assert top1_agreement(ReplayRecord.from_distributions(dists, [0, 0])) == 1.0
