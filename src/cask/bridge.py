@@ -13,19 +13,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cache import CacheState
-from .model import ModelParams, decode
+from .model import ModelParams, PrefillSnapshot, decode
 
 EMBED_WIDTH = 256
 EMBED_SEED = 17
 
 
-def bridge_run(params: ModelParams, prompt, length: int,
-               policy) -> tuple[list[int], CacheState]:
-    """Greedy decode where every emitted token passes through the policy;
-    returns the emitted tokens and the terminal cache."""
+def bridge_run(params: ModelParams, prompt, length: int, policy,
+               snapshot: PrefillSnapshot | None = None
+               ) -> tuple[list[int], CacheState]:
+    """Greedy decode where every emitted token passes through the policy,
+    starting from a fork of ``snapshot`` when one is given; returns the
+    emitted tokens and the terminal cache."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    tokens, _, _, cache = decode(params, prompt, length, policy)
+    tokens, _, _, cache = decode(params, prompt, length, policy,
+                                 snapshot=snapshot)
     return tokens, cache
 
 

@@ -2,6 +2,11 @@
 (shared by the reference, replay and bridge runs) and synthetic witness
 prompts.
 
+A sweep prefills each witness once: the reference run and every
+(method, budget) cell start from forks of that one :class:`PrefillSnapshot`,
+since their caches and next-token distributions are identical until the
+policy's ``after_prefill``.
+
 The model is a seeded, single-layer-by-default attention stack over token
 embeddings with no positional encoding, so identical tokens produce identical
 keys and redundancy in the prompt shows up as exactly mergeable cache
@@ -12,6 +17,7 @@ mass-proportional share of the softmax.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -172,22 +178,63 @@ def run_prefill(params: ModelParams, cache: CacheState, prompt,
     return dist
 
 
-def decode(params: ModelParams, prompt, steps: int, policy, forced=None):
+@dataclass
+class PrefillSnapshot:
+    """A prompt's cache entries and next-token distribution right after
+    prefill, before any policy's ``after_prefill``."""
+
+    prompt: tuple[int, ...]
+    entries: list[KVEntry]
+    distribution: np.ndarray       # (V,)
+
+    def fork(self, budget: int) -> CacheState:
+        """A fresh cache holding shallow copies of the entries.
+
+        Each copy owns its ``score_mass`` and ``protected`` flag; the key and
+        value arrays are shared, because nothing writes them in place
+        (``forward_step`` copies them and ``fold_group`` builds new ones).
+        """
+        return CacheState(budget=budget,
+                          entries=[copy.copy(e) for e in self.entries],
+                          total_appended=len(self.entries))
+
+
+def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
+    """Prefill ``prompt`` under full KV and keep the result for forking."""
+    cache = CacheState(budget=max(1, len(prompt)))
+    dist = run_prefill(params, cache, prompt, NoCompressionPolicy())
+    if dist is None:
+        raise ValueError("prompt must be nonempty")
+    return PrefillSnapshot(prompt=tuple(int(t) for t in prompt),
+                           entries=cache.entries, distribution=dist)
+
+
+def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
+           snapshot: PrefillSnapshot | None = None):
     """Prefill ``prompt`` through ``policy``, then decode ``steps`` tokens.
 
-    Each step records the distribution in hand and the live cache size, then
-    feeds ``forced[t]`` (teacher forcing) or else the greedy argmax (ties go
-    to the lowest id) through the policy's append path.  Returns the fed
-    tokens, the ``(steps, V)`` distributions, the per-step cache sizes and
-    the terminal cache.
+    With a ``snapshot`` of ``prompt`` the prefill is not rerun: the policy's
+    ``after_prefill`` runs on a fork of it.  Each step records the
+    distribution in hand and the live cache size, then feeds ``forced[t]``
+    (teacher forcing) or else the greedy argmax (ties go to the lowest id)
+    through the policy's append path.  Returns the fed tokens, the
+    ``(steps, V)`` distributions, the per-step cache sizes and the terminal
+    cache.
     """
     budget = policy.budget
     if budget is None:
         budget = len(prompt) + steps + 1
-    cache = CacheState(budget=budget)
-    dist = run_prefill(params, cache, prompt, policy)
-    if dist is None:
-        raise ValueError("prompt must be nonempty")
+    if snapshot is None:
+        cache = CacheState(budget=budget)
+        dist = run_prefill(params, cache, prompt, policy)
+        if dist is None:
+            raise ValueError("prompt must be nonempty")
+    else:
+        if snapshot.prompt != tuple(prompt):
+            raise ValueError("snapshot was prefilled from another prompt")
+        cache = snapshot.fork(budget)
+        policy.after_prefill(cache)
+        dist = snapshot.distribution
     tokens: list[int] = []
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)
@@ -206,12 +253,15 @@ def decode(params: ModelParams, prompt, steps: int, policy, forced=None):
 @dataclass
 class ReferenceRun:
     """Greedy full-KV continuation with its per-step distributions and the
-    accumulated attention mass per position (the oracle score source)."""
+    accumulated attention mass per position (the oracle score source),
+    plus the prefill snapshot that the sweep's cells fork."""
 
     tokens: list[int]
     distributions: np.ndarray      # (T, V)
     oracle_scores: dict[int, float]
     cache: CacheState
+    cache_sizes: np.ndarray        # (T,)
+    snapshot: PrefillSnapshot
 
 
 def generate_reference(params: ModelParams, prompt: list[int],
@@ -219,11 +269,14 @@ def generate_reference(params: ModelParams, prompt: list[int],
     """Greedy argmax continuation under full KV; ties go to the lowest id."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    tokens, dists, _, cache = decode(params, prompt, length,
-                                     NoCompressionPolicy())
+    snapshot = prefill(params, prompt)
+    tokens, dists, sizes, cache = decode(params, prompt, length,
+                                         NoCompressionPolicy(),
+                                         snapshot=snapshot)
     scores = {e.position: e.score_mass for e in cache.entries}
     return ReferenceRun(tokens=tokens, distributions=dists,
-                        oracle_scores=scores, cache=cache)
+                        oracle_scores=scores, cache=cache, cache_sizes=sizes,
+                        snapshot=snapshot)
 
 
 @dataclass

@@ -91,20 +91,27 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     Core = first ``sink_count`` decode entries + last ``recency_window``
     decode entries + decode entries whose accumulated score mass is strictly
     above the ``anchor_quantile`` quantile of decode score mass.  Flags are
-    recomputed from scratch on every call.
+    recomputed from scratch on every call.  A NaN, infinite or negative
+    decode score mass raises ``ValueError`` naming its position, since it
+    would turn the quantile into NaN and silently drop every anchor.
     """
     if not cache.entries:
         raise ValueError("cache is empty")
+    decode = [e for e in cache.entries if e.origin == DECODE]
+    masses = np.array([e.score_mass for e in decode])
+    # min() propagates NaN, so one chained test covers NaN, ±inf and < 0.
+    if decode and not 0.0 <= masses.min() <= masses.max() < np.inf:
+        e = next(e for e in decode if not 0.0 <= e.score_mass < np.inf)
+        raise ValueError(f"decode entry at position {e.position} has "
+                         f"score_mass {e.score_mass}; expected finite >= 0")
     for e in cache.entries:
         e.protected = False
-    decode = [e for e in cache.entries if e.origin == DECODE]
     if not decode:
         return set()
     core: set[int] = set()
     core.update(e.position for e in decode[:config.sink_count])
     if config.recency_window > 0:
         core.update(e.position for e in decode[-config.recency_window:])
-    masses = np.array([e.score_mass for e in decode])
     threshold = float(np.quantile(masses, config.anchor_quantile))
     core.update(e.position for e in decode if e.score_mass > threshold)
     for e in decode:
@@ -262,6 +269,7 @@ def cask_compress(cache: CacheState, config: CaskConfig, budget: int,
     outcome.fired = outcome.groups_folded > 0 or outcome.evicted > 0
     if outcome.fired:
         cache.record_event(STAGE_DECODE_CONSOLIDATE, before, len(cache.entries))
+    # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
     detect_core(cache, config)
     return outcome
 

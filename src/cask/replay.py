@@ -19,6 +19,7 @@ from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     METHOD_NONE,
     ModelParams,
     NoCompressionPolicy,
+    PrefillSnapshot,
     decode,
     run_prefill,
 )
@@ -151,9 +152,11 @@ class FidelitySummary:
             raise ValueError("top1 cannot exceed top5")
 
 
-def teacher_forced_replay(params: ModelParams, prompt, reference,
-                          policy) -> ReplayRecord:
-    """Replay the reference continuation under a compression policy."""
+def teacher_forced_replay(params: ModelParams, prompt, reference, policy,
+                          snapshot: PrefillSnapshot | None = None
+                          ) -> ReplayRecord:
+    """Replay the reference continuation under a compression policy,
+    starting from a fork of ``snapshot`` when one is given."""
     reference = [int(t) for t in reference]
     if not reference:
         raise ValueError("reference must be nonempty")
@@ -161,7 +164,8 @@ def teacher_forced_replay(params: ModelParams, prompt, reference,
         if not 0 <= t < params.vocab_size:
             raise ValueError(f"reference token {t} out of vocab")
     _, distributions, cache_sizes, cache = decode(
-        params, prompt, len(reference), policy, forced=reference)
+        params, prompt, len(reference), policy, forced=reference,
+        snapshot=snapshot)
     return ReplayRecord.from_distributions(distributions, reference,
                                            cache=cache, cache_sizes=cache_sizes)
 

@@ -20,6 +20,7 @@ from .replay import (
     METHOD_CASK,
     METHOD_EVICT,
     METHOD_NONE,
+    ReplayRecord,
     make_policy,
     summarize,
     teacher_forced_replay,
@@ -100,7 +101,8 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run every (witness, method, budget) cell and stream rows to disk.
 
-    Emits one replay row and one bridge row per cell into
+    Each witness is prefilled once, by its reference run; every cell forks
+    that prefill.  Emits one replay row and one bridge row per cell into
     ``<out_dir>/rows.jsonl`` plus a provenance manifest; fully reproducible
     from the sweep spec and its seed.
     """
@@ -137,11 +139,18 @@ def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
 def replay_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
                budget: int) -> dict:
     """Teacher-forced replay of ``ref`` under one (method, budget) cell,
-    as one ``ROW_FIELDS`` row of kind ``replay``."""
+    as one ``ROW_FIELDS`` row of kind ``replay``.  The replay forks
+    ``ref``'s prefill; a full-KV (``none``) replay is the reference itself
+    (bit for bit, acceptance c01), so it is not rerun."""
     stage = spec.stage_config(budget)
-    policy = make_policy(method, budget, spec.cask, stage)
-    record = teacher_forced_replay(params, list(witness.prompt),
-                                   ref.tokens, policy)
+    if method == METHOD_NONE:
+        record = ReplayRecord.from_distributions(
+            ref.distributions, ref.tokens, ref.cache, ref.cache_sizes)
+    else:
+        policy = make_policy(method, budget, spec.cask, stage)
+        record = teacher_forced_replay(params, list(witness.prompt),
+                                       ref.tokens, policy,
+                                       snapshot=ref.snapshot)
     summary = summarize(record)
     flags = finalize_flags(record.cache, stage)
     live = {e.position for e in record.cache.entries}
@@ -178,11 +187,17 @@ def replay_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
 def bridge_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
                budget: int) -> dict:
     """Free-run greedy decode under one (method, budget) cell, scored
-    against ``ref``, as one ``ROW_FIELDS`` row of kind ``bridge``."""
+    against ``ref`` (the witness's ``decode_len``-token reference), as one
+    ``ROW_FIELDS`` row of kind ``bridge``.  The run forks ``ref``'s
+    prefill; a full-KV (``none``) run is the greedy reference itself."""
     stage = spec.stage_config(budget)
-    policy = make_policy(method, budget, spec.cask, stage)
-    candidate, cache = bridge_run(params, list(witness.prompt),
-                                  witness.decode_len, policy)
+    if method == METHOD_NONE:
+        candidate, cache = ref.tokens, ref.cache
+    else:
+        policy = make_policy(method, budget, spec.cask, stage)
+        candidate, cache = bridge_run(params, list(witness.prompt),
+                                      witness.decode_len, policy,
+                                      snapshot=ref.snapshot)
     flags = finalize_flags(cache, stage)
     row = dict.fromkeys(ROW_FIELDS)
     row.update({

@@ -5,20 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cask.cache import DECODE, CacheState, KVEntry, append
+from cask.cache import (
+    DECODE,
+    STAGE_PREFIX_EVICT,
+    CacheState,
+    KVEntry,
+    append,
+    drop,
+)
 from cask.model import (
     WITNESS_KINDS,
+    NoCompressionPolicy,
     StepOutput,
     _softmax,
     accumulate_mass,
+    decode,
     forward_step,
     generate_reference,
     init_model,
     make_witness,
+    prefill,
     read_witness_manifest,
     write_witness_manifest,
 )
 from cask.policies import CaskConfig, cask_compress
+from cask.replay import make_policy
+from cask.twostage import StageConfig
 
 
 def test_init_model_deterministic():
@@ -211,6 +223,73 @@ def test_generate_reference_oracle_scores_cover_all_positions(params):
     ref = generate_reference(params, [1, 2, 3], 5)
     assert set(ref.oracle_scores) == set(range(8))
     assert all(v >= 0 for v in ref.oracle_scores.values())
+
+
+def _entry_state(entries):
+    return [(e.position, e.origin, e.score_mass, e.group_mass,
+             e.member_count, e.protected, e.members, e.key.tobytes(),
+             e.value.tobytes()) for e in entries]
+
+
+def _cache_state(cache):
+    return (_entry_state(cache.entries), cache.budget, cache.total_appended,
+            cache.evicted_tokens, cache.compression_events,
+            cache.prefix_budget_exhausted, cache.core_overflow)
+
+
+def test_prefill_fork_isolation(params):
+    snap = prefill(params, [3, 1, 4, 1, 5, 9])
+    before = _entry_state(snap.entries)
+    a, b = snap.fork(64), snap.fork(64)
+    # Forks share the (never written) key/value arrays, not the entries.
+    assert a.entries[0].key is snap.entries[0].key
+    assert a.entries[0] is not snap.entries[0]
+    a.entries[0].score_mass += 1.0
+    a.entries[1].protected = True
+    drop(a, {2})
+    append(a, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
+                      position=6))
+    a.record_event(STAGE_PREFIX_EVICT, 7, 6)
+    assert _entry_state(snap.entries) == before
+    assert _cache_state(b) == (before, 64, 6, 0, [], False, False)
+
+
+@pytest.mark.parametrize("method", ["cask", "evict", "none"])
+@pytest.mark.parametrize("forced", [False, True])
+def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
+    params = init_model(0, num_layers=2)
+    prompt = list(make_witness("prompt-heavy-decode-active", 3, 24, 1,
+                               0.7).prompt)
+    ref = generate_reference(params, prompt, 24)
+    runs = []
+    for snapshot in (None, ref.snapshot):
+        policy = make_policy(method, 16, stage_config=StageConfig(budget=16))
+        runs.append(decode(params, prompt, 24, policy,
+                           forced=ref.tokens if forced else None,
+                           snapshot=snapshot))
+    (tokens_a, dists_a, sizes_a, cache_a), (tokens_b, dists_b, sizes_b,
+                                             cache_b) = runs
+    assert tokens_a == tokens_b
+    assert dists_a.tobytes() == dists_b.tobytes()
+    assert sizes_a.tolist() == sizes_b.tolist()
+    assert _cache_state(cache_a) == _cache_state(cache_b)
+
+
+def test_reference_run_carries_its_prefill(params):
+    ref = generate_reference(params, [1, 2, 3], 5)
+    fresh = prefill(params, [1, 2, 3])
+    assert ref.snapshot.prompt == (1, 2, 3)
+    assert _entry_state(ref.snapshot.entries) == _entry_state(fresh.entries)
+    assert ref.snapshot.distribution.tobytes() == fresh.distribution.tobytes()
+    assert ref.cache_sizes.tolist() == [3, 4, 5, 6, 7]
+
+
+def test_decode_rejects_snapshot_of_another_prompt(params):
+    snap = prefill(params, [1, 2, 3])
+    with pytest.raises(ValueError, match="another prompt"):
+        decode(params, [1, 2, 4], 4, NoCompressionPolicy(), snapshot=snap)
+    with pytest.raises(ValueError, match="nonempty"):
+        prefill(params, [])
 
 
 def test_make_witness_rejects_unknown_kind():

@@ -48,6 +48,21 @@ def test_detect_core_ignores_prefix_entries():
     assert detect_core(cache, cfg) == set()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 -0.5])
+def test_detect_core_rejects_bad_score_mass(bad):
+    # One NaN used to make the anchor threshold NaN, so the core silently
+    # shrank to sinks + recency.
+    masses = [1.0 + i for i in range(30)]
+    masses[17] = bad
+    cache = decode_cache([[float(i), 0.0] for i in range(30)],
+                         score_masses=masses)
+    cache.entries[0].protected = True
+    with pytest.raises(ValueError, match="position 17 has score_mass"):
+        detect_core(cache, CaskConfig())
+    assert [e.protected for e in cache.entries] == [True] + [False] * 29
+
+
 def test_detect_core_matches_brute_force(rng):
     cache = CacheState(budget=64)
     origins = [PREFIX] * 6 + [DECODE] * 14

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cask import model, report
 from cask.report import (
     ROW_FIELDS,
     CrossingFinding,
@@ -18,6 +19,10 @@ from cask.report import (
 # sha256 of rows.jsonl from the canonical frontier sweep
 # (scripts/frontier_sweep.py defaults).
 FRONTIER_DIGEST = "163530bdc1ed3e281f730c64f63a4d34c34f7255a5151ea6b54911194b2d0927"
+# sha256 of rows.jsonl from prefix_dominant_spec (L=2), taken from
+# independent per-cell runs before cells shared their witness's prefill.
+PREFIX_DOMINANT_DIGEST = (
+    "82beddee44f5a640dca7e72f294fcdd4c2dd3562953a0464075ddb06058b6f6b")
 
 WSPEC = WitnessSpec(kind="prompt-heavy-decode-active", seed=1,
                     prefix_len=16, decode_len=16, redundancy=0.7)
@@ -95,6 +100,76 @@ def test_frontier_sweep_rows_match_golden_digest(tmp_path):
     run_sweep(spec)
     rows = (tmp_path / "rows.jsonl").read_bytes()
     assert hashlib.sha256(rows).hexdigest() == FRONTIER_DIGEST
+
+
+def prefix_dominant_spec(out_dir, num_layers=2):
+    return SweepSpec(
+        witnesses=[WitnessSpec("prompt-heavy-prefix-dominant", s, 48, 10, 0.2)
+                   for s in range(2)],
+        methods=["cask", "evict", "none"], budgets=[16, 40],
+        out_dir=str(out_dir), seed=0, num_layers=num_layers)
+
+
+def test_prefix_dominant_sweep_rows_match_golden_digest(tmp_path):
+    rows = run_sweep(prefix_dominant_spec(tmp_path))
+    assert any(r["regime_label"] == "prefix-dominant" for r in rows)
+    digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes())
+    assert digest.hexdigest() == PREFIX_DOMINANT_DIGEST
+
+
+def _record_runs(monkeypatch, share: bool) -> list:
+    """Log (function, method, forks a snapshot) per replay/bridge run.
+
+    With ``share=False`` every run drops its snapshot and prefills on its
+    own, and ``none`` cells are routed through the runs as well: the
+    per-cell computation the shared sweep must reproduce.
+    """
+    log = []
+
+    def logged(fn):
+        def run(*args, snapshot=None):
+            snapshot = snapshot if share else None
+            log.append((fn.__name__, args[-1].method, snapshot is not None))
+            return fn(*args, snapshot=snapshot)
+        return run
+
+    monkeypatch.setattr(report, "teacher_forced_replay",
+                        logged(report.teacher_forced_replay))
+    monkeypatch.setattr(report, "bridge_run", logged(report.bridge_run))
+    if not share:
+        monkeypatch.setattr(report, "METHOD_NONE", "no such method")
+    return log
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
+                                                    num_layers):
+    spec = prefix_dominant_spec(tmp_path / "shared", num_layers)
+    spec.witnesses.insert(0, WSPEC)
+    prefills = []
+    run_prefill = model.run_prefill
+    monkeypatch.setattr(model, "run_prefill",
+                        lambda *a: prefills.append(1) or run_prefill(*a))
+    with monkeypatch.context() as m:
+        shared_log = _record_runs(m, share=True)
+        shared = run_sweep(spec)
+    assert len(prefills) == len(spec.witnesses)
+    assert {(fn, method) for fn, method, _ in shared_log} == {
+        (fn, method) for fn in ("teacher_forced_replay", "bridge_run")
+        for method in ("cask", "evict")}
+    assert all(forked for _, _, forked in shared_log)
+    assert any(r["decode_events"] > 0 for r in shared)
+    assert any(r["regime_label"] == "prefix-dominant" for r in shared)
+
+    spec.out_dir = str(tmp_path / "independent")
+    with monkeypatch.context() as m:
+        independent_log = _record_runs(m, share=False)
+        independent = run_sweep(spec)
+    assert not any(forked for _, _, forked in independent_log)
+    assert len(independent_log) == len(independent)
+    assert shared == independent
+    assert ((tmp_path / "shared" / "rows.jsonl").read_bytes()
+            == (tmp_path / "independent" / "rows.jsonl").read_bytes())
 
 
 def test_sweep_none_rows_are_identity(tmp_path):
