@@ -4,6 +4,7 @@ from .cache import (
     CacheState,
     KVEntry,
     append,
+    check_invariants,
     covered_positions,
     evict,
     merge_replace,

@@ -8,9 +8,12 @@ structural operations (evict, merge) apply uniformly across layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .kernels import band_decompose
 
 PREFIX = "prefix"
 DECODE = "decode"
@@ -65,6 +68,15 @@ class KVEntry:
     def geometry_key(self) -> np.ndarray:
         """Flat d-vector used for merge geometry (mean over layers)."""
         return self.key if self.key.ndim == 1 else self.key.mean(axis=0)
+
+    @cached_property
+    def band_coefficients(self) -> np.ndarray:
+        """Band spectrum coefficients of :meth:`geometry_key`, computed once.
+
+        Valid for the entry's lifetime because ``key`` is never written in
+        place; a copy shares the key, and the value if already computed.
+        """
+        return band_decompose(self.geometry_key()).coefficients
 
 
 @dataclass
@@ -194,6 +206,37 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
             out.append(e)
     cache.entries = out
     return cache
+
+
+def check_invariants(cache: CacheState) -> None:
+    """Raise :class:`CacheError` naming the first broken structural invariant.
+
+    Positions strictly increase; every appended token is live, folded into a
+    live entry or evicted (``sum(member_count) + evicted_tokens ==
+    total_appended``); no original position is covered by two entries; and
+    the cache holds at most ``budget`` entries unless core overflow was
+    signalled.  Linear in the cache size, so it is meant for tests and
+    debugging, not for the decode loop.
+    """
+    positions = [e.position for e in cache.entries]
+    for a, b in zip(positions, positions[1:]):
+        if b <= a:
+            raise CacheError(f"position {b} follows {a}")
+    live = sum(e.member_count for e in cache.entries)
+    if live + cache.evicted_tokens != cache.total_appended:
+        raise CacheError(
+            f"{live} live members + {cache.evicted_tokens} evicted tokens != "
+            f"{cache.total_appended} appended")
+    covered: set[int] = set()
+    for e in cache.entries:
+        shared = covered.intersection(e.members)
+        if shared:
+            raise CacheError(f"entry at position {e.position} covers "
+                             f"{sorted(shared)}, already covered")
+        covered.update(e.members)
+    if len(cache.entries) > cache.budget and not cache.core_overflow:
+        raise CacheError(f"{len(cache.entries)} entries exceed budget "
+                         f"{cache.budget} without core overflow")
 
 
 def terminal_saved_ratio(cache: CacheState) -> float:

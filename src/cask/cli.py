@@ -54,6 +54,25 @@ def _read_witness(path, vocab_size: int) -> Witness:
     return w
 
 
+def _budget(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"budget {text!r} is not an integer") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget {budget} must be >= 1")
+    return budget
+
+
+def _budget_grid(text: str) -> list[int]:
+    budgets = [_budget(b) for b in text.split(",")]
+    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+        raise argparse.ArgumentTypeError(
+            f"budget grid {text!r} must be strictly increasing")
+    return budgets
+
+
 def _sweep_spec(args, witnesses: list[Witness], methods: list[str],
                 budgets: list[int], out_dir: str) -> SweepSpec:
     return SweepSpec(
@@ -87,8 +106,8 @@ def _cmd_cell(args) -> int:
 
 def _cmd_sweep(args) -> int:
     witnesses = [_read_witness(path, args.vocab_size) for path in args.witness]
-    budgets = [int(b) for b in args.budget_grid.split(",")]
-    spec = _sweep_spec(args, witnesses, args.method, budgets, args.out)
+    spec = _sweep_spec(args, witnesses, args.method, args.budget_grid,
+                       args.out)
     rows = run_sweep(spec)
     print(f"wrote {len(rows)} rows to {Path(args.out) / 'rows.jsonl'}")
     return 0
@@ -128,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"print the {name} row of one cell")
         p.add_argument("--witness", required=True, help="witness manifest path")
         p.add_argument("--method", choices=VALID_METHODS, required=True)
-        p.add_argument("--budget", type=int, required=True)
+        p.add_argument("--budget", type=_budget, required=True)
         _add_model_flags(p)
         p.set_defaults(fn=_cmd_cell, row=row)
 
@@ -137,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness manifest path (repeatable)")
     p.add_argument("--method", action="append", required=True,
                    choices=VALID_METHODS)
-    p.add_argument("--budget-grid", required=True,
+    p.add_argument("--budget-grid", type=_budget_grid, required=True,
                    help="comma-separated increasing budgets, e.g. 32,48,64")
     p.add_argument("--out", required=True)
     _add_model_flags(p)

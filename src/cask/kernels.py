@@ -93,17 +93,28 @@ def band_recompose(spectrum: BandSpectrum) -> np.ndarray:
     return out
 
 
-def _kappa_magnitudes(pi: HorizonDistribution, frequencies: np.ndarray) -> np.ndarray:
+def kappa_magnitudes(pi: HorizonDistribution, frequencies: np.ndarray) -> np.ndarray:
+    """|kappa(w_f)| at each band frequency."""
     phase = np.exp(1j * np.outer(frequencies, pi.support.astype(np.float64)))
     return np.abs(phase @ pi.weights)
+
+
+def d_kappa_batch(coefficients: np.ndarray, reference: np.ndarray,
+                  magnitudes: np.ndarray) -> np.ndarray:
+    """Merge distance of each row of ``coefficients`` (bands last) to the
+    ``reference`` coefficients: sum_f magnitudes_f * |c_f - r_f|.
+
+    A row's distance has the same bits as the distance of that row alone.
+    """
+    return np.sum(magnitudes * np.abs(coefficients - reference), axis=-1)
 
 
 def d_kappa(a: BandSpectrum, b: BandSpectrum, pi: HorizonDistribution) -> float:
     """Kernel-weighted merge distance: sum_f |kappa(w_f)| * |a_f - b_f|."""
     if a.band_count != b.band_count:
         raise ValueError("band-count mismatch")
-    mags = _kappa_magnitudes(pi, a.frequencies)
-    return float(np.sum(mags * np.abs(a.coefficients - b.coefficients)))
+    return float(d_kappa_batch(a.coefficients, b.coefficients,
+                               kappa_magnitudes(pi, a.frequencies)))
 
 
 def horizon_mean_score(mu: BandSpectrum, key: BandSpectrum,
@@ -122,7 +133,7 @@ def kappa_norm(vector: np.ndarray, pi: HorizonDistribution,
                base: float = DEFAULT_FREQ_BASE) -> float:
     """Band norm: sum_f |kappa(w_f)| * ||x_f||_2."""
     spec = band_decompose(vector, base)
-    mags = _kappa_magnitudes(pi, spec.frequencies)
+    mags = kappa_magnitudes(pi, spec.frequencies)
     return float(np.sum(mags * np.abs(spec.coefficients)))
 
 
@@ -130,7 +141,7 @@ def kappa_dual_norm(vector: np.ndarray, pi: HorizonDistribution,
                     base: float = DEFAULT_FREQ_BASE) -> float:
     """Dual pairing for the band norm: max_f ||q_f||_2 / max(|kappa|, eps)."""
     spec = band_decompose(vector, base)
-    mags = np.maximum(_kappa_magnitudes(pi, spec.frequencies), KAPPA_DUAL_EPS)
+    mags = np.maximum(kappa_magnitudes(pi, spec.frequencies), KAPPA_DUAL_EPS)
     return float(np.max(np.abs(spec.coefficients) / mags))
 
 

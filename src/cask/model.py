@@ -147,8 +147,8 @@ def accumulate_mass(cache: CacheState, output: StepOutput) -> None:
     """Add this step's attention mass (mean over layers) onto live entries."""
     if cache.entries:
         per_entry = output.attention_weights[:, :-1].mean(axis=0)
-        for e, a in zip(cache.entries, per_entry):
-            e.score_mass += float(a)
+        for e, a in zip(cache.entries, per_entry.tolist()):
+            e.score_mass += a
 
 
 class NoCompressionPolicy:

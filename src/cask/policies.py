@@ -9,7 +9,9 @@ nothing else.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from math import floor, inf
 
 import numpy as np
 
@@ -25,8 +27,10 @@ from .cache import (
 from .kernels import (
     HorizonDistribution,
     band_decompose,
-    d_kappa,
+    band_frequencies,
+    d_kappa_batch,
     kappa_dual_norm,
+    kappa_magnitudes,
     kappa_norm,
     truncated_geometric,
 )
@@ -85,6 +89,31 @@ class MergeGroup:
         return len(self.positions)
 
 
+def linear_quantile(ordered, q: float) -> float:
+    """``np.quantile(values, q)`` with its default linear method, bit for bit,
+    where ``ordered`` holds the values in ascending order.
+
+    Mirrors numpy's steps: virtual index ``(n - 1) * q``; at or past the last
+    index both neighbours are the maximum and the fractional part is taken
+    against index -1, as numpy does; ``_lerp`` interpolates from the upper
+    neighbour once the fraction reaches 0.5.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below, lo, hi = -1.0, n - 1, n - 1
+    else:
+        below = float(floor(virtual))
+        lo = int(below)
+        hi = lo + 1
+    t = virtual - below
+    a, b = ordered[lo], ordered[hi]
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t
+
+
 def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     """Mark the protected core among decode entries and return its positions.
 
@@ -98,12 +127,10 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     if not cache.entries:
         raise ValueError("cache is empty")
     decode = [e for e in cache.entries if e.origin == DECODE]
-    masses = np.array([e.score_mass for e in decode])
-    # min() propagates NaN, so one chained test covers NaN, ±inf and < 0.
-    if decode and not 0.0 <= masses.min() <= masses.max() < np.inf:
-        e = next(e for e in decode if not 0.0 <= e.score_mass < np.inf)
-        raise ValueError(f"decode entry at position {e.position} has "
-                         f"score_mass {e.score_mass}; expected finite >= 0")
+    for e in decode:
+        if not 0.0 <= e.score_mass < inf:
+            raise ValueError(f"decode entry at position {e.position} has "
+                             f"score_mass {e.score_mass}; expected finite >= 0")
     for e in cache.entries:
         e.protected = False
     if not decode:
@@ -112,7 +139,8 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     core.update(e.position for e in decode[:config.sink_count])
     if config.recency_window > 0:
         core.update(e.position for e in decode[-config.recency_window:])
-    threshold = float(np.quantile(masses, config.anchor_quantile))
+    threshold = linear_quantile(sorted(e.score_mass for e in decode),
+                                config.anchor_quantile)
     core.update(e.position for e in decode if e.score_mass > threshold)
     for e in decode:
         if e.position in core:
@@ -138,36 +166,47 @@ def form_merge_groups(cache: CacheState, config: CaskConfig,
     while they sit within ``temporal_window`` positions of the seed, within
     ``merge_epsilon`` kernel distance of the running mass-weighted centroid,
     and the group is below ``max_group_size``.  Size-1 groups are discarded.
+
+    The centroid changes only when a member is admitted, so it is
+    decomposed once per admit, and the distances of all remaining in-window
+    candidates to it are taken in one batched call; admitting the first one
+    within ``merge_epsilon`` is the choice a one-by-one scan makes.
     """
     if pi is None:
         pi = config.horizon_distribution()
     candidates = [e for e in cache.entries
                   if e.origin == DECODE and not e.protected]
-    spectra = {e.position: band_decompose(e.geometry_key()) for e in candidates}
-    assigned: set[int] = set()
+    if len(candidates) < 2:
+        return []
+    spectra = np.array([e.band_coefficients for e in candidates])
+    mags = kappa_magnitudes(pi, band_frequencies(2 * spectra.shape[1]))
+    positions = [e.position for e in candidates]
+    free = np.ones(len(candidates), dtype=bool)
     groups: list[MergeGroup] = []
     for i, seed in enumerate(candidates):
-        if seed.position in assigned:
+        if not free[i]:
             continue
-        members = [seed]
+        end = bisect_right(positions, seed.position + config.temporal_window)
+        pool = i + 1 + np.flatnonzero(free[i + 1:end])
+        members = [i]
         keys = [seed.geometry_key()]
         weights = [seed.score_mass]
-        for cand in candidates[i + 1:]:
-            if cand.position in assigned:
-                continue
-            if cand.position - seed.position > config.temporal_window:
-                break
-            if len(members) >= config.max_group_size:
-                break
+        while pool.size and len(members) < config.max_group_size:
             centroid = band_decompose(_weighted_centroid(keys, weights))
-            if d_kappa(spectra[cand.position], centroid, pi) <= config.merge_epsilon:
-                members.append(cand)
-                keys.append(cand.geometry_key())
-                weights.append(cand.score_mass)
+            near = np.flatnonzero(
+                d_kappa_batch(spectra[pool], centroid.coefficients, mags)
+                <= config.merge_epsilon)
+            if not near.size:
+                break
+            j = int(pool[near[0]])
+            members.append(j)
+            keys.append(candidates[j].geometry_key())
+            weights.append(candidates[j].score_mass)
+            pool = pool[near[0] + 1:]
         if len(members) >= 2:
-            assigned.update(m.position for m in members)
+            free[members] = False
             groups.append(MergeGroup(
-                positions=tuple(m.position for m in members),
+                positions=tuple(positions[j] for j in members),
                 weights=tuple(weights),
                 mass=ltr_sum(weights),
                 keys=tuple(keys),

@@ -72,6 +72,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        if any(b < 1 for b in self.budgets):
+            raise ValueError(f"budgets must be >= 1, got {self.budgets}")
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budget grid must be strictly increasing")
 

@@ -10,6 +10,7 @@ from cask.cache import (
     CacheState,
     KVEntry,
     append,
+    check_invariants,
     covered_positions,
     evict,
     merge_replace,
@@ -172,3 +173,40 @@ def test_conservation_of_history(ops, seed):
             merge_replace(cache, [e.position for e in group], rep_for(group))
     live = sum(e.member_count for e in cache.entries)
     assert cache.total_appended == live + cache.evicted_tokens
+
+
+# --- check_invariants ---------------------------------------------------------
+
+def test_check_invariants_accepts_folds_and_evictions():
+    cache = fill_cache([[float(i), 0.0] for i in range(5)], budget=3)
+    rep = make_entry(0, [0.5, 0.0], score_mass=2.0, group_mass=2.0,
+                     member_count=2)
+    rep.members = (0, 1)
+    merge_replace(cache, [0, 1], rep)
+    evict(cache, [4])
+    check_invariants(cache)
+    cache.budget = 2
+    cache.core_overflow = True
+    check_invariants(cache)
+
+
+@pytest.mark.parametrize("breakage, message", [
+    ("order", "position 1 follows 2"),
+    ("count", "live members"),
+    ("overlap", "covers \\[1\\], already covered"),
+    ("budget", "exceed budget 2 without core overflow"),
+])
+def test_check_invariants_names_the_broken_invariant(breakage, message):
+    cache = fill_cache([[float(i), 0.0] for i in range(3)], budget=3)
+    if breakage == "order":
+        cache.entries[1], cache.entries[2] = cache.entries[2], cache.entries[1]
+    elif breakage == "count":
+        cache.evicted_tokens += 1
+    elif breakage == "overlap":
+        cache.entries[0].members = (0, 1)
+        cache.entries[0].member_count = 2
+        cache.evicted_tokens -= 1
+    else:
+        cache.budget = 2
+    with pytest.raises(CacheError, match=message):
+        check_invariants(cache)

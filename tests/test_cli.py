@@ -123,3 +123,32 @@ def test_replay_rejects_malformed_manifest(tmp_path):
                            match=re.escape(str(path)) + ".*" + detail):
             main(["replay", "--witness", str(path), "--method", "cask",
                   "--budget", "16"])
+
+
+@pytest.mark.parametrize("grid, detail", [
+    ("0,8", "budget 0 must be >= 1"),
+    ("-4", "budget -4 must be >= 1"),
+    ("32,abc", "budget 'abc' is not an integer"),
+    ("32,16", "must be strictly increasing"),
+])
+def test_sweep_rejects_bad_budget_grid_before_writing(tmp_path, capsys, grid,
+                                                      detail):
+    # A zero budget used to fail mid-sweep, after manifest.json and an empty
+    # rows.jsonl were written; a non-integer ended in a bare int() traceback.
+    path = gen_witness(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--witness", str(path), "--method", "cask",
+              "--budget-grid", grid, "--out", str(out)])
+    assert exc.value.code == 2
+    assert detail in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_rejects_zero_budget(tmp_path, capsys):
+    path = gen_witness(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["replay", "--witness", str(path), "--method", "cask",
+              "--budget", "0"])
+    assert exc.value.code == 2
+    assert "budget 0 must be >= 1" in capsys.readouterr().err

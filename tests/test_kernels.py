@@ -12,8 +12,10 @@ from cask.kernels import (
     band_decompose,
     band_recompose,
     d_kappa,
+    d_kappa_batch,
     horizon_mean_score,
     kappa,
+    kappa_magnitudes,
     project_to_simplex,
     rms2_decomposition,
     solve_horizon_qp,
@@ -123,6 +125,28 @@ def test_d_kappa_with_unit_kernel_is_band_distance_sum(rng):
     expected = sum(abs(ca - cb)
                    for ca, cb in zip(a.coefficients, b.coefficients))
     assert d_kappa(a, b, pi) == pytest.approx(expected, abs=1e-12)
+
+
+def scalar_d_kappa(a, b, pi):
+    """d_kappa as one pair at a time, before distances were batched."""
+    mags = kappa_magnitudes(pi, a.frequencies)
+    return float(np.sum(mags * np.abs(a.coefficients - b.coefficients)))
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       rows=st.integers(min_value=1, max_value=24), pi=horizon_dists())
+def test_batched_distance_equals_scalar_bit_for_bit(d, seed, rows, pi):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    spectra = [band_decompose(v) for v in rng.standard_normal((rows, d)) * scale]
+    ref = band_decompose(rng.standard_normal(d))
+    batch = d_kappa_batch(np.array([s.coefficients for s in spectra]),
+                          ref.coefficients, kappa_magnitudes(pi, ref.frequencies))
+    scalar = np.array([scalar_d_kappa(s, ref, pi) for s in spectra])
+    assert batch.tobytes() == scalar.tobytes()
+    assert np.array([d_kappa(s, ref, pi) for s in spectra]).tobytes() \
+        == scalar.tobytes()
 
 
 def test_d_kappa_band_count_mismatch(rng):

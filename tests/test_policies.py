@@ -1,10 +1,20 @@
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cask.cache import DECODE, PREFIX, CacheState, append, covered_positions
-from cask.kernels import truncated_geometric
+from cask.cache import (
+    DECODE,
+    PREFIX,
+    CacheState,
+    KVEntry,
+    append,
+    covered_positions,
+    ltr_sum,
+)
+from cask.kernels import band_decompose, kappa_magnitudes, truncated_geometric
 from cask.policies import (
     CaskConfig,
     MergeGroup,
@@ -13,6 +23,7 @@ from cask.policies import (
     evict_baseline,
     fold_group,
     form_merge_groups,
+    linear_quantile,
     mass_diagnostics,
     perturbation_check,
 )
@@ -157,6 +168,157 @@ def test_groups_are_disjoint(rng):
     groups = form_merge_groups(cache, cfg, PI)
     seen = [p for g in groups for p in g.positions]
     assert len(seen) == len(set(seen))
+
+
+# --- batched grouping and core detection vs. their scalar versions -------------
+# The references are detect_core and form_merge_groups as they were before the
+# anchor threshold left np.quantile and merge distances were batched.
+
+def reference_detect_core(cache, config):
+    decode = [e for e in cache.entries if e.origin == DECODE]
+    masses = np.array([e.score_mass for e in decode])
+    for e in cache.entries:
+        e.protected = False
+    if not decode:
+        return set()
+    core = {e.position for e in decode[:config.sink_count]}
+    if config.recency_window > 0:
+        core.update(e.position for e in decode[-config.recency_window:])
+    threshold = float(np.quantile(masses, config.anchor_quantile))
+    core.update(e.position for e in decode if e.score_mass > threshold)
+    for e in decode:
+        if e.position in core:
+            e.protected = True
+    return core
+
+
+def reference_form_merge_groups(cache, config, pi):
+    def centroid_of(keys, weights):
+        total = ltr_sum(weights)
+        if total == 0.0:
+            return np.mean(keys, axis=0)
+        acc = weights[0] * keys[0]
+        for w, k in zip(weights[1:], keys[1:]):
+            acc = acc + w * k
+        return acc / total
+
+    def scalar_d_kappa(a, b):
+        mags = kappa_magnitudes(pi, a.frequencies)
+        return float(np.sum(mags * np.abs(a.coefficients - b.coefficients)))
+
+    candidates = [e for e in cache.entries
+                  if e.origin == DECODE and not e.protected]
+    spectra = {e.position: band_decompose(e.geometry_key()) for e in candidates}
+    assigned, groups = set(), []
+    for i, seed in enumerate(candidates):
+        if seed.position in assigned:
+            continue
+        members, keys, weights = [seed], [seed.geometry_key()], [seed.score_mass]
+        for cand in candidates[i + 1:]:
+            if cand.position in assigned:
+                continue
+            if cand.position - seed.position > config.temporal_window:
+                break
+            if len(members) >= config.max_group_size:
+                break
+            centroid = band_decompose(centroid_of(keys, weights))
+            if scalar_d_kappa(spectra[cand.position], centroid) \
+                    <= config.merge_epsilon:
+                members.append(cand)
+                keys.append(cand.geometry_key())
+                weights.append(cand.score_mass)
+        if len(members) >= 2:
+            assigned.update(m.position for m in members)
+            groups.append(MergeGroup(
+                positions=tuple(m.position for m in members),
+                weights=tuple(weights), mass=ltr_sum(weights),
+                keys=tuple(keys)))
+    return groups
+
+
+def random_merged_cache(rng, num_layers, n):
+    """Prefix then decode entries; some decode entries are fold
+    representatives that also cover the position after them.  Keys repeat a
+    small pool, so exact duplicates and ties in score mass are common."""
+    pool = rng.standard_normal((4, num_layers, 8))
+    masses = (0.0, 0.5, 1.0, 1.0, 2.0)
+    cache = CacheState(budget=10_000)
+    n_prefix = int(rng.integers(0, 4))
+    position = 0
+    for i in range(n):
+        merged = i >= n_prefix and rng.random() < 0.3
+        if rng.random() < 0.5:
+            key = pool[rng.integers(4)]
+        else:
+            key = rng.standard_normal((num_layers, 8))
+        mass = float(rng.choice(masses)) if rng.random() < 0.5 \
+            else float(rng.uniform(0, 3))
+        members = (position, position + 1) if merged else (position,)
+        append(cache, KVEntry(
+            key=key, value=rng.standard_normal((num_layers, 8)),
+            position=position, origin=PREFIX if i < n_prefix else DECODE,
+            score_mass=mass,
+            group_mass=float(rng.uniform(1, 3)) if merged else 1.0,
+            member_count=len(members), members=members))
+        position += len(members)
+    return cache
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() \
+        == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       num_layers=st.sampled_from([1, 3]),
+       n=st.integers(min_value=1, max_value=24),
+       sink_count=st.integers(min_value=0, max_value=3),
+       recency_window=st.integers(min_value=0, max_value=4),
+       anchor_quantile=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       merge_epsilon=st.sampled_from([0.0, 1.0, 1e9]),
+       temporal_window=st.sampled_from([1, 4, 512]),
+       max_group_size=st.sampled_from([2, 3, 16]))
+@settings(max_examples=150, deadline=None)
+def test_core_and_groups_match_scalar_reference(
+        seed, num_layers, n, sink_count, recency_window, anchor_quantile,
+        merge_epsilon, temporal_window, max_group_size):
+    cache = random_merged_cache(np.random.default_rng(seed), num_layers, n)
+    cfg = CaskConfig(sink_count=sink_count, recency_window=recency_window,
+                     anchor_quantile=anchor_quantile,
+                     merge_epsilon=merge_epsilon,
+                     temporal_window=temporal_window,
+                     max_group_size=max_group_size)
+    twin = copy.deepcopy(cache)
+    assert detect_core(cache, cfg) == reference_detect_core(twin, cfg)
+    assert [e.protected for e in cache.entries] \
+        == [e.protected for e in twin.entries]
+    groups = form_merge_groups(cache, cfg, PI)
+    expected = reference_form_merge_groups(twin, cfg, PI)
+    assert [g.positions for g in groups] == [g.positions for g in expected]
+    for g, ref in zip(groups, expected):
+        assert same_bits(g.weights, ref.weights)
+        assert same_bits(g.mass, ref.mass)
+        assert len(g.keys) == len(ref.keys)
+        assert all(same_bits(k, r) for k, r in zip(g.keys, ref.keys))
+
+
+def with_examples(test):
+    """Every q in {0, 0.5, 0.9, 1} on one value and on a tie-heavy list."""
+    for q in (0.0, 0.5, 0.9, 1.0):
+        for values in ([2.5], [4.0, 1.0, 1.0, 4.0, 1.0]):
+            test = example(values=values, q=q)(test)
+    return test
+
+
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                                 st.floats(min_value=0.0, max_value=1e6)),
+                       min_size=1, max_size=40),
+       q=st.one_of(st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+                   st.floats(min_value=0.0, max_value=1.0)))
+@with_examples
+def test_linear_quantile_equals_numpy(values, q):
+    # == rather than bits: numpy may return -0.0 where this returns 0.0.
+    assert linear_quantile(sorted(values), q) == np.quantile(values, q)
 
 
 # --- fold_group ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cask.cache import check_invariants
 from cask.model import generate_reference, make_witness
 from cask.replay import (
     FidelitySummary,
@@ -247,3 +248,45 @@ def test_multi_layer_pipeline_end_to_end():
     assert len(record.cache.entries) <= 24
     assert all(e.key.shape == (3, 12) for e in record.cache.entries)
     assert record.cache.decode_events() >= 1
+
+
+class CheckedPolicy:
+    """A policy that checks the cache invariants after each of its steps."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.method = policy.method
+        self.budget = policy.budget
+        self.checks = 0
+        self.max_members = 1
+
+    def after_prefill(self, cache):
+        self.policy.after_prefill(cache)
+        check_invariants(cache)
+
+    def force_append(self, cache, entry):
+        self.policy.force_append(cache, entry)
+        check_invariants(cache)
+        self.checks += 1
+        self.max_members = max(self.max_members,
+                               *(e.member_count for e in cache.entries))
+
+
+@pytest.mark.parametrize("method", ["cask", "evict"])
+@pytest.mark.parametrize("budget", [8, 32, 64])
+def test_cache_invariants_hold_after_every_append(params, method, budget):
+    # The consolidate benchmark's witness shape; budget 8 is below cask's
+    # protected core, where the cache may outgrow its budget with the flag set.
+    folded = overflowed = False
+    for seed in (0, 1):
+        witness = make_witness("prompt-heavy-decode-active", seed, 32, 256, 0.8)
+        ref = generate_reference(params, list(witness.prompt),
+                                 witness.decode_len)
+        policy = CheckedPolicy(make_policy(method, budget))
+        record = teacher_forced_replay(params, list(witness.prompt), ref.tokens,
+                                       policy, snapshot=ref.snapshot)
+        assert policy.checks == witness.decode_len
+        folded |= policy.max_members > 1
+        overflowed |= record.cache.core_overflow
+    assert folded == (method == "cask" and budget == 64)
+    assert overflowed == (method == "cask" and budget == 8)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cask import model, report
+from cask import model, policies, report
 from cask.report import (
     ROW_FIELDS,
     CrossingFinding,
@@ -23,6 +23,10 @@ FRONTIER_DIGEST = "163530bdc1ed3e281f730c64f63a4d34c34f7255a5151ea6b54911194b2d0
 # independent per-cell runs before cells shared their witness's prefill.
 PREFIX_DOMINANT_DIGEST = (
     "82beddee44f5a640dca7e72f294fcdd4c2dd3562953a0464075ddb06058b6f6b")
+# sha256 of rows.jsonl from the fold-heavy sweep (L=2, cask only), taken
+# before merge grouping batched its distances and cached band spectra.
+FOLD_HEAVY_DIGEST = (
+    "021d09a7449610b8069c5c2210e56f896b3ace1811050e3b1278b7bdcc35a0cc")
 
 WSPEC = WitnessSpec(kind="prompt-heavy-decode-active", seed=1,
                     prefix_len=16, decode_len=16, redundancy=0.7)
@@ -53,6 +57,12 @@ def replay_row(witness="w", method="cask", budget=16, top1=0.9, top5=0.95,
 def test_spec_rejects_non_increasing_budgets(tmp_path):
     with pytest.raises(ValueError, match="strictly increasing"):
         small_spec(tmp_path, budgets=(20, 12))
+
+
+@pytest.mark.parametrize("budgets", [(0, 8), (-1,), (0,)])
+def test_spec_rejects_budgets_below_one(tmp_path, budgets):
+    with pytest.raises(ValueError, match="budgets must be >= 1"):
+        small_spec(tmp_path, budgets=budgets)
 
 
 def test_spec_rejects_unknown_method(tmp_path):
@@ -115,6 +125,24 @@ def test_prefix_dominant_sweep_rows_match_golden_digest(tmp_path):
     assert any(r["regime_label"] == "prefix-dominant" for r in rows)
     digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes())
     assert digest.hexdigest() == PREFIX_DOMINANT_DIGEST
+
+
+def test_fold_heavy_sweep_rows_match_golden_digest(tmp_path, monkeypatch):
+    # L=2 makes merge geometry average keys over layers, which the L=1
+    # frontier pin never reaches.
+    folds = []
+    merge_replace = policies.merge_replace
+    monkeypatch.setattr(policies, "merge_replace",
+                        lambda *a, **k: folds.append(1) or merge_replace(*a, **k))
+    spec = SweepSpec(
+        witnesses=[WitnessSpec("prompt-heavy-decode-active", s, 32, 96, 0.8)
+                   for s in range(2)],
+        methods=["cask"], budgets=[32, 64], out_dir=str(tmp_path), seed=0,
+        num_layers=2)
+    run_sweep(spec)
+    assert folds
+    digest = hashlib.sha256((tmp_path / "rows.jsonl").read_bytes())
+    assert digest.hexdigest() == FOLD_HEAVY_DIGEST
 
 
 def _record_runs(monkeypatch, share: bool) -> list:
