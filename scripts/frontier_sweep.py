@@ -13,6 +13,7 @@ Usage:
 import argparse
 from pathlib import Path
 
+from cask.cli import budget_grid
 from cask.report import SweepSpec, WitnessSpec, detect_crossings, emit_tables, run_sweep
 
 
@@ -21,7 +22,7 @@ def main() -> int:
     ap.add_argument("--out", default="out/frontier")
     ap.add_argument("--seeds", type=int, default=10,
                     help="number of seeded witnesses")
-    ap.add_argument("--budget-grid", default="24,32,48")
+    ap.add_argument("--budget-grid", type=budget_grid, default="24,32,48")
     ap.add_argument("--seed", type=int, default=0, help="model seed")
     ap.add_argument("--prefix-len", type=int, default=24)
     ap.add_argument("--decode-len", type=int, default=64)
@@ -34,7 +35,7 @@ def main() -> int:
                                args.redundancy)
                    for s in range(args.seeds)],
         methods=["cask", "evict", "none"],
-        budgets=[int(b) for b in args.budget_grid.split(",")],
+        budgets=args.budget_grid,
         out_dir=args.out,
         seed=args.seed,
     )

@@ -11,6 +11,7 @@ Usage:
 
 import argparse
 
+from cask.cli import budget_grid
 from cask.model import generate_reference, init_model, make_witness
 from cask.policies import CaskConfig
 from cask.replay import CaskPolicy, summarize, teacher_forced_replay
@@ -28,11 +29,10 @@ PROBES = (
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--budgets", default="24,40,64,96")
+    ap.add_argument("--budgets", type=budget_grid, default="24,40,64,96")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--prefix-fraction", type=float, default=0.75)
     args = ap.parse_args()
-    budgets = [int(b) for b in args.budgets.split(",")]
 
     params = init_model(args.seed, 32, 16, 1)
     header = (f"{'witness':<34} {'budget':>6} {'top1':>6} {'events':>6} "
@@ -43,7 +43,7 @@ def main() -> int:
         witness = make_witness(kind, args.seed, **geometry)
         ref = generate_reference(params, list(witness.prompt),
                                  witness.decode_len)
-        for budget in budgets:
+        for budget in args.budgets:
             stage = StageConfig(budget=budget,
                                 prefix_fraction=args.prefix_fraction)
             policy = CaskPolicy(budget, CaskConfig(), stage)

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .kernels import band_decompose
 
+if TYPE_CHECKING:
+    from .policies import CompressOutcome
+
 PREFIX = "prefix"
 DECODE = "decode"
-
-STAGE_PREFIX_EVICT = "prefix-evict"
-STAGE_DECODE_CONSOLIDATE = "decode-consolidate"
 
 
 class CacheError(ValueError):
@@ -80,22 +80,18 @@ class KVEntry:
 
 
 @dataclass
-class CompressionEvent:
-    step: int
-    stage: str
-    entries_before: int
-    entries_after: int
-
-
-@dataclass
 class CacheState:
-    """Position-ordered KV entries plus budget and history accounting."""
+    """Position-ordered KV entries plus budget and history accounting.
+
+    ``compression_events`` holds the outcome of every decode consolidation
+    that fired, in order; prefill trimming and baseline eviction add none.
+    """
 
     budget: int
     entries: list[KVEntry] = field(default_factory=list)
     total_appended: int = 0
     evicted_tokens: int = 0
-    compression_events: list[CompressionEvent] = field(default_factory=list)
+    compression_events: list[CompressOutcome] = field(default_factory=list)
     prefix_budget_exhausted: bool = False
     core_overflow: bool = False
 
@@ -111,16 +107,6 @@ class CacheState:
             if e.position == position:
                 return e
         raise CacheError(f"no entry at position {position}")
-
-    def record_event(self, stage: str, before: int, after: int) -> None:
-        self.compression_events.append(
-            CompressionEvent(step=self.total_appended, stage=stage,
-                             entries_before=before, entries_after=after)
-        )
-
-    def decode_events(self) -> int:
-        return sum(1 for ev in self.compression_events
-                   if ev.stage == STAGE_DECODE_CONSOLIDATE)
 
 
 def append(cache: CacheState, entry: KVEntry) -> CacheState:
@@ -138,7 +124,7 @@ def append(cache: CacheState, entry: KVEntry) -> CacheState:
 def drop(cache: CacheState, positions: set[int]) -> int:
     """Remove the entries at ``positions`` and count their members as
     evicted tokens; returns how many entries were removed.  No protection
-    check and no event: callers decide both."""
+    check: callers decide it."""
     before = len(cache.entries)
     cache.evicted_tokens += sum(
         e.member_count for e in cache.entries if e.position in positions
@@ -153,9 +139,7 @@ def evict(cache: CacheState, positions: Iterable[int]) -> CacheState:
     for e in cache.entries:
         if e.position in targets and e.protected:
             raise CacheError(f"protected entry at position {e.position}")
-    before = len(cache.entries)
-    if drop(cache, targets):
-        cache.record_event(STAGE_PREFIX_EVICT, before, len(cache.entries))
+    drop(cache, targets)
     return cache
 
 

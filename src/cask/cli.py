@@ -65,7 +65,9 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _budget_grid(text: str) -> list[int]:
+def budget_grid(text: str) -> list[int]:
+    """argparse type of a comma-separated, strictly increasing budget grid;
+    bad input is a usage error (exit 2)."""
     budgets = [_budget(b) for b in text.split(",")]
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise argparse.ArgumentTypeError(
@@ -156,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="witness manifest path (repeatable)")
     p.add_argument("--method", action="append", required=True,
                    choices=VALID_METHODS)
-    p.add_argument("--budget-grid", type=_budget_grid, required=True,
+    p.add_argument("--budget-grid", type=budget_grid, required=True,
                    help="comma-separated increasing budgets, e.g. 32,48,64")
     p.add_argument("--out", required=True)
     _add_model_flags(p)

@@ -164,17 +164,15 @@ class NoCompressionPolicy:
         append(cache, entry)
 
 
-def run_prefill(params: ModelParams, cache: CacheState, prompt,
-                policy) -> np.ndarray:
-    """Feed the prompt, accumulate attention mass, run the policy's
-    post-prefill hook, and return the next-token distribution in hand."""
+def run_prefill(params: ModelParams, cache: CacheState, prompt) -> np.ndarray:
+    """Feed the prompt, accumulate attention mass, and return the
+    next-token distribution in hand."""
     dist = None
     for tok in prompt:
         out = forward_step(params, cache, int(tok), origin=PREFIX)
         accumulate_mass(cache, out)
         append(cache, out.new_entry)
         dist = out.distribution
-    policy.after_prefill(cache)
     return dist
 
 
@@ -202,7 +200,7 @@ class PrefillSnapshot:
 def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
     """Prefill ``prompt`` under full KV and keep the result for forking."""
     cache = CacheState(budget=max(1, len(prompt)))
-    dist = run_prefill(params, cache, prompt, NoCompressionPolicy())
+    dist = run_prefill(params, cache, prompt)
     if dist is None:
         raise ValueError("prompt must be nonempty")
     return PrefillSnapshot(prompt=tuple(int(t) for t in prompt),
@@ -211,10 +209,11 @@ def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
 
 def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
            snapshot: PrefillSnapshot | None = None):
-    """Prefill ``prompt`` through ``policy``, then decode ``steps`` tokens.
+    """Decode ``steps`` tokens after ``prompt`` through ``policy``.
 
-    With a ``snapshot`` of ``prompt`` the prefill is not rerun: the policy's
-    ``after_prefill`` runs on a fork of it.  Each step records the
+    The run starts from a fork of ``snapshot``, a prefill of ``prompt``
+    (one is made when none is given), on which the policy's
+    ``after_prefill`` runs first.  Each step records the
     distribution in hand and the live cache size, then feeds ``forced[t]``
     (teacher forcing) or else the greedy argmax (ties go to the lowest id)
     through the policy's append path.  Returns the fed tokens, the
@@ -225,16 +224,12 @@ def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
     if budget is None:
         budget = len(prompt) + steps + 1
     if snapshot is None:
-        cache = CacheState(budget=budget)
-        dist = run_prefill(params, cache, prompt, policy)
-        if dist is None:
-            raise ValueError("prompt must be nonempty")
-    else:
-        if snapshot.prompt != tuple(prompt):
-            raise ValueError("snapshot was prefilled from another prompt")
-        cache = snapshot.fork(budget)
-        policy.after_prefill(cache)
-        dist = snapshot.distribution
+        snapshot = prefill(params, prompt)
+    elif snapshot.prompt != tuple(prompt):
+        raise ValueError("snapshot was prefilled from another prompt")
+    cache = snapshot.fork(budget)
+    policy.after_prefill(cache)
+    dist = snapshot.distribution
     tokens: list[int] = []
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from math import floor, inf
 
 import numpy as np
 
 from .cache import (
     DECODE,
-    STAGE_DECODE_CONSOLIDATE,
     CacheState,
     KVEntry,
     drop,
@@ -36,9 +36,13 @@ from .kernels import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaskConfig:
-    """Tunables for core detection and scratch consolidation."""
+    """Tunables for core detection and scratch consolidation.
+
+    Frozen, so the horizon distribution :attr:`pi` derived from
+    ``horizon`` is computed once per config and can never go stale.
+    """
 
     sink_count: int = 2
     recency_window: int = 8
@@ -64,7 +68,8 @@ class CaskConfig:
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
 
-    def horizon_distribution(self) -> HorizonDistribution:
+    @cached_property
+    def pi(self) -> HorizonDistribution:
         return truncated_geometric(self.horizon)
 
 
@@ -158,8 +163,8 @@ def _weighted_centroid(keys: list[np.ndarray], weights: list[float]) -> np.ndarr
     return acc / total
 
 
-def form_merge_groups(cache: CacheState, config: CaskConfig,
-                      pi: HorizonDistribution | None = None) -> list[MergeGroup]:
+def form_merge_groups(cache: CacheState,
+                      config: CaskConfig) -> list[MergeGroup]:
     """Greedy temporal scan over unprotected, unmerged decode entries.
 
     A group seeds at the earliest unassigned entry and admits later entries
@@ -172,14 +177,12 @@ def form_merge_groups(cache: CacheState, config: CaskConfig,
     candidates to it are taken in one batched call; admitting the first one
     within ``merge_epsilon`` is the choice a one-by-one scan makes.
     """
-    if pi is None:
-        pi = config.horizon_distribution()
     candidates = [e for e in cache.entries
                   if e.origin == DECODE and not e.protected]
     if len(candidates) < 2:
         return []
     spectra = np.array([e.band_coefficients for e in candidates])
-    mags = kappa_magnitudes(pi, band_frequencies(2 * spectra.shape[1]))
+    mags = kappa_magnitudes(config.pi, band_frequencies(2 * spectra.shape[1]))
     positions = [e.position for e in candidates]
     free = np.ones(len(candidates), dtype=bool)
     groups: list[MergeGroup] = []
@@ -254,6 +257,9 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
 
 @dataclass
 class CompressOutcome:
+    """What one :func:`cask_compress` call did; a fired one is also the
+    cache's record of that consolidation."""
+
     fired: bool = False
     core_overflow: bool = False
     groups_folded: int = 0
@@ -271,28 +277,26 @@ def _drop_after(cache: CacheState, candidates: list[KVEntry], n: int) -> int:
     return drop(cache, {e.position for e in keep_order(candidates)[n:]})
 
 
-def cask_compress(cache: CacheState, config: CaskConfig, budget: int,
-                  pi: HorizonDistribution | None = None) -> CompressOutcome:
+def cask_compress(cache: CacheState, config: CaskConfig,
+                  budget: int) -> CompressOutcome:
     """Core detection, scratch folding, then eviction down to ``budget``.
 
     A cache already at or under budget is left untouched (which also makes
     the operation idempotent).  A budget smaller than the detected core
     signals core overflow (a regime condition, not an exception) and leaves
-    the cache untouched.  One decode-consolidate event is recorded when any
-    fold or eviction happened; terminal protected flags are recomputed on
-    the final state.
+    the cache untouched.  Otherwise the cache is over a budget that fits
+    the core, so at least one fold or eviction happens: the outcome fires
+    and is appended to ``cache.compression_events``.  Terminal protected
+    flags are recomputed on the final state.
     """
-    if pi is None:
-        pi = config.horizon_distribution()
-    before = len(cache.entries)
-    if before <= budget:
+    if len(cache.entries) <= budget:
         return CompressOutcome()
     core = detect_core(cache, config)
     if budget < len(core):
         cache.core_overflow = True
         return CompressOutcome(core_overflow=True)
     outcome = CompressOutcome()
-    groups = form_merge_groups(cache, config, pi)
+    groups = form_merge_groups(cache, config)
     for group in groups:
         if group.mass <= 0.0:
             continue
@@ -306,8 +310,7 @@ def cask_compress(cache: CacheState, config: CaskConfig, budget: int,
         n_keep = budget - (len(cache.entries) - len(unprotected))
         outcome.evicted = _drop_after(cache, unprotected, n_keep)
     outcome.fired = outcome.groups_folded > 0 or outcome.evicted > 0
-    if outcome.fired:
-        cache.record_event(STAGE_DECODE_CONSOLIDATE, before, len(cache.entries))
+    cache.compression_events.append(outcome)
     # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
     detect_core(cache, config)
     return outcome
@@ -384,14 +387,12 @@ def perturbation_check(group: MergeGroup, representative: KVEntry,
         raise ValueError("group carries no keys")
     rep_key = representative.geometry_key()
     delta_m = representative.group_mass - ltr_sum(group.weights)
-    dispersion = 0.0
-    for w, k in zip(group.weights, group.keys):
-        dispersion += w * kappa_norm(k - rep_key, pi)
+    dispersion = ltr_sum(w * kappa_norm(k - rep_key, pi)
+                         for w, k in zip(group.weights, group.keys))
     pairs = np.empty((queries.shape[0], 2))
     for i, q in enumerate(queries):
-        lhs_sum = 0.0
-        for w, k in zip(group.weights, group.keys):
-            lhs_sum += w * float(q @ k)
+        lhs_sum = ltr_sum(w * float(q @ k)
+                          for w, k in zip(group.weights, group.keys))
         lhs = abs(lhs_sum - representative.group_mass * float(q @ rep_key))
         rhs = kappa_dual_norm(q, pi) * dispersion + abs(delta_m)
         pairs[i] = (lhs, rhs)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheState, KVEntry, append, terminal_saved_ratio
-from .kernels import HorizonDistribution
 from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     METHOD_NONE,
     ModelParams,
@@ -55,25 +54,21 @@ class CaskPolicy:
     method = METHOD_CASK
 
     def __init__(self, budget: int, cask_config: CaskConfig | None = None,
-                 stage_config: StageConfig | None = None,
-                 pi: HorizonDistribution | None = None):
+                 stage_config: StageConfig | None = None):
         self.budget = budget
         self.cask_config = cask_config or CaskConfig()
         self.stage_config = stage_config or StageConfig(budget=budget)
         if self.stage_config.budget != budget:
             raise ValueError("stage_config.budget must match the policy budget")
-        self.pi = pi if pi is not None else self.cask_config.horizon_distribution()
 
     def after_prefill(self, cache: CacheState) -> None:
         stage1_prefix_evict(cache, self.stage_config)
 
     def force_append(self, cache: CacheState, entry: KVEntry) -> None:
-        stage2_step(cache, entry, self.cask_config, self.stage_config, self.pi)
+        stage2_step(cache, entry, self.cask_config, self.stage_config)
 
 
-def make_policy(method: str, budget: int | None = None,
-                cask_config: CaskConfig | None = None,
-                stage_config: StageConfig | None = None):
+def make_policy(method: str, budget: int | None = None):
     if method == METHOD_NONE:
         return NoCompressionPolicy()
     if budget is None:
@@ -81,7 +76,7 @@ def make_policy(method: str, budget: int | None = None,
     if method == METHOD_EVICT:
         return EvictionPolicy(budget)
     if method == METHOD_CASK:
-        return CaskPolicy(budget, cask_config, stage_config)
+        return CaskPolicy(budget)
     raise ValueError(f"unknown method {method!r}")
 
 

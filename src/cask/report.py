@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bridge import bridge_run, sem_sim, seq_ratio, task_metric
@@ -61,10 +61,6 @@ class SweepSpec:
     vocab_size: int = 32
     model_dim: int = 16
     num_layers: int = 1
-    cask: CaskConfig = field(default_factory=CaskConfig)
-    prefix_fraction: float = 0.75
-    min_decode_slack: int = 16
-    min_prefix_keep: int = 4
 
     def __post_init__(self):
         if not self.witnesses or not self.methods or not self.budgets:
@@ -77,13 +73,10 @@ class SweepSpec:
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budget grid must be strictly increasing")
 
-    def stage_config(self, budget: int) -> StageConfig:
-        return StageConfig(budget=budget,
-                           prefix_fraction=self.prefix_fraction,
-                           min_decode_slack=self.min_decode_slack,
-                           min_prefix_keep=self.min_prefix_keep)
-
     def to_manifest(self) -> dict:
+        """The spec plus the policy defaults every cell runs with."""
+        stage = dataclasses.asdict(StageConfig(budget=1))
+        del stage["budget"]
         return {
             "witnesses": [dataclasses.asdict(w) for w in self.witnesses],
             "methods": list(self.methods),
@@ -93,10 +86,8 @@ class SweepSpec:
             "vocab_size": self.vocab_size,
             "model_dim": self.model_dim,
             "num_layers": self.num_layers,
-            "cask": dataclasses.asdict(self.cask),
-            "prefix_fraction": self.prefix_fraction,
-            "min_decode_slack": self.min_decode_slack,
-            "min_prefix_keep": self.min_prefix_keep,
+            "cask": dataclasses.asdict(CaskConfig()),
+            **stage,
         }
 
 
@@ -144,17 +135,15 @@ def replay_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
     as one ``ROW_FIELDS`` row of kind ``replay``.  The replay forks
     ``ref``'s prefill; a full-KV (``none``) replay is the reference itself
     (bit for bit, acceptance c01), so it is not rerun."""
-    stage = spec.stage_config(budget)
     if method == METHOD_NONE:
         record = ReplayRecord.from_distributions(
             ref.distributions, ref.tokens, ref.cache, ref.cache_sizes)
     else:
-        policy = make_policy(method, budget, spec.cask, stage)
         record = teacher_forced_replay(params, list(witness.prompt),
-                                       ref.tokens, policy,
+                                       ref.tokens, make_policy(method, budget),
                                        snapshot=ref.snapshot)
     summary = summarize(record)
-    flags = finalize_flags(record.cache, stage)
+    flags = finalize_flags(record.cache)
     live = {e.position for e in record.cache.entries}
     covered = covered_positions(record.cache)
     core = {e.position for e in record.cache.entries if e.protected}
@@ -192,15 +181,14 @@ def bridge_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
     against ``ref`` (the witness's ``decode_len``-token reference), as one
     ``ROW_FIELDS`` row of kind ``bridge``.  The run forks ``ref``'s
     prefill; a full-KV (``none``) run is the greedy reference itself."""
-    stage = spec.stage_config(budget)
     if method == METHOD_NONE:
         candidate, cache = ref.tokens, ref.cache
     else:
-        policy = make_policy(method, budget, spec.cask, stage)
         candidate, cache = bridge_run(params, list(witness.prompt),
-                                      witness.decode_len, policy,
+                                      witness.decode_len,
+                                      make_policy(method, budget),
                                       snapshot=ref.snapshot)
-    flags = finalize_flags(cache, stage)
+    flags = finalize_flags(cache)
     row = dict.fromkeys(ROW_FIELDS)
     row.update({
         "kind": "bridge",

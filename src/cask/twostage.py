@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from math import floor
 
 from .cache import PREFIX, CacheState, KVEntry, append, evict
-from .kernels import HorizonDistribution
 from .policies import CaskConfig, CompressOutcome, cask_compress, keep_order
 
 REGIME_DECODE_ACTIVE = "decode-active"
@@ -66,8 +65,8 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
 
 
 def stage2_step(cache: CacheState, new_entry: KVEntry,
-                cask_config: CaskConfig, stage_config: StageConfig,
-                pi: HorizonDistribution | None = None) -> CompressOutcome:
+                cask_config: CaskConfig,
+                stage_config: StageConfig) -> CompressOutcome:
     """Append a decode entry and consolidate when the budget overflows.
 
     Prefix entries are never merge candidates (core detection and grouping
@@ -75,13 +74,17 @@ def stage2_step(cache: CacheState, new_entry: KVEntry,
     """
     append(cache, new_entry)
     if len(cache.entries) > stage_config.budget:
-        return cask_compress(cache, cask_config, stage_config.budget, pi)
+        return cask_compress(cache, cask_config, stage_config.budget)
     return CompressOutcome()
 
 
-def finalize_flags(cache: CacheState, config: StageConfig) -> RegimeFlags:
-    """Summarize the replay's regime once decoding is finished."""
-    events = cache.decode_events()
+def finalize_flags(cache: CacheState,
+                   config: StageConfig | None = None) -> RegimeFlags:
+    """Summarize the replay's regime once decoding is finished.
+
+    The flags depend on the cache alone; ``config`` is accepted and unused.
+    """
+    events = len(cache.compression_events)
     if events > 0:
         label = REGIME_DECODE_ACTIVE
     elif cache.prefix_budget_exhausted:

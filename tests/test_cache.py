@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from cask.cache import (
     DECODE,
@@ -15,6 +22,13 @@ from cask.cache import (
     evict,
     merge_replace,
     terminal_saved_ratio,
+)
+from cask.policies import (
+    CaskConfig,
+    cask_compress,
+    evict_baseline,
+    fold_group,
+    form_merge_groups,
 )
 from conftest import fill_cache, make_entry
 
@@ -53,12 +67,13 @@ def test_evict_protected_raises():
         evict(cache, {0})
 
 
-def test_evict_records_event():
+def test_evict_records_no_event():
+    # Only a fired decode consolidation is a compression event.
     cache = fill_cache([[float(i), 0.0] for i in range(5)])
     evict(cache, {1, 2})
-    assert len(cache.compression_events) == 1
-    ev = cache.compression_events[0]
-    assert (ev.entries_before, ev.entries_after) == (5, 3)
+    assert [e.position for e in cache.entries] == [0, 3, 4]
+    assert cache.evicted_tokens == 2
+    assert cache.compression_events == []
 
 
 def rep_for(entries, weights=None):
@@ -210,3 +225,82 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
         cache.budget = 2
     with pytest.raises(CacheError, match=message):
         check_invariants(cache)
+
+
+# --- model-based: every cache mutation, in any order -------------------------
+
+# Three L=2 keys, so exact repeats (and hence folds) are common.
+KEY_POOL = np.random.default_rng(7).standard_normal((3, 2, 8))
+MACHINE_CONFIG = CaskConfig(sink_count=1, recency_window=2)
+
+
+class CacheMachine(RuleBasedStateMachine):
+    """Appends interleaved with consolidation, baseline eviction, protected
+    eviction and single folds.  The structural invariants hold after every
+    step, and only a fired consolidation adds a compression event."""
+
+    @initialize(budget=st.integers(min_value=6, max_value=16))
+    def start(self, budget):
+        self.cache = CacheState(budget=budget)
+        self.fired = 0
+
+    @precondition(lambda self: len(self.cache) < self.cache.budget
+                  or self.cache.core_overflow)
+    @rule(tokens=st.lists(st.tuples(
+        st.integers(min_value=0, max_value=len(KEY_POOL) - 1),
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 3.0),
+        st.sampled_from([DECODE, DECODE, PREFIX])), min_size=1, max_size=6))
+    def append(self, tokens):
+        # Up to the budget, or past it once the core has overflowed.
+        room = len(tokens) if self.cache.core_overflow \
+            else self.cache.budget - len(self.cache)
+        for key, mass, origin in tokens[:room]:
+            append(self.cache, KVEntry(
+                key=KEY_POOL[key], value=KEY_POOL[key] + 1.0,
+                position=self.cache.total_appended, origin=origin,
+                score_mass=mass))
+
+    @rule(shrink=st.integers(min_value=0, max_value=6))
+    def compress(self, shrink):
+        events = len(self.cache.compression_events)
+        outcome = cask_compress(self.cache, MACHINE_CONFIG,
+                                max(1, len(self.cache) - shrink))
+        assert len(self.cache.compression_events) == events + outcome.fired
+        if outcome.fired:
+            assert self.cache.compression_events[-1] is outcome
+            self.fired += 1
+
+    @rule(shrink=st.integers(min_value=0, max_value=6))
+    def evict_to(self, shrink):
+        evict_baseline(self.cache, max(1, len(self.cache) - shrink))
+
+    @rule(data=st.data())
+    def evict_unprotected(self, data):
+        picks = data.draw(st.lists(st.booleans(), min_size=len(self.cache),
+                                   max_size=len(self.cache)))
+        evict(self.cache, [e.position for e, pick
+                           in zip(self.cache.entries, picks)
+                           if pick and not e.protected])
+
+    @rule(index=st.integers(min_value=0, max_value=7))
+    def fold(self, index):
+        groups = [g for g in form_merge_groups(self.cache, MACHINE_CONFIG)
+                  if g.mass > 0.0]
+        if groups:
+            group = groups[index % len(groups)]
+            rep = fold_group(group, [self.cache.entry_at(p)
+                                     for p in group.positions])
+            merge_replace(self.cache, group.positions, rep,
+                          weights=group.weights)
+
+    @invariant()
+    def structure_holds(self):
+        check_invariants(self.cache)
+        assert len(self.cache.compression_events) == self.fired
+        assert all(o.fired for o in self.cache.compression_events)
+
+
+CacheMachine.TestCase.settings = settings(max_examples=60,
+                                          stateful_step_count=40,
+                                          deadline=None)
+TestCacheMachine = CacheMachine.TestCase

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cask
 from cask.cli import main
 from cask.report import ROW_FIELDS, load_rows
 
@@ -152,3 +157,25 @@ def test_replay_rejects_zero_budget(tmp_path, capsys):
               "--budget", "0"])
     assert exc.value.code == 2
     assert "budget 0 must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script, flag, grid, detail", [
+    ("frontier_sweep.py", "--budget-grid", "32,abc",
+     "budget 'abc' is not an integer"),
+    ("regime_probe.py", "--budgets", "0,8", "budget 0 must be >= 1"),
+])
+def test_scripts_reject_bad_budgets_as_usage_errors(tmp_path, script, flag,
+                                                    grid, detail):
+    # Both scripts used to split the grid by hand: a non-integer ended in an
+    # int() traceback and a zero budget died in CacheState.
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(cask.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / script), flag, grid],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr
+    assert detail in proc.stderr
+    assert list(tmp_path.iterdir()) == []

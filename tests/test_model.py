@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cask.cache import (
     DECODE,
-    STAGE_PREFIX_EVICT,
     CacheState,
     KVEntry,
     append,
@@ -28,9 +27,8 @@ from cask.model import (
     read_witness_manifest,
     write_witness_manifest,
 )
-from cask.policies import CaskConfig, cask_compress
+from cask.policies import CaskConfig, CompressOutcome, cask_compress
 from cask.replay import make_policy
-from cask.twostage import StageConfig
 
 
 def test_init_model_deterministic():
@@ -249,7 +247,7 @@ def test_prefill_fork_isolation(params):
     drop(a, {2})
     append(a, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
                       position=6))
-    a.record_event(STAGE_PREFIX_EVICT, 7, 6)
+    a.compression_events.append(CompressOutcome(fired=True, evicted=1))
     assert _entry_state(snap.entries) == before
     assert _cache_state(b) == (before, 64, 6, 0, [], False, False)
 
@@ -263,7 +261,7 @@ def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
     ref = generate_reference(params, prompt, 24)
     runs = []
     for snapshot in (None, ref.snapshot):
-        policy = make_policy(method, 16, stage_config=StageConfig(budget=16))
+        policy = make_policy(method, 16)
         runs.append(decode(params, prompt, 24, policy,
                            forced=ref.tokens if forced else None,
                            snapshot=snapshot))

@@ -109,7 +109,7 @@ def test_no_groups_with_zero_epsilon_on_distinct_keys(rng):
     keys = [rng.standard_normal(8) for _ in range(6)]
     cache = decode_cache(keys)
     detect_core(cache, scratch_config())
-    assert form_merge_groups(cache, scratch_config(), PI) == []
+    assert form_merge_groups(cache, scratch_config()) == []
 
 
 def test_everything_merges_with_huge_epsilon(rng):
@@ -117,7 +117,7 @@ def test_everything_merges_with_huge_epsilon(rng):
     cache = decode_cache(keys)
     cfg = scratch_config(merge_epsilon=1e9)
     detect_core(cache, cfg)
-    groups = form_merge_groups(cache, cfg, PI)
+    groups = form_merge_groups(cache, cfg)
     assert len(groups) == 1
     assert groups[0].positions == tuple(range(7))
 
@@ -132,7 +132,7 @@ def test_duplicates_group_and_unique_tokens_stay(rng):
     cache = decode_cache([base[i] for i in layout])
     cfg = scratch_config(merge_epsilon=1e-9)
     detect_core(cache, cfg)
-    groups = form_merge_groups(cache, cfg, PI)
+    groups = form_merge_groups(cache, cfg)
     expected = {}
     for pos, i in enumerate(layout):
         expected.setdefault(i, []).append(pos)
@@ -147,7 +147,7 @@ def test_groups_respect_temporal_window(rng):
         append(cache, make_entry(pos, key, origin=DECODE))
     cfg = scratch_config(temporal_window=5)
     detect_core(cache, cfg)
-    groups = form_merge_groups(cache, cfg, PI)
+    groups = form_merge_groups(cache, cfg)
     assert [g.positions for g in groups] == [(0, 2)]
 
 
@@ -156,7 +156,7 @@ def test_groups_respect_max_group_size(rng):
     cache = decode_cache([key] * 6)
     cfg = scratch_config(max_group_size=3)
     detect_core(cache, cfg)
-    groups = form_merge_groups(cache, cfg, PI)
+    groups = form_merge_groups(cache, cfg)
     assert [len(g) for g in groups] == [3, 3]
 
 
@@ -165,7 +165,7 @@ def test_groups_are_disjoint(rng):
     cache = decode_cache(keys)
     cfg = scratch_config(merge_epsilon=2.0, max_group_size=4)
     detect_core(cache, cfg)
-    groups = form_merge_groups(cache, cfg, PI)
+    groups = form_merge_groups(cache, cfg)
     seen = [p for g in groups for p in g.positions]
     assert len(seen) == len(set(seen))
 
@@ -192,7 +192,7 @@ def reference_detect_core(cache, config):
     return core
 
 
-def reference_form_merge_groups(cache, config, pi):
+def reference_form_merge_groups(cache, config):
     def centroid_of(keys, weights):
         total = ltr_sum(weights)
         if total == 0.0:
@@ -203,7 +203,7 @@ def reference_form_merge_groups(cache, config, pi):
         return acc / total
 
     def scalar_d_kappa(a, b):
-        mags = kappa_magnitudes(pi, a.frequencies)
+        mags = kappa_magnitudes(config.pi, a.frequencies)
         return float(np.sum(mags * np.abs(a.coefficients - b.coefficients)))
 
     candidates = [e for e in cache.entries
@@ -292,8 +292,8 @@ def test_core_and_groups_match_scalar_reference(
     assert detect_core(cache, cfg) == reference_detect_core(twin, cfg)
     assert [e.protected for e in cache.entries] \
         == [e.protected for e in twin.entries]
-    groups = form_merge_groups(cache, cfg, PI)
-    expected = reference_form_merge_groups(twin, cfg, PI)
+    groups = form_merge_groups(cache, cfg)
+    expected = reference_form_merge_groups(twin, cfg)
     assert [g.positions for g in groups] == [g.positions for g in expected]
     for g, ref in zip(groups, expected):
         assert same_bits(g.weights, ref.weights)
@@ -468,9 +468,9 @@ def test_compress_is_idempotent(rng):
 
 def test_compress_records_single_event(rng):
     cache = run_cache(rng, n_decode=24)
-    cask_compress(cache, CaskConfig(merge_epsilon=0.0), budget=14)
-    assert len(cache.compression_events) == 1
-    assert cache.compression_events[0].stage == "decode-consolidate"
+    outcome = cask_compress(cache, CaskConfig(merge_epsilon=0.0), budget=14)
+    assert outcome.fired
+    assert cache.compression_events == [outcome]
 
 
 # --- evict_baseline --------------------------------------------------------------

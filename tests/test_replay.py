@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cask.cache import check_invariants
-from cask.model import generate_reference, make_witness
+from cask.model import generate_reference, init_model, make_witness
 from cask.replay import (
     FidelitySummary,
     ReplayRecord,
@@ -18,6 +20,12 @@ from cask.replay import (
     top1_agreement,
     top5_coverage,
 )
+
+# sha256 of the acceptance suite's replay rows (see
+# test_acceptance_suite_rows_match_golden_digest), one json.dumps line each,
+# taken while a run without a snapshot still prefilled through the policy.
+ACCEPTANCE_SUITE_DIGEST = (
+    "93c511e8f93bfadfa6649a5925b1ed30ae4dced89426693a105c74c68e312dec")
 
 
 def random_record(rng, T=8, V=12):
@@ -235,7 +243,6 @@ def test_make_policy_rejects_unknown_method():
 
 
 def test_multi_layer_pipeline_end_to_end():
-    from cask.model import init_model
     params = init_model(2, vocab_size=24, model_dim=12, num_layers=3)
     w = make_witness("prompt-heavy-decode-active", 4, prefix_len=16,
                      decode_len=32, redundancy=0.8, vocab_size=24)
@@ -247,7 +254,7 @@ def test_multi_layer_pipeline_end_to_end():
                                    make_policy("cask", 24))
     assert len(record.cache.entries) <= 24
     assert all(e.key.shape == (3, 12) for e in record.cache.entries)
-    assert record.cache.decode_events() >= 1
+    assert record.cache.compression_events
 
 
 class CheckedPolicy:
@@ -290,3 +297,26 @@ def test_cache_invariants_hold_after_every_append(params, method, budget):
         overflowed |= record.cache.core_overflow
     assert folded == (method == "cask" and budget == 64)
     assert overflowed == (method == "cask" and budget == 8)
+
+
+def test_acceptance_suite_rows_match_golden_digest():
+    # The acceptance suite's rows: ten decode-active witnesses, cask and
+    # evict at budgets 24-64, each replay started without a snapshot.
+    params = init_model(0, 32, 16, 1)
+    lines = []
+    for seed in range(10):
+        witness = make_witness("prompt-heavy-decode-active", seed,
+                               prefix_len=24, decode_len=64, redundancy=0.7)
+        ref = generate_reference(params, list(witness.prompt),
+                                 witness.decode_len)
+        for method in ("cask", "evict"):
+            for budget in (24, 32, 48, 64):
+                s = summarize(teacher_forced_replay(
+                    params, list(witness.prompt), ref.tokens,
+                    make_policy(method, budget)))
+                lines.append(json.dumps({
+                    "kind": "replay", "witness": witness.name,
+                    "method": method, "budget": budget, "top1": s.top1,
+                    "top5": s.top5, "mean_nll": s.mean_nll, "T": s.T}) + "\n")
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == ACCEPTANCE_SUITE_DIGEST

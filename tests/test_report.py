@@ -27,6 +27,10 @@ PREFIX_DOMINANT_DIGEST = (
 # before merge grouping batched its distances and cached band spectra.
 FOLD_HEAVY_DIGEST = (
     "021d09a7449610b8069c5c2210e56f896b3ace1811050e3b1278b7bdcc35a0cc")
+# sha256 of manifest.json for the canonical frontier spec at out_dir
+# out/frontier, taken while SweepSpec still carried the policy knobs.
+FRONTIER_MANIFEST_DIGEST = (
+    "5c1ddb810ff498e2fdf8030cf3bd2eb56b52f2973b4cee6706ec07a0b8c467e5")
 
 WSPEC = WitnessSpec(kind="prompt-heavy-decode-active", seed=1,
                     prefix_len=16, decode_len=16, redundancy=0.7)
@@ -101,15 +105,26 @@ def test_sweep_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / f).read_bytes() == first[f]
 
 
-def test_frontier_sweep_rows_match_golden_digest(tmp_path):
-    spec = SweepSpec(
+def frontier_spec(out_dir):
+    return SweepSpec(
         witnesses=[WitnessSpec("prompt-heavy-decode-active", s, 24, 64, 0.7)
                    for s in range(10)],
         methods=["cask", "evict", "none"], budgets=[24, 32, 48],
-        out_dir=str(tmp_path), seed=0)
-    run_sweep(spec)
+        out_dir=str(out_dir), seed=0)
+
+
+def test_frontier_sweep_rows_match_golden_digest(tmp_path):
+    run_sweep(frontier_spec(tmp_path))
     rows = (tmp_path / "rows.jsonl").read_bytes()
     assert hashlib.sha256(rows).hexdigest() == FRONTIER_DIGEST
+
+
+def test_frontier_manifest_matches_golden_digest():
+    # The bytes run_sweep writes to manifest.json, without running the sweep.
+    manifest = json.dumps(frontier_spec("out/frontier").to_manifest(),
+                          indent=2, sort_keys=True) + "\n"
+    digest = hashlib.sha256(manifest.encode()).hexdigest()
+    assert digest == FRONTIER_MANIFEST_DIGEST
 
 
 def prefix_dominant_spec(out_dir, num_layers=2):

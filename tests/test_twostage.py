@@ -1,7 +1,7 @@
 import pytest
 
 from cask.cache import DECODE, PREFIX, CacheState, append
-from cask.policies import CaskConfig
+from cask.policies import CaskConfig, CompressOutcome
 from cask.twostage import (
     REGIME_BOUNDARY,
     REGIME_DECODE_ACTIVE,
@@ -141,22 +141,22 @@ def test_stage2_never_merges_prefix_entries(rng):
 def test_decode_events_equal_consolidate_event_count(rng):
     cache = prefix_cache(4)
     stage_cfg = StageConfig(budget=10, min_decode_slack=0)
-    for i in range(14):
-        stage2_step(cache, make_entry(4 + i, rng.standard_normal(8),
-                                      origin=DECODE, score_mass=0.5),
-                    CaskConfig(recency_window=2), stage_cfg)
-    n = sum(1 for ev in cache.compression_events
-            if ev.stage == "decode-consolidate")
-    assert finalize_flags(cache, stage_cfg).decode_events == n
+    outcomes = [stage2_step(cache, make_entry(4 + i, rng.standard_normal(8),
+                                              origin=DECODE, score_mass=0.5),
+                            CaskConfig(recency_window=2), stage_cfg)
+                for i in range(14)]
+    fired = [out for out in outcomes if out.fired]
+    assert fired
+    assert cache.compression_events == fired
+    assert finalize_flags(cache, stage_cfg).decode_events == len(fired)
 
 
 def test_finalize_label_priorities():
     stage_cfg = StageConfig(budget=8)
     cache = CacheState(budget=8)
     append(cache, make_entry(0, [1.0, 0.0]))
-    cache.record_event("decode-consolidate", 9, 8)
-    cache.record_event("decode-consolidate", 9, 8)
-    cache.record_event("decode-consolidate", 9, 8)
+    cache.compression_events.extend(
+        [CompressOutcome(fired=True, evicted=1)] * 3)
     flags = finalize_flags(cache, stage_cfg)
     assert flags.regime_label == REGIME_DECODE_ACTIVE
     assert flags.decode_events == 3
