@@ -17,10 +17,22 @@ from cask.cli import budget_grid
 from cask.report import SweepSpec, WitnessSpec, detect_crossings, emit_tables, run_sweep
 
 
+def seed_count(text: str) -> int:
+    """argparse type of ``--seeds``: a count of at least one witness."""
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"seed count {text!r} is not an integer") from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"seed count {count} must be >= 1")
+    return count
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/frontier")
-    ap.add_argument("--seeds", type=int, default=10,
+    ap.add_argument("--seeds", type=seed_count, default=10,
                     help="number of seeded witnesses")
     ap.add_argument("--budget-grid", type=budget_grid, default="24,32,48")
     ap.add_argument("--seed", type=int, default=0, help="model seed")

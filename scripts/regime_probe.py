@@ -27,11 +27,24 @@ PROBES = (
 )
 
 
+def prefix_fraction(text: str) -> float:
+    """argparse type of ``--prefix-fraction``: a fraction in (0, 1]."""
+    try:
+        fraction = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"prefix fraction {text!r} is not a number") from None
+    if not 0.0 < fraction <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"prefix fraction {fraction} must be in (0, 1]")
+    return fraction
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budgets", type=budget_grid, default="24,40,64,96")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--prefix-fraction", type=float, default=0.75)
+    ap.add_argument("--prefix-fraction", type=prefix_fraction, default=0.75)
     args = ap.parse_args()
 
     params = init_model(args.seed, 32, 16, 1)
@@ -48,7 +61,8 @@ def main() -> int:
                                 prefix_fraction=args.prefix_fraction)
             policy = CaskPolicy(budget, CaskConfig(), stage)
             record = teacher_forced_replay(params, list(witness.prompt),
-                                           ref.tokens, policy)
+                                           ref.tokens, policy,
+                                           snapshot=ref.snapshot)
             flags = finalize_flags(record.cache, stage)
             s = summarize(record)
             print(f"{witness.name:<34} {budget:>6} {s.top1:>6.3f} "

@@ -27,9 +27,8 @@ def bridge_run(params: ModelParams, prompt, length: int, policy,
     emitted tokens and the terminal cache."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    tokens, _, _, cache = decode(params, prompt, length, policy,
-                                 snapshot=snapshot)
-    return tokens, cache
+    run = decode(params, prompt, length, policy, snapshot=snapshot)
+    return run.tokens, run.cache
 
 
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:

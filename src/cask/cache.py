@@ -7,6 +7,7 @@ structural operations (evict, merge) apply uniformly across layers.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -67,7 +68,11 @@ class KVEntry:
 
     def geometry_key(self) -> np.ndarray:
         """Flat d-vector used for merge geometry (mean over layers)."""
-        return self.key if self.key.ndim == 1 else self.key.mean(axis=0)
+        if self.key.ndim == 1:
+            return self.key
+        # ndarray.mean's own steps (add.reduce, then one division), without
+        # its dispatch overhead: bit-identical.
+        return self.key.sum(axis=0) / len(self.key)
 
     @cached_property
     def band_coefficients(self) -> np.ndarray:
@@ -101,6 +106,23 @@ class CacheState:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def fork(self) -> "CacheState":
+        """An independent copy that a decode can continue on.
+
+        Entries are shallow copies, each owning its ``score_mass`` and
+        ``protected`` flag; their key and value arrays are shared, because
+        nothing writes them in place.  Counters and flags are copied, and
+        so is the list of compression events (a fired outcome is never
+        changed after it is recorded).
+        """
+        return CacheState(budget=self.budget,
+                          entries=[copy.copy(e) for e in self.entries],
+                          total_appended=self.total_appended,
+                          evicted_tokens=self.evicted_tokens,
+                          compression_events=list(self.compression_events),
+                          prefix_budget_exhausted=self.prefix_budget_exhausted,
+                          core_overflow=self.core_overflow)
 
     def entry_at(self, position: int) -> KVEntry:
         for e in self.entries:

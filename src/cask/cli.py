@@ -24,11 +24,10 @@ from .report import (
     VALID_METHODS,
     SweepSpec,
     WitnessSpec,
-    bridge_row,
+    _run_cell,
     detect_crossings,
     emit_tables,
     load_rows,
-    replay_row,
     run_sweep,
 )
 
@@ -41,10 +40,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_witness(path, vocab_size: int) -> Witness:
-    """Read a manifest whose prompt is the one its recorded parameters
-    rebuild at ``vocab_size``; sweeps rebuild prompts, so any other prompt
-    would silently be replaced."""
+    """Read a manifest made at ``vocab_size`` whose prompt is the one its
+    recorded parameters rebuild there; sweeps rebuild prompts, so any other
+    prompt would silently be replaced.  A manifest that records no vocab
+    size gets the prompt check alone."""
     w = read_witness_manifest(path)
+    if w.vocab_size is not None and w.vocab_size != vocab_size:
+        raise ValueError(
+            f"witness manifest {path}: made at vocab size {w.vocab_size}, "
+            f"not at --vocab-size {vocab_size}")
     rebuilt = make_witness(w.kind, w.seed, w.prefix_len, w.decode_len,
                            w.redundancy, vocab_size)
     if rebuilt.prompt != w.prompt:
@@ -101,7 +105,8 @@ def _cmd_cell(args) -> int:
     params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
                         spec.num_layers)
     ref = generate_reference(params, list(witness.prompt), witness.decode_len)
-    row = args.row(spec, params, witness, ref, args.method, args.budget)
+    row = _run_cell(spec, params, witness, ref, args.method,
+                    args.budget)[args.row]
     print(json.dumps(row, indent=2))
     return 0
 
@@ -145,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_gen_witness)
 
-    for name, row in (("replay", replay_row), ("bridge", bridge_row)):
+    for row, name in enumerate(("replay", "bridge")):
         p = sub.add_parser(name, help=f"print the {name} row of one cell")
         p.add_argument("--witness", required=True, help="witness manifest path")
         p.add_argument("--method", choices=VALID_METHODS, required=True)

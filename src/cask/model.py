@@ -7,6 +7,13 @@ A sweep prefills each witness once: the reference run and every
 since their caches and next-token distributions are identical until the
 policy's ``after_prefill``.
 
+Each cell is then one decode tree.  Its teacher-forced replay and its free
+greedy (bridge) run feed the same tokens, and so hold the same cache, up to
+the first step whose argmax differs from the forced token.  :func:`decode`
+runs the forced branch and forks the cache just before that step's token is
+fed; :func:`greedy_branch` finishes the greedy run on the fork.  A run that
+never mismatches is its own greedy run.
+
 The model is a seeded, single-layer-by-default attention stack over token
 embeddings with no positional encoding, so identical tokens produce identical
 keys and redundancy in the prompt shows up as exactly mergeable cache
@@ -20,7 +27,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +145,7 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     dist = _softmax(h @ params.unembed)
     entry = KVEntry(key=keys[:, n].copy(), value=values[:, n].copy(),
                     position=cache.total_appended, origin=origin,
-                    score_mass=float(weights[:, -1].mean()))
+                    score_mass=float(weights[:, -1].sum() / L))
     return StepOutput(distribution=dist, new_entry=entry,
                       attention_weights=weights)
 
@@ -146,7 +153,9 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
 def accumulate_mass(cache: CacheState, output: StepOutput) -> None:
     """Add this step's attention mass (mean over layers) onto live entries."""
     if cache.entries:
-        per_entry = output.attention_weights[:, :-1].mean(axis=0)
+        weights = output.attention_weights
+        # The layer mean as ndarray.mean computes it, bit for bit.
+        per_entry = weights[:, :-1].sum(axis=0) / len(weights)
         for e, a in zip(cache.entries, per_entry.tolist()):
             e.score_mass += a
 
@@ -207,18 +216,56 @@ def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
                            entries=cache.entries, distribution=dist)
 
 
+@dataclass
+class DecodeRun:
+    """A decode's fed tokens, the ``(T, V)`` distributions in hand before
+    each token was fed, the live cache size at each step and the terminal
+    cache.  ``fork`` is ``(t, cache)`` for a forced run whose argmax first
+    differs from the forced token at step ``t``, ``cache`` being its state
+    just before that token was fed; it is None for a run that never
+    mismatched (or was not forced)."""
+
+    tokens: list[int]
+    distributions: np.ndarray      # (T, V)
+    cache_sizes: np.ndarray        # (T,)
+    cache: CacheState
+    fork: tuple[int, CacheState] | None
+
+
+def _run_steps(params: ModelParams, policy, cache: CacheState,
+               dist: np.ndarray, tokens: list[int], dists: np.ndarray,
+               sizes: np.ndarray, forced=None):
+    """Feed tokens into ``cache`` from step ``len(tokens)`` until ``dists``
+    is full, ``dist`` being the distribution in hand.  Each step records
+    the distribution and the live cache size, then feeds ``forced[t]`` or
+    else the greedy argmax (ties go to the lowest id) through the policy's
+    append path.  Returns the ``DecodeRun.fork`` of a forced run."""
+    fork = None
+    for t in range(len(tokens), len(dists)):
+        dists[t] = dist
+        sizes[t] = len(cache.entries)
+        tok = int(np.argmax(dist))
+        if forced is not None:
+            if fork is None and tok != forced[t]:
+                fork = (t, cache.fork())
+            tok = forced[t]
+        tokens.append(tok)
+        out = forward_step(params, cache, tok, origin=DECODE)
+        accumulate_mass(cache, out)
+        policy.force_append(cache, out.new_entry)
+        dist = out.distribution
+    return fork
+
+
 def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
-           snapshot: PrefillSnapshot | None = None):
+           snapshot: PrefillSnapshot | None = None) -> DecodeRun:
     """Decode ``steps`` tokens after ``prompt`` through ``policy``.
 
     The run starts from a fork of ``snapshot``, a prefill of ``prompt``
     (one is made when none is given), on which the policy's
-    ``after_prefill`` runs first.  Each step records the
-    distribution in hand and the live cache size, then feeds ``forced[t]``
-    (teacher forcing) or else the greedy argmax (ties go to the lowest id)
-    through the policy's append path.  Returns the fed tokens, the
-    ``(steps, V)`` distributions, the per-step cache sizes and the terminal
-    cache.
+    ``after_prefill`` runs first.  It feeds ``forced`` (teacher forcing) or
+    else the greedy argmax; a forced run keeps the fork its greedy run
+    continues from (:func:`greedy_branch`).
     """
     budget = policy.budget
     if budget is None:
@@ -229,33 +276,41 @@ def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
         raise ValueError("snapshot was prefilled from another prompt")
     cache = snapshot.fork(budget)
     policy.after_prefill(cache)
-    dist = snapshot.distribution
     tokens: list[int] = []
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)
-    for t in range(steps):
-        dists[t] = dist
-        sizes[t] = len(cache.entries)
-        tok = int(np.argmax(dist)) if forced is None else forced[t]
-        tokens.append(tok)
-        out = forward_step(params, cache, tok, origin=DECODE)
-        accumulate_mass(cache, out)
-        policy.force_append(cache, out.new_entry)
-        dist = out.distribution
-    return tokens, dists, sizes, cache
+    fork = _run_steps(params, policy, cache, snapshot.distribution, tokens,
+                      dists, sizes, forced)
+    return DecodeRun(tokens, dists, sizes, cache, fork)
+
+
+def greedy_branch(params: ModelParams, run: DecodeRun,
+                  policy) -> tuple[list[int], CacheState]:
+    """The free greedy decode that ``run`` shares its steps with, as its
+    tokens and terminal cache.
+
+    That is ``run`` itself when it never mismatched.  Otherwise the greedy
+    run fed ``run``'s tokens up to the fork and is finished on a copy of
+    the fork, from the distribution ``run`` had in hand there, through
+    ``policy`` (the one ``run`` used: policies hold no per-run state).
+    ``run`` is left as it is.
+    """
+    if run.fork is None:
+        return run.tokens, run.cache
+    t, fork = run.fork
+    tokens, cache = run.tokens[:t], fork.fork()
+    _run_steps(params, policy, cache, run.distributions[t], tokens,
+               np.empty_like(run.distributions), np.empty_like(run.cache_sizes))
+    return tokens, cache
 
 
 @dataclass
-class ReferenceRun:
-    """Greedy full-KV continuation with its per-step distributions and the
+class ReferenceRun(DecodeRun):
+    """Greedy full-KV continuation (not forced, so without a fork) with the
     accumulated attention mass per position (the oracle score source),
     plus the prefill snapshot that the sweep's cells fork."""
 
-    tokens: list[int]
-    distributions: np.ndarray      # (T, V)
     oracle_scores: dict[int, float]
-    cache: CacheState
-    cache_sizes: np.ndarray        # (T,)
     snapshot: PrefillSnapshot
 
 
@@ -265,13 +320,10 @@ def generate_reference(params: ModelParams, prompt: list[int],
     if length < 1:
         raise ValueError("length must be >= 1")
     snapshot = prefill(params, prompt)
-    tokens, dists, sizes, cache = decode(params, prompt, length,
-                                         NoCompressionPolicy(),
-                                         snapshot=snapshot)
-    scores = {e.position: e.score_mass for e in cache.entries}
-    return ReferenceRun(tokens=tokens, distributions=dists,
-                        oracle_scores=scores, cache=cache, cache_sizes=sizes,
-                        snapshot=snapshot)
+    run = decode(params, prompt, length, NoCompressionPolicy(),
+                 snapshot=snapshot)
+    scores = {e.position: e.score_mass for e in run.cache.entries}
+    return ReferenceRun(**vars(run), oracle_scores=scores, snapshot=snapshot)
 
 
 @dataclass
@@ -282,6 +334,8 @@ class Witness:
     decode_len: int
     redundancy: float
     prompt: tuple[int, ...]
+    # None only for a manifest written before vocab sizes were recorded.
+    vocab_size: int | None = None
 
     @property
     def name(self) -> str:
@@ -295,6 +349,7 @@ class Witness:
             "decode_len": self.decode_len,
             "redundancy": self.redundancy,
             "prompt": list(self.prompt),
+            "vocab_size": self.vocab_size,
         }
 
 
@@ -334,7 +389,7 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
     prompt = (0, *body[:prefix_len])
     return Witness(kind=kind, seed=seed, prefix_len=prefix_len,
                    decode_len=decode_len, redundancy=redundancy,
-                   prompt=prompt)
+                   prompt=prompt, vocab_size=vocab_size)
 
 
 def write_witness_manifest(witness: Witness, path: str | Path) -> Path:
@@ -347,10 +402,12 @@ def read_witness_manifest(path: str | Path) -> Witness:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"witness manifest {path}: expected a JSON object")
-    missing = [f.name for f in fields(Witness) if f.name not in data]
+    missing = [f.name for f in fields(Witness)
+               if f.default is MISSING and f.name not in data]
     if missing:
         raise ValueError(f"witness manifest {path}: missing keys {missing}")
     return Witness(kind=data["kind"], seed=data["seed"],
                    prefix_len=data["prefix_len"], decode_len=data["decode_len"],
                    redundancy=data["redundancy"],
-                   prompt=tuple(data["prompt"]))
+                   prompt=tuple(data["prompt"]),
+                   vocab_size=data.get("vocab_size"))

@@ -16,6 +16,7 @@ import numpy as np
 from .cache import CacheState, KVEntry, append, terminal_saved_ratio
 from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     METHOD_NONE,
+    DecodeRun,
     ModelParams,
     NoCompressionPolicy,
     PrefillSnapshot,
@@ -158,11 +159,16 @@ def teacher_forced_replay(params: ModelParams, prompt, reference, policy,
     for t in reference:
         if not 0 <= t < params.vocab_size:
             raise ValueError(f"reference token {t} out of vocab")
-    _, distributions, cache_sizes, cache = decode(
-        params, prompt, len(reference), policy, forced=reference,
-        snapshot=snapshot)
-    return ReplayRecord.from_distributions(distributions, reference,
-                                           cache=cache, cache_sizes=cache_sizes)
+    return replay_record(decode(params, prompt, len(reference), policy,
+                                forced=reference, snapshot=snapshot))
+
+
+def replay_record(run: DecodeRun) -> ReplayRecord:
+    """The teacher-forced record of a decode run, scored against the tokens
+    it was fed."""
+    return ReplayRecord.from_distributions(run.distributions, run.tokens,
+                                           cache=run.cache,
+                                           cache_sizes=run.cache_sizes)
 
 
 def top1_agreement(record: ReplayRecord) -> float:

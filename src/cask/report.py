@@ -12,9 +12,16 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bridge import bridge_run, sem_sim, seq_ratio, task_metric
+from .bridge import sem_sim, seq_ratio, task_metric
 from .cache import covered_positions, terminal_saved_ratio
-from .model import Witness, generate_reference, init_model, make_witness
+from .model import (
+    Witness,
+    decode,
+    generate_reference,
+    greedy_branch,
+    init_model,
+    make_witness,
+)
 from .policies import CaskConfig, mass_diagnostics
 from .replay import (
     METHOD_CASK,
@@ -22,8 +29,8 @@ from .replay import (
     METHOD_NONE,
     ReplayRecord,
     make_policy,
+    replay_record,
     summarize,
-    teacher_forced_replay,
 )
 from .twostage import StageConfig, finalize_flags
 
@@ -95,7 +102,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run every (witness, method, budget) cell and stream rows to disk.
 
     Each witness is prefilled once, by its reference run; every cell forks
-    that prefill.  Emits one replay row and one bridge row per cell into
+    that prefill, and its bridge run forks its replay at the first
+    mismatch.  Emits one replay row and one bridge row per cell into
     ``<out_dir>/rows.jsonl`` plus a provenance manifest; fully reproducible
     from the sweep spec and its seed.
     """
@@ -123,25 +131,28 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
               budget: int) -> list[dict]:
-    """One sweep cell: its replay row, then its bridge row.  perfbench's
-    tracer labels cells by binding these parameter names."""
-    return [replay_row(spec, params, witness, ref, method, budget),
-            bridge_row(spec, params, witness, ref, method, budget)]
-
-
-def replay_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
-               budget: int) -> dict:
-    """Teacher-forced replay of ``ref`` under one (method, budget) cell,
-    as one ``ROW_FIELDS`` row of kind ``replay``.  The replay forks
-    ``ref``'s prefill; a full-KV (``none``) replay is the reference itself
-    (bit for bit, acceptance c01), so it is not rerun."""
+    """One sweep cell: its replay row, then its bridge row, both built from
+    one decode tree.  The teacher-forced replay of ``ref`` forks ``ref``'s
+    prefill, and the free greedy run forks the replay at its first
+    mismatch (``model.greedy_branch``).  A full-KV (``none``) cell is the
+    reference itself (bit for bit, acceptance c01), so it is not rerun.
+    perfbench's tracer labels cells by binding these parameter names."""
+    policy = make_policy(method, budget)
     if method == METHOD_NONE:
-        record = ReplayRecord.from_distributions(
-            ref.distributions, ref.tokens, ref.cache, ref.cache_sizes)
+        run = ref
     else:
-        record = teacher_forced_replay(params, list(witness.prompt),
-                                       ref.tokens, make_policy(method, budget),
-                                       snapshot=ref.snapshot)
+        run = decode(params, list(witness.prompt), witness.decode_len,
+                     policy, forced=ref.tokens, snapshot=ref.snapshot)
+    return [replay_row(spec, witness, ref, method, budget,
+                       replay_record(run)),
+            bridge_row(spec, witness, ref, method, budget,
+                       *greedy_branch(params, run, policy))]
+
+
+def replay_row(spec: SweepSpec, witness: Witness, ref, method: str,
+               budget: int, record: ReplayRecord) -> dict:
+    """The teacher-forced replay ``record`` of ``ref`` under one (method,
+    budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``."""
     summary = summarize(record)
     flags = finalize_flags(record.cache)
     live = {e.position for e in record.cache.entries}
@@ -175,19 +186,12 @@ def replay_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
     return row
 
 
-def bridge_row(spec: SweepSpec, params, witness: Witness, ref, method: str,
-               budget: int) -> dict:
-    """Free-run greedy decode under one (method, budget) cell, scored
-    against ``ref`` (the witness's ``decode_len``-token reference), as one
-    ``ROW_FIELDS`` row of kind ``bridge``.  The run forks ``ref``'s
-    prefill; a full-KV (``none``) run is the greedy reference itself."""
-    if method == METHOD_NONE:
-        candidate, cache = ref.tokens, ref.cache
-    else:
-        candidate, cache = bridge_run(params, list(witness.prompt),
-                                      witness.decode_len,
-                                      make_policy(method, budget),
-                                      snapshot=ref.snapshot)
+def bridge_row(spec: SweepSpec, witness: Witness, ref, method: str,
+               budget: int, candidate: list[int], cache) -> dict:
+    """The free greedy run of one (method, budget) cell, its emitted
+    ``candidate`` tokens and terminal ``cache``, scored against ``ref``
+    (the witness's ``decode_len``-token reference), as one ``ROW_FIELDS``
+    row of kind ``bridge``."""
     flags = finalize_flags(cache)
     row = dict.fromkeys(ROW_FIELDS)
     row.update({

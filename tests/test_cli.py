@@ -94,15 +94,23 @@ def test_sweep_rejects_manifest_with_another_prompt(tmp_path):
                  "--seed", "1", "--prefix-len", "16", "--decode-len", "12",
                  "--redundancy", "0.7", "--vocab-size", "64",
                  "--out", str(wide)]) == 0
+    # The same manifest written before vocab sizes were recorded.
+    legacy = tmp_path / "legacy.json"
+    data = json.loads(wide.read_text())
+    del data["vocab_size"]
+    legacy.write_text(json.dumps(data))
     edited = gen_witness(tmp_path, name="edited.json")
     data = json.loads(edited.read_text())
     data["prompt"][1] = data["prompt"][1] % 31 + 1
     edited.write_text(json.dumps(data))
-    for path in (wide, edited):
+    for path, detail in (
+            (wide, "made at vocab size 64, not at --vocab-size 32"),
+            (legacy, "prompt differs"), (edited, "prompt differs")):
         for cmd in (["sweep", "--budget-grid", "16", "--out",
                      str(tmp_path / "out")],
                     ["replay", "--budget", "16"]):
-            with pytest.raises(ValueError, match=re.escape(str(path))):
+            with pytest.raises(ValueError, match=re.escape(str(path)) + ".*"
+                               + re.escape(detail)):
                 main(cmd + ["--witness", str(path), "--method", "cask"])
     assert not (tmp_path / "out" / "rows.jsonl").exists()
     assert main(["sweep", "--witness", str(wide), "--method", "cask",
@@ -159,21 +167,32 @@ def test_replay_rejects_zero_budget(tmp_path, capsys):
     assert "budget 0 must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("script, flag, grid, detail", [
+@pytest.mark.parametrize("script, flag, value, detail", [
     ("frontier_sweep.py", "--budget-grid", "32,abc",
      "budget 'abc' is not an integer"),
     ("regime_probe.py", "--budgets", "0,8", "budget 0 must be >= 1"),
+    ("frontier_sweep.py", "--seeds", "0", "seed count 0 must be >= 1"),
+    ("frontier_sweep.py", "--seeds", "two",
+     "seed count 'two' is not an integer"),
+    ("regime_probe.py", "--prefix-fraction", "0",
+     "prefix fraction 0.0 must be in (0, 1]"),
+    ("regime_probe.py", "--prefix-fraction", "1.5",
+     "prefix fraction 1.5 must be in (0, 1]"),
+    ("regime_probe.py", "--prefix-fraction", "nan",
+     "prefix fraction nan must be in (0, 1]"),
 ])
 def test_scripts_reject_bad_budgets_as_usage_errors(tmp_path, script, flag,
-                                                    grid, detail):
+                                                    value, detail):
     # Both scripts used to split the grid by hand: a non-integer ended in an
-    # int() traceback and a zero budget died in CacheState.
+    # int() traceback and a zero budget died in CacheState.  A zero seed
+    # count died in SweepSpec, a zero prefix fraction in StageConfig after
+    # the table header was printed.
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(cask.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, str(repo / "scripts" / script), flag, grid],
+        [sys.executable, str(repo / "scripts" / script), flag, value],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "usage:" in proc.stderr

@@ -1,15 +1,20 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cask.bridge import bridge_run
 from cask.cache import (
     DECODE,
     CacheState,
     KVEntry,
     append,
+    check_invariants,
     drop,
 )
 from cask.model import (
@@ -21,6 +26,7 @@ from cask.model import (
     decode,
     forward_step,
     generate_reference,
+    greedy_branch,
     init_model,
     make_witness,
     prefill,
@@ -265,12 +271,76 @@ def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
         runs.append(decode(params, prompt, 24, policy,
                            forced=ref.tokens if forced else None,
                            snapshot=snapshot))
-    (tokens_a, dists_a, sizes_a, cache_a), (tokens_b, dists_b, sizes_b,
-                                             cache_b) = runs
+    a, b = runs
+    assert a.tokens == b.tokens
+    assert a.distributions.tobytes() == b.distributions.tobytes()
+    assert a.cache_sizes.tolist() == b.cache_sizes.tolist()
+    assert _cache_state(a.cache) == _cache_state(b.cache)
+    (tokens_a, cache_a), (tokens_b, cache_b) = (
+        greedy_branch(params, run, make_policy(method, 16)) for run in runs)
     assert tokens_a == tokens_b
-    assert dists_a.tobytes() == dists_b.tobytes()
-    assert sizes_a.tolist() == sizes_b.tolist()
     assert _cache_state(cache_a) == _cache_state(cache_b)
+
+
+def test_greedy_branch_equals_independent_bridge_run():
+    # Decode-active and prefix-dominant witnesses at L = 1 and 2, cask and
+    # evict, budget 4 being below cask's protected core.  Every shifted
+    # token differs from the argmax at step 0, so that tree forks right
+    # after after_prefill; a token shifted midway forks a run that has
+    # overflowed its core by then (cask at budget 4, L = 1).
+    forks, overflowed = set(), False
+    for num_layers, (kind, prefix_len, decode_len, redundancy) in (
+            itertools.product([1, 2], [
+                ("prompt-heavy-decode-active", 16, 24, 0.7),
+                ("prompt-heavy-prefix-dominant", 48, 12, 0.2)])):
+        params = init_model(0, num_layers=num_layers)
+        prompt = list(make_witness(kind, 1, prefix_len, decode_len,
+                                   redundancy).prompt)
+        ref = generate_reference(params, prompt, decode_len)
+        shifted = [(t + 1) % params.vocab_size for t in ref.tokens]
+        mid = decode_len // 2
+        midway = ref.tokens[:mid] + shifted[mid:mid + 1] + ref.tokens[mid + 1:]
+        for (method, budget), forced in itertools.product(
+                [("cask", 4), ("cask", 16), ("evict", 4), ("evict", 16)],
+                [ref.tokens, shifted, midway]):
+            policy = make_policy(method, budget)
+            run = decode(params, prompt, decode_len, policy, forced=forced,
+                         snapshot=ref.snapshot)
+            tokens, cache = greedy_branch(params, run, policy)
+            alone_tokens, alone = bridge_run(params, prompt, decode_len,
+                                             make_policy(method, budget))
+            assert tokens == alone_tokens
+            assert _cache_state(cache) == _cache_state(alone)
+            check_invariants(run.cache)
+            check_invariants(cache)
+            if run.fork is None:
+                assert forced is ref.tokens
+                assert tokens is run.tokens and cache is run.cache
+                forks.add(None)
+                continue
+            t, fork = run.fork
+            forks.add(t)
+            assert t == 0 if forced is shifted else t <= mid
+            # The fork is the replay's cache as it stood before step t.
+            head = decode(params, prompt, t, make_policy(method, budget),
+                          forced=forced, snapshot=ref.snapshot)
+            assert head.fork is None
+            assert _cache_state(fork) == _cache_state(head.cache)
+            overflowed |= fork.core_overflow
+            before = _cache_state(run.cache)
+            for branch in (fork, cache):
+                for e in branch.entries:
+                    e.score_mass += 1.0
+                    e.protected = not e.protected
+                drop(branch, {branch.entries[0].position})
+                append(branch, KVEntry(key=np.zeros((num_layers, 16)),
+                                       value=np.zeros((num_layers, 16)),
+                                       position=branch.total_appended + 1))
+                branch.compression_events.append(CompressOutcome(fired=True))
+                branch.core_overflow = not branch.core_overflow
+            assert _cache_state(run.cache) == before
+    assert {None, 0, 1} <= forks
+    assert overflowed
 
 
 def test_reference_run_carries_its_prefill(params):
@@ -330,5 +400,38 @@ def test_witness_manifest_roundtrip(tmp_path):
     path = write_witness_manifest(w, tmp_path / "w.json")
     data = json.loads(path.read_text())
     assert set(data) == {"kind", "seed", "prefix_len", "decode_len",
-                         "redundancy", "prompt"}
+                         "redundancy", "prompt", "vocab_size"}
+    assert data["vocab_size"] == 32
     assert read_witness_manifest(path) == w
+    # A manifest written before vocab sizes were recorded still reads.
+    del data["vocab_size"]
+    path.write_text(json.dumps(data))
+    assert read_witness_manifest(path) == dataclasses.replace(w,
+                                                              vocab_size=None)
+
+
+@given(st.sampled_from([1, 2, 3, 4, 7]), st.integers(1, 9), st.data())
+@settings(max_examples=60, deadline=None)
+def test_layer_means_equal_ndarray_mean(num_layers, n, data):
+    # The layer means are sum(axis=0) / L; ndarray.mean takes the same
+    # add.reduce and one division, so the bits must agree.
+    floats = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    key = data.draw(hnp.arrays(np.float64, (num_layers, 16), elements=floats))
+    entry = KVEntry(key=key, value=key, position=0)
+    assert entry.geometry_key().tobytes() == key.mean(axis=0).tobytes()
+
+    weights = data.draw(hnp.arrays(np.float64, (num_layers, n + 1),
+                                   elements=floats))
+    cache = CacheState(budget=n)
+    for i in range(n):
+        append(cache, KVEntry(key=key, value=key, position=i))
+    accumulate_mass(cache, StepOutput(distribution=np.ones(1),
+                                      new_entry=entry,
+                                      attention_weights=weights))
+    expected = weights[:, :-1].mean(axis=0)
+    assert [e.score_mass for e in cache.entries] == expected.tolist()
+
+    params = init_model(data.draw(st.integers(0, 99)), 16, 16, num_layers)
+    out = forward_step(params, cache, data.draw(st.integers(0, 15)))
+    assert out.new_entry.score_mass == float(
+        out.attention_weights[:, -1].mean())

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import cask
 import cask.cli  # noqa: F401  (binds every cask module, as perfbench does)
+from cask.model import decode, generate_reference, init_model
+from cask.replay import make_policy
 from cask.report import SweepSpec, WitnessSpec, run_sweep
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -16,8 +18,10 @@ def test_every_traced_function_exists():
 
 def test_traced_fires_equal_row_decode_events(tmp_path):
     # Every fired consolidation the tracer sees is recorded on its run's
-    # cache, and every recorded one was returned: the rows' decode_events
-    # (replay and bridge runs alike) add up to the traced fire count.
+    # cache, and every recorded one was returned.  A cell's bridge run
+    # shares its replay's steps up to the first mismatch, and the fires of
+    # those steps happen once: the rows' decode_events add up to the traced
+    # fire count less each bridge row's fires from before its fork.
     spec = SweepSpec(
         witnesses=[WitnessSpec("prompt-heavy-decode-active", s, 24, 64, 0.7)
                    for s in range(2)],
@@ -27,4 +31,22 @@ def test_traced_fires_equal_row_decode_events(tmp_path):
         rows = run_sweep(spec)
     fired = traced.counters["compress_fired"]
     assert fired > 0
-    assert fired == sum(r["decode_events"] for r in rows)
+
+    params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
+                        spec.num_layers)
+    shared = 0
+    for wspec in spec.witnesses:
+        witness = wspec.materialize(spec.vocab_size)
+        ref = generate_reference(params, list(witness.prompt),
+                                 witness.decode_len)
+        for r in rows:
+            if r["witness"] != witness.name or r["kind"] != "replay":
+                continue
+            steps = (witness.decode_len if r["first_mismatch"] is None
+                     else r["first_mismatch"] - 1)
+            before_fork = decode(params, list(witness.prompt), steps,
+                                 make_policy(r["method"], r["budget"]),
+                                 forced=ref.tokens, snapshot=ref.snapshot)
+            shared += len(before_fork.cache.compression_events)
+    assert shared > 0
+    assert fired == sum(r["decode_events"] for r in rows) - shared

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cask import model, policies, report
+from cask.bridge import bridge_run
 from cask.report import (
     ROW_FIELDS,
     CrossingFinding,
@@ -15,6 +16,7 @@ from cask.report import (
     load_rows,
     run_sweep,
 )
+from cask.replay import make_policy, teacher_forced_replay
 
 # sha256 of rows.jsonl from the canonical frontier sweep
 # (scripts/frontier_sweep.py defaults).
@@ -161,24 +163,21 @@ def test_fold_heavy_sweep_rows_match_golden_digest(tmp_path, monkeypatch):
 
 
 def _record_runs(monkeypatch, share: bool) -> list:
-    """Log (function, method, forks a snapshot) per replay/bridge run.
+    """Log (method, forks a snapshot) per cell decode.
 
-    With ``share=False`` every run drops its snapshot and prefills on its
-    own, and ``none`` cells are routed through the runs as well: the
-    per-cell computation the shared sweep must reproduce.
+    With ``share=False`` every decode drops its snapshot and prefills on its
+    own, and ``none`` cells are decoded as well: the per-cell computation
+    the shared sweep must reproduce.
     """
     log = []
+    decode = report.decode
 
-    def logged(fn):
-        def run(*args, snapshot=None):
-            snapshot = snapshot if share else None
-            log.append((fn.__name__, args[-1].method, snapshot is not None))
-            return fn(*args, snapshot=snapshot)
-        return run
+    def logged(*args, forced, snapshot):
+        snapshot = snapshot if share else None
+        log.append((args[-1].method, snapshot is not None))
+        return decode(*args, forced=forced, snapshot=snapshot)
 
-    monkeypatch.setattr(report, "teacher_forced_replay",
-                        logged(report.teacher_forced_replay))
-    monkeypatch.setattr(report, "bridge_run", logged(report.bridge_run))
+    monkeypatch.setattr(report, "decode", logged)
     if not share:
         monkeypatch.setattr(report, "METHOD_NONE", "no such method")
     return log
@@ -197,10 +196,8 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
         shared_log = _record_runs(m, share=True)
         shared = run_sweep(spec)
     assert len(prefills) == len(spec.witnesses)
-    assert {(fn, method) for fn, method, _ in shared_log} == {
-        (fn, method) for fn in ("teacher_forced_replay", "bridge_run")
-        for method in ("cask", "evict")}
-    assert all(forked for _, _, forked in shared_log)
+    assert {method for method, _ in shared_log} == {"cask", "evict"}
+    assert all(forked for _, forked in shared_log)
     assert any(r["decode_events"] > 0 for r in shared)
     assert any(r["regime_label"] == "prefix-dominant" for r in shared)
 
@@ -208,10 +205,50 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
     with monkeypatch.context() as m:
         independent_log = _record_runs(m, share=False)
         independent = run_sweep(spec)
-    assert not any(forked for _, _, forked in independent_log)
-    assert len(independent_log) == len(independent)
+    assert not any(forked for _, forked in independent_log)
+    assert 2 * len(independent_log) == len(independent)
     assert shared == independent
     assert ((tmp_path / "shared" / "rows.jsonl").read_bytes()
+            == (tmp_path / "independent" / "rows.jsonl").read_bytes())
+
+
+def _independent_cell(spec, params, witness, ref, method, budget):
+    """A sweep cell as two runs of its own: a teacher-forced replay and a
+    bridge run, each prefilling the prompt (``none`` cells included)."""
+    prompt = list(witness.prompt)
+    record = teacher_forced_replay(params, prompt, ref.tokens,
+                                   make_policy(method, budget))
+    tokens, cache = bridge_run(params, prompt, witness.decode_len,
+                               make_policy(method, budget))
+    return [report.replay_row(spec, witness, ref, method, budget, record),
+            report.bridge_row(spec, witness, ref, method, budget, tokens,
+                              cache)]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_decode_tree_rows_equal_independent_runs(tmp_path, monkeypatch,
+                                                 num_layers):
+    # Decode-active seed 1 never mismatches at L=1 (at L=2, at budget 32);
+    # seed 2 mismatches at step 2, the earliest a sweep row can (step 1
+    # scores the prefill's own distribution, whose argmax is the reference
+    # token).  Budget 4 is below cask's protected core.
+    spec = SweepSpec(
+        witnesses=[WitnessSpec("prompt-heavy-decode-active", s, 16, 24, 0.7)
+                   for s in (1, 2)]
+        + [WitnessSpec("prompt-heavy-prefix-dominant", 1, 48, 12, 0.2)],
+        methods=["cask", "evict", "none"], budgets=[4, 16, 32],
+        out_dir=str(tmp_path / "tree"), seed=0, num_layers=num_layers)
+    tree = run_sweep(spec)
+    mismatches = {r["first_mismatch"] for r in tree
+                  if r["kind"] == "replay" and r["method"] != "none"}
+    assert {None, 2} <= mismatches
+    assert any(r["decode_events"] > 0 for r in tree)
+
+    spec.out_dir = str(tmp_path / "independent")
+    monkeypatch.setattr(report, "_run_cell", _independent_cell)
+    independent = run_sweep(spec)
+    assert tree == independent
+    assert ((tmp_path / "tree" / "rows.jsonl").read_bytes()
             == (tmp_path / "independent" / "rows.jsonl").read_bytes())
 
 
