@@ -18,7 +18,6 @@ from .kernels import (
     band_decompose,
     band_recompose,
     d_kappa,
-    horizon_mean_score,
     kappa,
     rms2_decomposition,
     solve_horizon_qp,

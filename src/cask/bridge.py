@@ -1,14 +1,14 @@
 """Actual-output bridge: free-run generation plus output-level metrics.
 
 The bridge reads output proximity along three separate axes (lexical
-overlap, embedding cosine, task-native score) instead of collapsing them
-into one number.
+overlap, embedding cosine, exact match) instead of collapsing them into one
+number.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,12 +63,11 @@ def _bigram_bucket(a: int, b: int, seed: int, width: int) -> int:
     return x % width
 
 
-def embed(tokens: Sequence[int], width: int = EMBED_WIDTH,
-          seed: int = EMBED_SEED) -> np.ndarray:
+def embed(tokens: Sequence[int]) -> np.ndarray:
     """L2-normalized hashed token-bigram count vector (deterministic)."""
-    counts = np.zeros(width)
+    counts = np.zeros(EMBED_WIDTH)
     for a, b in zip(tokens, tokens[1:]):
-        counts[_bigram_bucket(int(a), int(b), seed, width)] += 1.0
+        counts[_bigram_bucket(int(a), int(b), EMBED_SEED, EMBED_WIDTH)] += 1.0
     norm = np.linalg.norm(counts)
     return counts / norm if norm > 0 else counts
 
@@ -85,20 +84,7 @@ def sem_sim(candidate: Sequence[int], reference: Sequence[int]) -> float:
     return float(u @ v)
 
 
-def _exact_match(candidate, reference, annotation) -> float:
+def task_metric(candidate: Sequence[int], reference: Sequence[int]) -> float:
+    """Exact match: 100 when the candidate reproduces the reference token
+    for token, else 0."""
     return 100.0 if list(candidate) == list(reference) else 0.0
-
-
-_TASK_METRICS: dict[str, Callable] = {"exact_match": _exact_match}
-
-
-def register_task_metric(name: str, fn: Callable) -> None:
-    _TASK_METRICS[name] = fn
-
-
-def task_metric(candidate: Sequence[int], reference: Sequence[int],
-                annotation=None, evaluator: str = "exact_match") -> float:
-    """Pluggable task-native evaluator; the default is exact match."""
-    if evaluator not in _TASK_METRICS:
-        raise ValueError(f"unknown task evaluator {evaluator!r}")
-    return _TASK_METRICS[evaluator](candidate, reference, annotation)

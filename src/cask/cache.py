@@ -178,13 +178,12 @@ def ltr_sum(values) -> float:
 
 
 def merge_replace(cache: CacheState, group_positions: Sequence[int],
-                  representative: KVEntry,
-                  weights: Sequence[float] | None = None) -> CacheState:
+                  representative: KVEntry) -> CacheState:
     """Replace a group of entries with one representative.
 
     The representative's ``group_mass`` must equal the left-to-right sum of
-    the member weights (the members' ``score_mass`` unless ``weights`` is
-    given); it is inserted at the earliest member position.
+    the members' ``score_mass`` in position order (the fold weights); it is
+    inserted at the earliest member position.
     """
     targets = sorted(set(group_positions))
     if len(targets) < 2:
@@ -193,13 +192,11 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
     for m in members:
         if m.protected:
             raise CacheError(f"protected member at position {m.position}")
-    if weights is None:
-        weights = [m.score_mass for m in members]
-    total = ltr_sum(weights)
+    total = ltr_sum(m.score_mass for m in members)
     if representative.group_mass != total:
         raise CacheError(
             f"mass mismatch: representative carries {representative.group_mass}, "
-            f"member weights sum to {total}"
+            f"member score masses sum to {total}"
         )
     if representative.position != targets[0]:
         raise CacheError("representative must sit at the earliest member position")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_FREQ_BASE = 10000.0
+FREQ_BASE = 10000.0
 KAPPA_DUAL_EPS = 1e-6
 
 
@@ -38,12 +38,13 @@ class HorizonDistribution:
             raise ValueError("weights must sum to 1 within 1e-12")
 
 
-def truncated_geometric(horizon: int, rate: float = 0.5) -> HorizonDistribution:
-    """Default offset distribution: geometric over 0..horizon, renormalized."""
+def truncated_geometric(horizon: int) -> HorizonDistribution:
+    """Default offset distribution: geometric with rate 1/2 over
+    0..horizon, renormalized."""
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     support = np.arange(horizon + 1)
-    w = rate ** support.astype(np.float64)
+    w = 0.5 ** support.astype(np.float64)
     return HorizonDistribution(support, w / w.sum())
 
 
@@ -70,20 +71,20 @@ class BandSpectrum:
         return self.coefficients.size
 
 
-def band_frequencies(dim: int, base: float = DEFAULT_FREQ_BASE) -> np.ndarray:
-    """Rotary-style frequency schedule: omega_f = base^(-2f/d)."""
+def band_frequencies(dim: int) -> np.ndarray:
+    """Rotary-style frequency schedule: omega_f = FREQ_BASE^(-2f/d)."""
     if dim % 2 != 0 or dim < 2:
         raise ValueError("dim must be even and >= 2")
     f = np.arange(dim // 2, dtype=np.float64)
-    return base ** (-2.0 * f / dim)
+    return FREQ_BASE ** (-2.0 * f / dim)
 
 
-def band_decompose(vector: np.ndarray, base: float = DEFAULT_FREQ_BASE) -> BandSpectrum:
+def band_decompose(vector: np.ndarray) -> BandSpectrum:
     v = np.asarray(vector, dtype=np.float64)
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("vector must be 1-D with even length")
     coeff = v[0::2] + 1j * v[1::2]
-    return BandSpectrum(band_frequencies(v.size, base), coeff)
+    return BandSpectrum(band_frequencies(v.size), coeff)
 
 
 def band_recompose(spectrum: BandSpectrum) -> np.ndarray:
@@ -117,30 +118,16 @@ def d_kappa(a: BandSpectrum, b: BandSpectrum, pi: HorizonDistribution) -> float:
                                kappa_magnitudes(pi, a.frequencies)))
 
 
-def horizon_mean_score(mu: BandSpectrum, key: BandSpectrum,
-                       pi: HorizonDistribution, delta: int) -> float:
-    """Re sum_f mu_f * conj(key_f) * kappa(w_f) * e^{i w_f delta}."""
-    if mu.band_count != key.band_count:
-        raise ValueError("band-count mismatch")
-    phase = np.exp(1j * np.outer(mu.frequencies, pi.support.astype(np.float64)))
-    kap = phase @ pi.weights
-    terms = mu.coefficients * np.conj(key.coefficients) * kap \
-        * np.exp(1j * mu.frequencies * delta)
-    return float(np.sum(terms).real)
-
-
-def kappa_norm(vector: np.ndarray, pi: HorizonDistribution,
-               base: float = DEFAULT_FREQ_BASE) -> float:
+def kappa_norm(vector: np.ndarray, pi: HorizonDistribution) -> float:
     """Band norm: sum_f |kappa(w_f)| * ||x_f||_2."""
-    spec = band_decompose(vector, base)
+    spec = band_decompose(vector)
     mags = kappa_magnitudes(pi, spec.frequencies)
     return float(np.sum(mags * np.abs(spec.coefficients)))
 
 
-def kappa_dual_norm(vector: np.ndarray, pi: HorizonDistribution,
-                    base: float = DEFAULT_FREQ_BASE) -> float:
+def kappa_dual_norm(vector: np.ndarray, pi: HorizonDistribution) -> float:
     """Dual pairing for the band norm: max_f ||q_f||_2 / max(|kappa|, eps)."""
-    spec = band_decompose(vector, base)
+    spec = band_decompose(vector)
     mags = np.maximum(kappa_magnitudes(pi, spec.frequencies), KAPPA_DUAL_EPS)
     return float(np.max(np.abs(spec.coefficients) / mags))
 
@@ -177,7 +164,6 @@ class QPInstance:
     design: np.ndarray
     target: np.ndarray
     weights: np.ndarray
-    group_size: int = 0
 
     def __post_init__(self):
         self.design = np.asarray(self.design, dtype=np.float64)
@@ -185,15 +171,11 @@ class QPInstance:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.design.ndim != 2:
             raise ValueError("design must be a matrix")
-        m, n = self.design.shape
+        m = self.design.shape[0]
         if self.target.shape != (m,) or self.weights.shape != (m,):
             raise ValueError("target/weights must match design rows")
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
-        if self.group_size == 0:
-            self.group_size = n
-        elif self.group_size != n:
-            raise ValueError("group_size must match design columns")
 
     def objective(self, pi: np.ndarray) -> float:
         r = self.design @ pi - self.target
@@ -233,13 +215,13 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _lipschitz_estimate(instance: QPInstance, iters: int = 60) -> float:
-    """Largest eigenvalue of 2 A^T W A via power iteration."""
+def _lipschitz_estimate(instance: QPInstance) -> float:
+    """Largest eigenvalue of 2 A^T W A by 60 steps of power iteration."""
     n = instance.design.shape[1]
     wa = instance.weights[:, None] * instance.design
     x = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(60):
         y = 2.0 * instance.design.T @ (wa @ x)
         norm = np.linalg.norm(y)
         if norm == 0.0:

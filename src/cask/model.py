@@ -24,7 +24,7 @@ mass-proportional share of the softmax.
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 import hashlib
 import json
 from dataclasses import MISSING, dataclass, fields
@@ -187,23 +187,14 @@ def run_prefill(params: ModelParams, cache: CacheState, prompt) -> np.ndarray:
 
 @dataclass
 class PrefillSnapshot:
-    """A prompt's cache entries and next-token distribution right after
-    prefill, before any policy's ``after_prefill``."""
+    """A prompt's full-KV cache and next-token distribution right after
+    prefill, before any policy's ``after_prefill``.  :func:`decode` starts
+    each run from a :meth:`CacheState.fork` of ``cache`` given the run's
+    budget; ``cache`` itself is never written."""
 
     prompt: tuple[int, ...]
-    entries: list[KVEntry]
+    cache: CacheState
     distribution: np.ndarray       # (V,)
-
-    def fork(self, budget: int) -> CacheState:
-        """A fresh cache holding shallow copies of the entries.
-
-        Each copy owns its ``score_mass`` and ``protected`` flag; the key and
-        value arrays are shared, because nothing writes them in place
-        (``forward_step`` copies them and ``fold_group`` builds new ones).
-        """
-        return CacheState(budget=budget,
-                          entries=[copy.copy(e) for e in self.entries],
-                          total_appended=len(self.entries))
 
 
 def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
@@ -213,7 +204,7 @@ def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
     if dist is None:
         raise ValueError("prompt must be nonempty")
     return PrefillSnapshot(prompt=tuple(int(t) for t in prompt),
-                           entries=cache.entries, distribution=dist)
+                           cache=cache, distribution=dist)
 
 
 @dataclass
@@ -274,7 +265,8 @@ def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
         snapshot = prefill(params, prompt)
     elif snapshot.prompt != tuple(prompt):
         raise ValueError("snapshot was prefilled from another prompt")
-    cache = snapshot.fork(budget)
+    # replace, not assignment, so the budget check in __post_init__ runs.
+    cache = dataclasses.replace(snapshot.cache.fork(), budget=budget)
     policy.after_prefill(cache)
     tokens: list[int] = []
     dists = np.empty((steps, params.vocab_size))
@@ -364,6 +356,8 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
     """
     if kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
+    if vocab_size < 2:
+        raise ValueError("vocab_size must be >= 2")
     if prefix_len < 0:
         raise ValueError("prefix_len must be >= 0")
     if decode_len < 1:

@@ -13,6 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from math import floor, inf
+from typing import Sequence
 
 import numpy as np
 
@@ -153,7 +154,10 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     return core
 
 
-def _weighted_centroid(keys: list[np.ndarray], weights: list[float]) -> np.ndarray:
+def _weighted_centroid(keys: Sequence[np.ndarray],
+                       weights: Sequence[float]) -> np.ndarray:
+    """Weight-averaged rows: w0*x0, then left-to-right adds, then one divide
+    by the left-to-right weight sum (the plain mean when it is 0)."""
     total = ltr_sum(weights)
     if total == 0.0:
         return np.mean(keys, axis=0)
@@ -220,9 +224,9 @@ def form_merge_groups(cache: CacheState,
 def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
     """Fold a group into one representative carrying the group mass.
 
-    Key and value are the weight-averaged members; ``group_mass`` is the
-    left-to-right weight sum; the representative sits at the earliest member
-    position and covers every member position.
+    Key and value are the weight-averaged members (:func:`_weighted_centroid`);
+    ``group_mass`` is the left-to-right weight sum; the representative sits
+    at the earliest member position and covers every member position.
     """
     if len(group) != len(entries):
         raise ValueError("group and entries must align")
@@ -235,23 +239,15 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
                        position=e.position, origin=DECODE, score_mass=mass,
                        group_mass=mass, member_count=e.member_count,
                        members=e.members)
-    key_acc = group.weights[0] * entries[0].key
-    val_acc = group.weights[0] * entries[0].value
-    for w, e in zip(group.weights[1:], entries[1:]):
-        key_acc = key_acc + w * e.key
-        val_acc = val_acc + w * e.value
-    members: list[int] = []
-    for e in entries:
-        members.extend(e.members)
     return KVEntry(
-        key=key_acc / mass,
-        value=val_acc / mass,
+        key=_weighted_centroid([e.key for e in entries], group.weights),
+        value=_weighted_centroid([e.value for e in entries], group.weights),
         position=min(group.positions),
         origin=DECODE,
         score_mass=mass,
         group_mass=mass,
         member_count=sum(e.member_count for e in entries),
-        members=tuple(sorted(members)),
+        members=tuple(sorted(p for e in entries for p in e.members)),
     )
 
 
@@ -302,7 +298,7 @@ def cask_compress(cache: CacheState, config: CaskConfig,
             continue
         entries = [cache.entry_at(p) for p in group.positions]
         rep = fold_group(group, entries)
-        merge_replace(cache, group.positions, rep, weights=group.weights)
+        merge_replace(cache, group.positions, rep)
         outcome.groups_folded += 1
         outcome.members_folded += len(group)
     if len(cache.entries) > budget:
@@ -336,16 +332,16 @@ class MassDiagnostics:
     topk_size: int
 
 
-def mass_diagnostics(core: set[int], rep_set: set[int],
-                     oracle_scores: dict[int, float], k: int,
-                     folded_members: set[int] | frozenset[int] = frozenset()
+def mass_diagnostics(core: set[int], covered: set[int],
+                     oracle_scores: dict[int, float], k: int
                      ) -> MassDiagnostics:
     """Oracle mass coverage ratios over the top-k scored positions.
 
-    A folded member counts as covered by its representative, so the covered
-    set is ``rep_set | folded_members | core``.  Top-k selection orders by
-    score descending then position descending; ``k`` beyond the population
-    clamps to the population size (``topk_size``).
+    ``covered`` is every position the cache still holds, a folded member
+    counting as held by its representative (``covered_positions(cache)``);
+    it includes the live ``core``.  Top-k selection orders by score
+    descending then position descending; ``k`` beyond the population clamps
+    to the population size (``topk_size``).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -354,7 +350,6 @@ def mass_diagnostics(core: set[int], rep_set: set[int],
     ranked = sorted(oracle_scores, key=lambda p: (-oracle_scores[p], -p))
     topk = ranked[:k]
     denom = ltr_sum(oracle_scores[p] for p in topk)
-    covered = set(rep_set) | set(folded_members) | set(core)
     if denom == 0.0:
         rho_core = rho_rep = 0.0
     else:

@@ -105,19 +105,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     that prefill, and its bridge run forks its replay at the first
     mismatch.  Emits one replay row and one bridge row per cell into
     ``<out_dir>/rows.jsonl`` plus a provenance manifest; fully reproducible
-    from the sweep spec and its seed.
+    from the sweep spec and its seed.  The model and the witnesses are
+    built first, so a spec they reject writes nothing.
     """
+    params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
+                        spec.num_layers)
+    witnesses = [w.materialize(spec.vocab_size) for w in spec.witnesses]
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(
         json.dumps(spec.to_manifest(), indent=2, sort_keys=True) + "\n")
-    params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
-                        spec.num_layers)
     rows: list[dict] = []
     with open(out_dir / "rows.jsonl", "w") as stream:
-        for wspec in spec.witnesses:
-            witness = wspec.materialize(spec.vocab_size)
+        for witness in witnesses:
             ref = generate_reference(params, list(witness.prompt),
                                      witness.decode_len)
             for method in spec.methods:
@@ -149,39 +150,47 @@ def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
                        *greedy_branch(params, run, policy))]
 
 
+def _cell_row(kind: str, spec: SweepSpec, witness: Witness, method: str,
+              budget: int, cache) -> dict:
+    """A ``ROW_FIELDS`` row of kind ``kind`` holding what both kinds read:
+    the cell, and the regime and savings of the run's terminal ``cache``."""
+    flags = finalize_flags(cache)
+    row = dict.fromkeys(ROW_FIELDS)
+    row.update({
+        "kind": kind,
+        "witness": witness.name,
+        "regime_label": flags.regime_label,
+        "method": method,
+        "budget": budget,
+        "saved_ratio": terminal_saved_ratio(cache),
+        "decode_events": flags.decode_events,
+        "prefix_budget_exhausted": flags.prefix_budget_exhausted,
+        "merge_inactive": flags.merge_inactive,
+        "seed": spec.seed,
+    })
+    return row
+
+
 def replay_row(spec: SweepSpec, witness: Witness, ref, method: str,
                budget: int, record: ReplayRecord) -> dict:
     """The teacher-forced replay ``record`` of ``ref`` under one (method,
     budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``."""
     summary = summarize(record)
-    flags = finalize_flags(record.cache)
-    live = {e.position for e in record.cache.entries}
-    covered = covered_positions(record.cache)
-    core = {e.position for e in record.cache.entries if e.protected}
-    diag = mass_diagnostics(core, live, ref.oracle_scores,
-                            k=min(budget, len(ref.oracle_scores)),
-                            folded_members=covered - live)
-    row = dict.fromkeys(ROW_FIELDS)
+    cache = record.cache
+    core = {e.position for e in cache.entries if e.protected}
+    diag = mass_diagnostics(core, covered_positions(cache), ref.oracle_scores,
+                            k=min(budget, len(ref.oracle_scores)))
+    row = _cell_row("replay", spec, witness, method, budget, cache)
     row.update({
-        "kind": "replay",
-        "witness": witness.name,
-        "regime_label": flags.regime_label,
-        "method": method,
-        "budget": budget,
         "top1": summary.top1,
         "top5": summary.top5,
         "mean_nll": summary.mean_nll,
         "first_mismatch": summary.first_mismatch,
-        "saved_ratio": summary.saved_ratio,
-        "decode_events": flags.decode_events,
-        "prefix_budget_exhausted": flags.prefix_budget_exhausted,
-        "merge_inactive": flags.merge_inactive,
         "rho_core": diag.rho_core,
         "rho_rep": diag.rho_rep,
         "T": summary.T,
         "top1_matches": summary.top1_matches,
         "top5_matches": summary.top5_matches,
-        "seed": spec.seed,
     })
     return row
 
@@ -192,23 +201,12 @@ def bridge_row(spec: SweepSpec, witness: Witness, ref, method: str,
     ``candidate`` tokens and terminal ``cache``, scored against ``ref``
     (the witness's ``decode_len``-token reference), as one ``ROW_FIELDS``
     row of kind ``bridge``."""
-    flags = finalize_flags(cache)
-    row = dict.fromkeys(ROW_FIELDS)
+    row = _cell_row("bridge", spec, witness, method, budget, cache)
     row.update({
-        "kind": "bridge",
-        "witness": witness.name,
-        "regime_label": flags.regime_label,
-        "method": method,
-        "budget": budget,
-        "saved_ratio": terminal_saved_ratio(cache),
-        "decode_events": flags.decode_events,
-        "prefix_budget_exhausted": flags.prefix_budget_exhausted,
-        "merge_inactive": flags.merge_inactive,
         "seq_ratio": seq_ratio(candidate, ref.tokens),
         "sem_sim": sem_sim(candidate, ref.tokens),
         "task_metric": task_metric(candidate, ref.tokens),
         "T": len(candidate),
-        "seed": spec.seed,
     })
     return row
 

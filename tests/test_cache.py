@@ -290,8 +290,7 @@ class CacheMachine(RuleBasedStateMachine):
             group = groups[index % len(groups)]
             rep = fold_group(group, [self.cache.entry_at(p)
                                      for p in group.positions])
-            merge_replace(self.cache, group.positions, rep,
-                          weights=group.weights)
+            merge_replace(self.cache, group.positions, rep)
 
     @invariant()
     def structure_holds(self):

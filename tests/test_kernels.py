@@ -1,5 +1,3 @@
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,7 +11,6 @@ from cask.kernels import (
     band_recompose,
     d_kappa,
     d_kappa_batch,
-    horizon_mean_score,
     kappa,
     kappa_magnitudes,
     project_to_simplex,
@@ -161,39 +158,6 @@ def test_d_kappa_triangle_inequality(seed):
     pi = truncated_geometric(4)
     a, b, c = (random_spectrum(rng) for _ in range(3))
     assert d_kappa(a, c, pi) <= d_kappa(a, b, pi) + d_kappa(b, c, pi) + 1e-9
-
-
-# --- horizon mean score ----------------------------------------------------
-
-def test_horizon_mean_score_reduces_to_dot_product(rng):
-    pi = dist([0], [1.0])  # kappa == 1 everywhere
-    u, v = rng.standard_normal(8), rng.standard_normal(8)
-    score = horizon_mean_score(band_decompose(u), band_decompose(v), pi, delta=0)
-    assert score == pytest.approx(float(u @ v), abs=1e-12)
-
-
-def test_horizon_mean_score_zero_key(rng):
-    mu = random_spectrum(rng)
-    zero = band_decompose(np.zeros(8))
-    assert horizon_mean_score(mu, zero, truncated_geometric(2), 3) == 0.0
-
-
-def test_horizon_mean_score_matches_independent_complex_evaluation(rng):
-    pi = truncated_geometric(5)
-    for _ in range(20):
-        mu, key = random_spectrum(rng), random_spectrum(rng)
-        delta = int(rng.integers(0, 9))
-        expected = 0.0
-        for f in range(mu.band_count):
-            om = mu.frequencies[f]
-            kap = sum(w * cmath.exp(1j * om * d)
-                      for d, w in zip(pi.support, pi.weights))
-            term = (complex(mu.coefficients[f])
-                    * complex(key.coefficients[f]).conjugate()
-                    * kap * cmath.exp(1j * om * delta))
-            expected += term.real
-        got = horizon_mean_score(mu, key, pi, delta)
-        assert got == pytest.approx(expected, abs=1e-9)
 
 
 # --- RMS2 decomposition -----------------------------------------------------

@@ -243,19 +243,19 @@ def _cache_state(cache):
 
 def test_prefill_fork_isolation(params):
     snap = prefill(params, [3, 1, 4, 1, 5, 9])
-    before = _entry_state(snap.entries)
-    a, b = snap.fork(64), snap.fork(64)
+    before = _entry_state(snap.cache.entries)
+    a, b = snap.cache.fork(), snap.cache.fork()
     # Forks share the (never written) key/value arrays, not the entries.
-    assert a.entries[0].key is snap.entries[0].key
-    assert a.entries[0] is not snap.entries[0]
+    assert a.entries[0].key is snap.cache.entries[0].key
+    assert a.entries[0] is not snap.cache.entries[0]
     a.entries[0].score_mass += 1.0
     a.entries[1].protected = True
     drop(a, {2})
     append(a, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
                       position=6))
     a.compression_events.append(CompressOutcome(fired=True, evicted=1))
-    assert _entry_state(snap.entries) == before
-    assert _cache_state(b) == (before, 64, 6, 0, [], False, False)
+    assert _cache_state(snap.cache) == (before, 6, 6, 0, [], False, False)
+    assert _cache_state(b) == (before, 6, 6, 0, [], False, False)
 
 
 @pytest.mark.parametrize("method", ["cask", "evict", "none"])
@@ -347,7 +347,7 @@ def test_reference_run_carries_its_prefill(params):
     ref = generate_reference(params, [1, 2, 3], 5)
     fresh = prefill(params, [1, 2, 3])
     assert ref.snapshot.prompt == (1, 2, 3)
-    assert _entry_state(ref.snapshot.entries) == _entry_state(fresh.entries)
+    assert _cache_state(ref.snapshot.cache) == _cache_state(fresh.cache)
     assert ref.snapshot.distribution.tobytes() == fresh.distribution.tobytes()
     assert ref.cache_sizes.tolist() == [3, 4, 5, 6, 7]
 
@@ -363,6 +363,14 @@ def test_decode_rejects_snapshot_of_another_prompt(params):
 def test_make_witness_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown witness kind"):
         make_witness("mystery", 0, 10, 5, 0.5)
+
+
+@pytest.mark.parametrize("kind", WITNESS_KINDS)
+@pytest.mark.parametrize("vocab_size", [1, 0])
+def test_make_witness_rejects_tiny_vocab(kind, vocab_size):
+    # Token 0 is the start token, so a prompt body needs ids 1..V-1.
+    with pytest.raises(ValueError, match="vocab_size must be >= 2"):
+        make_witness(kind, 0, 10, 5, 0.5, vocab_size)
 
 
 def test_make_witness_validates_ranges():

@@ -2,8 +2,9 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cask.cache import (
     DECODE,
@@ -389,6 +390,65 @@ def test_fold_mass_conservation_exact(seed):
     assert rep.group_mass == mass  # exact, left-to-right summation
 
 
+def fold_reference(group, entries):
+    """The hand-rolled accumulation fold_group used before it took its means
+    from _weighted_centroid: w0 * x0, left-to-right adds, one divide by the
+    left-to-right weight sum.  Returns key, value, mass and members."""
+    mass = 0.0
+    for w in group.weights:
+        mass += float(w)
+    key_acc = group.weights[0] * entries[0].key
+    val_acc = group.weights[0] * entries[0].value
+    for w, e in zip(group.weights[1:], entries[1:]):
+        key_acc = key_acc + w * e.key
+        val_acc = val_acc + w * e.value
+    members = []
+    for e in entries:
+        members.extend(e.members)
+    return key_acc / mass, val_acc / mass, mass, tuple(sorted(members))
+
+
+FOLD_WEIGHT = (st.sampled_from([5e-324, 1e-300, 1e-12, 0.25, 1.0])
+               | st.floats(0.0, 5.0))
+
+
+@st.composite
+def fold_inputs(draw):
+    """A group of 2-6 entries at L in {1, 3}, some already merged (members
+    beyond their own position), with tied, tiny or mixed weights."""
+    num_layers = draw(st.sampled_from([1, 3]))
+    n = draw(st.integers(2, 6))
+    rows = hnp.arrays(np.float64, (num_layers, 4),
+                      elements=st.floats(-10.0, 10.0))
+    weights = draw(st.lists(FOLD_WEIGHT, min_size=n, max_size=n)
+                   | FOLD_WEIGHT.map(lambda w: [w] * n))
+    entries = []
+    for i in range(n):
+        count = draw(st.integers(1, 3))
+        entries.append(KVEntry(
+            key=draw(rows), value=draw(rows), position=10 * i,
+            score_mass=weights[i], group_mass=1.0 + count,
+            member_count=count,
+            members=tuple(10 * i + j for j in range(count))))
+    group = MergeGroup(positions=tuple(e.position for e in entries),
+                       weights=tuple(weights), mass=ltr_sum(weights))
+    return group, entries
+
+
+@given(fold_inputs())
+@settings(max_examples=150, deadline=None)
+def test_fold_matches_hand_rolled_accumulation_bit_for_bit(inputs):
+    group, entries = inputs
+    assume(group.mass > 0.0)
+    key, value, mass, members = fold_reference(group, entries)
+    rep = fold_group(group, entries)
+    assert rep.key.tobytes() == key.tobytes()
+    assert rep.value.tobytes() == value.tobytes()
+    assert rep.group_mass == rep.score_mass == mass
+    assert rep.members == members
+    assert rep.member_count == sum(e.member_count for e in entries)
+
+
 # --- cask_compress -------------------------------------------------------------
 
 def run_cache(rng, n_prefix=4, n_decode=16, duplicates=True):
@@ -531,7 +591,8 @@ def test_rho_hand_enumerated_eight_entries():
 
 def test_rho_counts_folded_members_as_covered():
     scores = {0: 3.0, 1: 2.0, 2: 1.0}
-    diag = mass_diagnostics(set(), {0}, scores, k=3, folded_members={1})
+    # Position 1 is folded into the live entry at 0.
+    diag = mass_diagnostics(set(), {0, 1}, scores, k=3)
     assert diag.rho_rep == pytest.approx(5 / 6)
 
 

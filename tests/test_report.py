@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -80,6 +81,24 @@ def test_spec_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         SweepSpec(witnesses=[], methods=["cask"], budgets=[8],
                   out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"model_dim": 3}, "model_dim must be even"),
+    ({"num_layers": 0}, "num_layers must be >= 1"),
+    ({"witnesses": [dataclasses.replace(WSPEC, kind="essay")]},
+     "unknown witness kind"),
+    # A bad later witness must not leave the first witness's rows behind.
+    ({"witnesses": [WSPEC, dataclasses.replace(WSPEC, decode_len=0)]},
+     "decode_len must be >= 1"),
+])
+def test_sweep_writes_nothing_for_a_spec_it_cannot_run(tmp_path, change,
+                                                        message):
+    out = tmp_path / "out"
+    spec = dataclasses.replace(small_spec(out), **change)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(spec)
+    assert not out.exists() or not any(out.iterdir())
 
 
 # --- run_sweep -------------------------------------------------------------------
