@@ -13,21 +13,19 @@ from typing import Sequence
 import numpy as np
 
 from .cache import CacheState
-from .model import ModelParams, PrefillSnapshot, decode
+from .model import ModelParams, decode
 
 EMBED_WIDTH = 256
 EMBED_SEED = 17
 
 
-def bridge_run(params: ModelParams, prompt, length: int, policy,
-               snapshot: PrefillSnapshot | None = None
+def bridge_run(params: ModelParams, prompt, length: int, policy
                ) -> tuple[list[int], CacheState]:
-    """Greedy decode where every emitted token passes through the policy,
-    starting from a fork of ``snapshot`` when one is given; returns the
-    emitted tokens and the terminal cache."""
+    """Greedy decode where every emitted token passes through the policy;
+    returns the emitted tokens and the terminal cache."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    run = decode(params, prompt, length, policy, snapshot=snapshot)
+    run = decode(params, prompt, length, policy)
     return run.tokens, run.cache
 
 

@@ -8,13 +8,11 @@ structural operations (evict, merge) apply uniformly across layers.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-
-from .kernels import band_decompose
 
 if TYPE_CHECKING:
     from .policies import CompressOutcome
@@ -42,7 +40,6 @@ class KVEntry:
     origin: str = DECODE
     score_mass: float = 0.0
     group_mass: float = 1.0
-    member_count: int = 1
     protected: bool = False
     members: tuple[int, ...] = ()
 
@@ -53,8 +50,6 @@ class KVEntry:
             raise CacheError(f"unknown origin {self.origin!r}")
         if self.group_mass <= 0:
             raise CacheError("group_mass must be positive")
-        if self.member_count < 1:
-            raise CacheError("member_count must be >= 1")
         if not self.members:
             self.members = (self.position,)
 
@@ -66,6 +61,11 @@ class KVEntry:
         twin.__dict__.update(self.__dict__)
         return twin
 
+    @property
+    def member_count(self) -> int:
+        """How many original positions this entry covers."""
+        return len(self.members)
+
     def geometry_key(self) -> np.ndarray:
         """Flat d-vector used for merge geometry (mean over layers)."""
         if self.key.ndim == 1:
@@ -73,15 +73,6 @@ class KVEntry:
         # ndarray.mean's own steps (add.reduce, then one division), without
         # its dispatch overhead: bit-identical.
         return self.key.sum(axis=0) / len(self.key)
-
-    @cached_property
-    def band_coefficients(self) -> np.ndarray:
-        """Band spectrum coefficients of :meth:`geometry_key`, computed once.
-
-        Valid for the entry's lifetime because ``key`` is never written in
-        place; a copy shares the key, and the value if already computed.
-        """
-        return band_decompose(self.geometry_key()).coefficients
 
 
 @dataclass
@@ -116,13 +107,9 @@ class CacheState:
         so is the list of compression events (a fired outcome is never
         changed after it is recorded).
         """
-        return CacheState(budget=self.budget,
-                          entries=[copy.copy(e) for e in self.entries],
-                          total_appended=self.total_appended,
-                          evicted_tokens=self.evicted_tokens,
-                          compression_events=list(self.compression_events),
-                          prefix_budget_exhausted=self.prefix_budget_exhausted,
-                          core_overflow=self.core_overflow)
+        return dataclasses.replace(
+            self, entries=[copy.copy(e) for e in self.entries],
+            compression_events=list(self.compression_events))
 
     def entry_at(self, position: int) -> KVEntry:
         for e in self.entries:

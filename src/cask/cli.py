@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .model import (
     WITNESS_KINDS,
+    ModelParams,
     Witness,
     generate_reference,
     init_model,
@@ -37,6 +38,16 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab-size", type=int, default=32)
     p.add_argument("--model-dim", type=int, default=16)
     p.add_argument("--num-layers", type=int, default=1)
+
+
+def _model_params(args) -> ModelParams:
+    return init_model(args.seed, args.vocab_size, args.model_dim,
+                      args.num_layers)
+
+
+def _witness(args) -> Witness:
+    return make_witness(args.kind, args.seed, args.prefix_len,
+                        args.decode_len, args.redundancy, args.vocab_size)
 
 
 def _read_witness(path, vocab_size: int) -> Witness:
@@ -91,19 +102,15 @@ def _sweep_spec(args, witnesses: list[Witness], methods: list[str],
         num_layers=args.num_layers)
 
 
-def _cmd_gen_witness(args) -> int:
-    witness = make_witness(args.kind, args.seed, args.prefix_len,
-                           args.decode_len, args.redundancy, args.vocab_size)
+def _cmd_gen_witness(args, witness: Witness) -> int:
     path = write_witness_manifest(witness, args.out)
     print(f"wrote witness manifest {path}")
     return 0
 
 
-def _cmd_cell(args) -> int:
+def _cmd_cell(args, params: ModelParams) -> int:
     witness = _read_witness(args.witness, args.vocab_size)
     spec = _sweep_spec(args, [witness], [args.method], [args.budget], "")
-    params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
-                        spec.num_layers)
     ref = generate_reference(params, list(witness.prompt), witness.decode_len)
     row = _run_cell(spec, params, witness, ref, args.method,
                     args.budget)[args.row]
@@ -111,7 +118,8 @@ def _cmd_cell(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, _params: ModelParams) -> int:
+    # main built the model to check the flags; run_sweep builds its own.
     witnesses = [_read_witness(path, args.vocab_size) for path in args.witness]
     spec = _sweep_spec(args, witnesses, args.method, args.budget_grid,
                        args.out)
@@ -120,7 +128,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, _built: None) -> int:
     rows = load_rows(args.rows)
     written = emit_tables(rows, args.format, args.out)
     crossings = detect_crossings(rows, metric=args.metric)
@@ -148,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--redundancy", type=float, default=0.0)
     p.add_argument("--vocab-size", type=int, default=32)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_gen_witness)
+    p.set_defaults(fn=_cmd_gen_witness, build=_witness)
 
     for row, name in enumerate(("replay", "bridge")):
         p = sub.add_parser(name, help=f"print the {name} row of one cell")
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=VALID_METHODS, required=True)
         p.add_argument("--budget", type=_budget, required=True)
         _add_model_flags(p)
-        p.set_defaults(fn=_cmd_cell, row=row)
+        p.set_defaults(fn=_cmd_cell, build=_model_params, row=row)
 
     p = sub.add_parser("sweep", help="run a witness x method x budget grid")
     p.add_argument("--witness", action="append", required=True,
@@ -167,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated increasing budgets, e.g. 32,48,64")
     p.add_argument("--out", required=True)
     _add_model_flags(p)
-    p.set_defaults(fn=_cmd_sweep)
+    p.set_defaults(fn=_cmd_sweep, build=_model_params)
 
     p = sub.add_parser("report", help="derive tables from a rows.jsonl stream")
     p.add_argument("--rows", required=True)
@@ -176,13 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("top1", "top5", "mean_nll"),
                    default="top1")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_report)
+    p.set_defaults(fn=_cmd_report, build=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # A command's model or witness is built from its flags before any
+    # manifest is read or file written, so a flag its constructor rejects
+    # is a usage error (exit 2) with the constructor's message.
+    built = None
+    if args.build is not None:
+        try:
+            built = args.build(args)
+        except ValueError as e:
+            parser.error(str(e))
+    return args.fn(args, built)
 
 
 if __name__ == "__main__":

@@ -53,22 +53,25 @@ def kappa(pi: HorizonDistribution, omega: float) -> complex:
     return complex(np.sum(pi.weights * np.exp(1j * omega * pi.support)))
 
 
+def band_view(vectors: np.ndarray) -> np.ndarray:
+    """Band spectra of C-contiguous float64 ``vectors``, sharing their memory:
+    band f pairs components (2f, 2f+1) as one complex128."""
+    return vectors.view(np.complex128)
+
+
 @dataclass
 class BandSpectrum:
     """Per-band complex view of a d-vector: band f pairs components (2f, 2f+1)."""
 
-    frequencies: np.ndarray
     coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=np.float64)
-        self.coefficients = np.asarray(self.coefficients, dtype=np.complex128)
-        if self.frequencies.shape != self.coefficients.shape:
-            raise ValueError("frequencies and coefficients must align")
 
     @property
     def band_count(self) -> int:
         return self.coefficients.size
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        return band_frequencies(2 * self.band_count)
 
 
 def band_frequencies(dim: int) -> np.ndarray:
@@ -80,18 +83,14 @@ def band_frequencies(dim: int) -> np.ndarray:
 
 
 def band_decompose(vector: np.ndarray) -> BandSpectrum:
-    v = np.asarray(vector, dtype=np.float64)
+    v = np.array(vector, dtype=np.float64)    # a copy: the view never aliases
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("vector must be 1-D with even length")
-    coeff = v[0::2] + 1j * v[1::2]
-    return BandSpectrum(band_frequencies(v.size), coeff)
+    return BandSpectrum(band_view(v))
 
 
 def band_recompose(spectrum: BandSpectrum) -> np.ndarray:
-    out = np.empty(2 * spectrum.band_count, dtype=np.float64)
-    out[0::2] = spectrum.coefficients.real
-    out[1::2] = spectrum.coefficients.imag
-    return out
+    return spectrum.coefficients.view(np.float64).copy()
 
 
 def kappa_magnitudes(pi: HorizonDistribution, frequencies: np.ndarray) -> np.ndarray:

@@ -298,12 +298,16 @@ def greedy_branch(params: ModelParams, run: DecodeRun,
 
 @dataclass
 class ReferenceRun(DecodeRun):
-    """Greedy full-KV continuation (not forced, so without a fork) with the
-    accumulated attention mass per position (the oracle score source),
-    plus the prefill snapshot that the sweep's cells fork."""
+    """Greedy full-KV continuation (not forced, so without a fork) plus the
+    prefill snapshot that the sweep's cells fork.  Its terminal cache is
+    never written after :func:`generate_reference`."""
 
-    oracle_scores: dict[int, float]
     snapshot: PrefillSnapshot
+
+    @property
+    def oracle_scores(self) -> dict[int, float]:
+        """Accumulated attention mass per position, the oracle score source."""
+        return {e.position: e.score_mass for e in self.cache.entries}
 
 
 def generate_reference(params: ModelParams, prompt: list[int],
@@ -314,8 +318,7 @@ def generate_reference(params: ModelParams, prompt: list[int],
     snapshot = prefill(params, prompt)
     run = decode(params, prompt, length, NoCompressionPolicy(),
                  snapshot=snapshot)
-    scores = {e.position: e.score_mass for e in run.cache.entries}
-    return ReferenceRun(**vars(run), oracle_scores=scores, snapshot=snapshot)
+    return ReferenceRun(**vars(run), snapshot=snapshot)
 
 
 @dataclass

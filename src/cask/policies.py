@@ -27,8 +27,8 @@ from .cache import (
 )
 from .kernels import (
     HorizonDistribution,
-    band_decompose,
     band_frequencies,
+    band_view,
     d_kappa_batch,
     kappa_dual_norm,
     kappa_magnitudes,
@@ -169,24 +169,27 @@ def _weighted_centroid(keys: Sequence[np.ndarray],
 
 def form_merge_groups(cache: CacheState,
                       config: CaskConfig) -> list[MergeGroup]:
-    """Greedy temporal scan over unprotected, unmerged decode entries.
+    """Greedy temporal scan over unprotected decode entries, fold
+    representatives included.
 
     A group seeds at the earliest unassigned entry and admits later entries
     while they sit within ``temporal_window`` positions of the seed, within
     ``merge_epsilon`` kernel distance of the running mass-weighted centroid,
     and the group is below ``max_group_size``.  Size-1 groups are discarded.
 
-    The centroid changes only when a member is admitted, so it is
-    decomposed once per admit, and the distances of all remaining in-window
-    candidates to it are taken in one batched call; admitting the first one
-    within ``merge_epsilon`` is the choice a one-by-one scan makes.
+    The candidates' geometry keys are stacked once and read as band spectra
+    (:func:`band_view`).  The centroid changes only when a member is
+    admitted, so the distances of all remaining in-window candidates to it
+    are taken in one batched call; admitting the first one within
+    ``merge_epsilon`` is the choice a one-by-one scan makes.
     """
     candidates = [e for e in cache.entries
                   if e.origin == DECODE and not e.protected]
     if len(candidates) < 2:
         return []
-    spectra = np.array([e.band_coefficients for e in candidates])
-    mags = kappa_magnitudes(config.pi, band_frequencies(2 * spectra.shape[1]))
+    stacked = np.array([e.geometry_key() for e in candidates])
+    spectra = band_view(stacked)
+    mags = kappa_magnitudes(config.pi, band_frequencies(stacked.shape[1]))
     positions = [e.position for e in candidates]
     free = np.ones(len(candidates), dtype=bool)
     groups: list[MergeGroup] = []
@@ -196,18 +199,18 @@ def form_merge_groups(cache: CacheState,
         end = bisect_right(positions, seed.position + config.temporal_window)
         pool = i + 1 + np.flatnonzero(free[i + 1:end])
         members = [i]
-        keys = [seed.geometry_key()]
+        keys = [stacked[i]]
         weights = [seed.score_mass]
         while pool.size and len(members) < config.max_group_size:
-            centroid = band_decompose(_weighted_centroid(keys, weights))
+            centroid = band_view(_weighted_centroid(keys, weights))
             near = np.flatnonzero(
-                d_kappa_batch(spectra[pool], centroid.coefficients, mags)
+                d_kappa_batch(spectra[pool], centroid, mags)
                 <= config.merge_epsilon)
             if not near.size:
                 break
             j = int(pool[near[0]])
             members.append(j)
-            keys.append(candidates[j].geometry_key())
+            keys.append(stacked[j])
             weights.append(candidates[j].score_mass)
             pool = pool[near[0] + 1:]
         if len(members) >= 2:
@@ -237,8 +240,7 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
         e = entries[0]
         return KVEntry(key=e.key.copy(), value=e.value.copy(),
                        position=e.position, origin=DECODE, score_mass=mass,
-                       group_mass=mass, member_count=e.member_count,
-                       members=e.members)
+                       group_mass=mass, members=e.members)
     return KVEntry(
         key=_weighted_centroid([e.key for e in entries], group.weights),
         value=_weighted_centroid([e.value for e in entries], group.weights),
@@ -246,7 +248,6 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
         origin=DECODE,
         score_mass=mass,
         group_mass=mass,
-        member_count=sum(e.member_count for e in entries),
         members=tuple(sorted(p for e in entries for p in e.members)),
     )
 
@@ -256,11 +257,15 @@ class CompressOutcome:
     """What one :func:`cask_compress` call did; a fired one is also the
     cache's record of that consolidation."""
 
-    fired: bool = False
     core_overflow: bool = False
     groups_folded: int = 0
     members_folded: int = 0
     evicted: int = 0
+
+    @property
+    def fired(self) -> bool:
+        """Whether the call folded or evicted anything."""
+        return self.groups_folded > 0 or self.evicted > 0
 
 
 def keep_order(entries: list[KVEntry]) -> list[KVEntry]:
@@ -305,7 +310,6 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         unprotected = [e for e in cache.entries if not e.protected]
         n_keep = budget - (len(cache.entries) - len(unprotected))
         outcome.evicted = _drop_after(cache, unprotected, n_keep)
-    outcome.fired = outcome.groups_folded > 0 or outcome.evicted > 0
     cache.compression_events.append(outcome)
     # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
     detect_core(cache, config)

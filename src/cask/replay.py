@@ -89,10 +89,8 @@ class ReplayRecord:
     argmax: np.ndarray           # (T,) candidate argmax per step
     top5_flags: np.ndarray       # (T,) bool, reference inside candidate top-5
     log_probs: np.ndarray        # (T,) floored log p_t(reference)
-    cache_sizes: np.ndarray      # (T,) live entries when the step was scored
     distributions: np.ndarray    # (T, V) candidate distributions
     cache: CacheState
-    top5_clamped: bool = False
 
     @property
     def T(self) -> int:
@@ -100,8 +98,7 @@ class ReplayRecord:
 
     @classmethod
     def from_distributions(cls, distributions: np.ndarray, reference,
-                           cache: CacheState | None = None,
-                           cache_sizes: np.ndarray | None = None) -> "ReplayRecord":
+                           cache: CacheState | None = None) -> "ReplayRecord":
         """Build a record from per-step candidate distributions.
 
         This is the single place the per-step stats (argmax, top-5 flag,
@@ -117,18 +114,14 @@ class ReplayRecord:
         rank = np.sum((distributions > p[:, None])
                       | ((distributions == p[:, None])
                          & (np.arange(V) < reference[:, None])), axis=1)
-        rec = cls(
+        return cls(
             reference=reference,
             argmax=np.argmax(distributions, axis=1),
             top5_flags=rank < min(5, V),
             log_probs=np.log(np.maximum(p, NLL_FLOOR)),
-            cache_sizes=(cache_sizes if cache_sizes is not None
-                         else np.zeros(T, dtype=np.int64)),
             distributions=distributions,
             cache=cache if cache is not None else CacheState(budget=1),
-            top5_clamped=V < 5,
         )
-        return rec
 
 
 @dataclass
@@ -141,7 +134,6 @@ class FidelitySummary:
     T: int
     top1_matches: int
     top5_matches: int
-    top5_clamped: bool = False
 
     def __post_init__(self):
         if self.top1 > self.top5:
@@ -167,8 +159,7 @@ def replay_record(run: DecodeRun) -> ReplayRecord:
     """The teacher-forced record of a decode run, scored against the tokens
     it was fed."""
     return ReplayRecord.from_distributions(run.distributions, run.tokens,
-                                           cache=run.cache,
-                                           cache_sizes=run.cache_sizes)
+                                           cache=run.cache)
 
 
 def top1_agreement(record: ReplayRecord) -> float:
@@ -207,5 +198,4 @@ def summarize(record: ReplayRecord) -> FidelitySummary:
         T=record.T,
         top1_matches=int(np.sum(record.argmax == record.reference)),
         top5_matches=int(np.sum(record.top5_flags)),
-        top5_clamped=record.top5_clamped,
     )

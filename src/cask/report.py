@@ -179,7 +179,7 @@ def replay_row(spec: SweepSpec, witness: Witness, ref, method: str,
     cache = record.cache
     core = {e.position for e in cache.entries if e.protected}
     diag = mass_diagnostics(core, covered_positions(cache), ref.oracle_scores,
-                            k=min(budget, len(ref.oracle_scores)))
+                            k=budget)
     row = _cell_row("replay", spec, witness, method, budget, cache)
     row.update({
         "top1": summary.top1,

@@ -16,14 +16,13 @@ def rng():
 
 
 def make_entry(position, key, value=None, origin=DECODE, score_mass=1.0,
-               protected=False, group_mass=1.0, member_count=1):
+               protected=False, group_mass=1.0):
     key = np.asarray(key, dtype=np.float64)
     if value is None:
         value = key.copy()
     return KVEntry(key=key, value=np.asarray(value, dtype=np.float64),
                    position=position, origin=origin, score_mass=score_mass,
-                   group_mass=group_mass, member_count=member_count,
-                   protected=protected)
+                   group_mass=group_mass, protected=protected)
 
 
 def fill_cache(keys, budget=10_000, origin=DECODE, score_masses=None):

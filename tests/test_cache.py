@@ -84,7 +84,6 @@ def rep_for(entries, weights=None):
     key = sum(w * e.key for w, e in zip(weights, entries)) / mass
     return KVEntry(key=key, value=key.copy(), position=entries[0].position,
                    origin=DECODE, score_mass=mass, group_mass=mass,
-                   member_count=sum(e.member_count for e in entries),
                    members=tuple(p for e in entries for p in e.members))
 
 
@@ -194,8 +193,7 @@ def test_conservation_of_history(ops, seed):
 
 def test_check_invariants_accepts_folds_and_evictions():
     cache = fill_cache([[float(i), 0.0] for i in range(5)], budget=3)
-    rep = make_entry(0, [0.5, 0.0], score_mass=2.0, group_mass=2.0,
-                     member_count=2)
+    rep = make_entry(0, [0.5, 0.0], score_mass=2.0, group_mass=2.0)
     rep.members = (0, 1)
     merge_replace(cache, [0, 1], rep)
     evict(cache, [4])
@@ -219,7 +217,6 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
         cache.evicted_tokens += 1
     elif breakage == "overlap":
         cache.entries[0].members = (0, 1)
-        cache.entries[0].member_count = 2
         cache.evicted_tokens -= 1
     else:
         cache.budget = 2

@@ -167,6 +167,40 @@ def test_replay_rejects_zero_budget(tmp_path, capsys):
     assert "budget 0 must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value, detail", [
+    ("replay", "--model-dim", "3", "model_dim must be even"),
+    ("bridge", "--num-layers", "0", "num_layers must be >= 1"),
+    ("sweep", "--vocab-size", "1", "vocab_size must be >= 2"),
+    ("sweep", "--model-dim", "2", "model_dim must be >= 4"),
+    ("gen-witness", "--decode-len", "0", "decode_len must be >= 1"),
+    ("gen-witness", "--prefix-len", "-1", "prefix_len must be >= 0"),
+    ("gen-witness", "--redundancy", "2", "redundancy must be in [0, 1]"),
+    ("gen-witness", "--vocab-size", "1", "vocab_size must be >= 2"),
+])
+def test_bad_model_and_witness_flags_are_usage_errors(tmp_path, capsys,
+                                                      command, flag, value,
+                                                      detail):
+    # These used to end in the constructor's ValueError traceback (exit 1).
+    # The flags are checked before the (here missing) manifest is read.
+    out = tmp_path / "out"
+    argv = {
+        "gen-witness": ["--kind", "short-prompt-reasoning", "--seed", "0",
+                        "--prefix-len", "8", "--decode-len", "4"],
+        "replay": ["--method", "cask", "--budget", "8"],
+        "bridge": ["--method", "cask", "--budget", "8"],
+        "sweep": ["--method", "cask", "--budget-grid", "8"],
+    }[command]
+    if command != "gen-witness":
+        argv += ["--witness", str(tmp_path / "missing.json")]
+    if command in ("gen-witness", "sweep"):
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, flag, value])
+    assert exc.value.code == 2
+    assert detail in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("script, flag, value, detail", [
     ("frontier_sweep.py", "--budget-grid", "32,abc",
      "budget 'abc' is not an integer"),

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cask.kernels import (
     HorizonDistribution,
     QPConvergenceError,
     QPInstance,
     band_decompose,
+    band_frequencies,
     band_recompose,
+    band_view,
     d_kappa,
     d_kappa_batch,
     kappa,
@@ -18,6 +21,7 @@ from cask.kernels import (
     solve_horizon_qp,
     truncated_geometric,
 )
+from conftest import make_entry
 
 
 def dist(support, weights):
@@ -92,6 +96,49 @@ def test_band_decompose_pairs_components():
 def test_band_decompose_rejects_odd_length():
     with pytest.raises(ValueError):
         band_decompose(np.ones(5))
+
+
+def test_band_decompose_does_not_alias_its_input():
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    spec = band_decompose(v)
+    v[0] = 9.0
+    assert spec.coefficients.tolist() == [(1 + 2j), (3 + 4j)]
+
+
+def pairing_formula(v):
+    """The band pairing written out: components (2f, 2f+1) as one complex."""
+    return v[0::2] + 1j * v[1::2]
+
+
+# Signed zeros and repeated values (ties) are where the complex view and
+# the formula could part: the formula's ``1j * x`` can flip a zero's sign.
+KEY_ELEMENTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25]) \
+    | st.floats(min_value=-10.0, max_value=10.0)
+
+
+@given(data=st.data(), num_layers=st.sampled_from([None, 1, 2, 4, 7]),
+       bands=st.integers(min_value=1, max_value=6),
+       rows=st.integers(min_value=1, max_value=12), pi=horizon_dists())
+def test_band_view_distances_equal_the_pairing_formula_bit_for_bit(
+        data, num_layers, bands, rows, pi):
+    # Keys as the cache holds them: (L, d) per entry, or 1-D (num_layers
+    # None) as the acceptance suite builds them; merge geometry stacks
+    # their geometry keys and reads the stack as complex.
+    d = 2 * bands
+    shape = (rows, d) if num_layers is None else (rows, num_layers, d)
+    keys = data.draw(hnp.arrays(np.float64, shape, elements=KEY_ELEMENTS))
+    ref = data.draw(hnp.arrays(np.float64, d, elements=KEY_ELEMENTS))
+    stacked = np.array([make_entry(i, k).geometry_key()
+                        for i, k in enumerate(keys)])
+    viewed = band_view(stacked)
+    written = np.array([pairing_formula(g) for g in stacked])
+    assert np.array_equal(viewed, written)       # equal up to zero signs
+    mags = kappa_magnitudes(pi, band_frequencies(d))
+    got = d_kappa_batch(viewed, band_view(ref.copy()), mags)
+    want = d_kappa_batch(written, pairing_formula(ref), mags)
+    assert got.tobytes() == want.tobytes()
+    assert np.array([d_kappa(band_decompose(g), band_decompose(ref), pi)
+                     for g in stacked]).tobytes() == want.tobytes()
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -147,7 +147,7 @@ def test_forward_step_matches_per_layer_restack(num_layers, n):
             value=rng.standard_normal((num_layers, 16)),
             position=3 * i, score_mass=float(rng.random()),
             group_mass=1.0 if members == 1 else float(rng.uniform(0.1, 4.0)),
-            member_count=members))
+            members=tuple(range(3 * i, 3 * i + members))))
     for token in (0, 17, 31):
         new = forward_step(params, cache, token)
         old = _restack_forward_step(params, cache, token)
@@ -253,7 +253,7 @@ def test_prefill_fork_isolation(params):
     drop(a, {2})
     append(a, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
                       position=6))
-    a.compression_events.append(CompressOutcome(fired=True, evicted=1))
+    a.compression_events.append(CompressOutcome(evicted=1))
     assert _cache_state(snap.cache) == (before, 6, 6, 0, [], False, False)
     assert _cache_state(b) == (before, 6, 6, 0, [], False, False)
 
@@ -336,7 +336,7 @@ def test_greedy_branch_equals_independent_bridge_run():
                 append(branch, KVEntry(key=np.zeros((num_layers, 16)),
                                        value=np.zeros((num_layers, 16)),
                                        position=branch.total_appended + 1))
-                branch.compression_events.append(CompressOutcome(fired=True))
+                branch.compression_events.append(CompressOutcome(evicted=1))
                 branch.core_overflow = not branch.core_overflow
             assert _cache_state(run.cache) == before
     assert {None, 0, 1} <= forks

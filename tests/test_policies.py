@@ -15,7 +15,7 @@ from cask.cache import (
     covered_positions,
     ltr_sum,
 )
-from cask.kernels import band_decompose, kappa_magnitudes, truncated_geometric
+from cask.kernels import band_frequencies, kappa_magnitudes, truncated_geometric
 from cask.policies import (
     CaskConfig,
     MergeGroup,
@@ -203,13 +203,17 @@ def reference_form_merge_groups(cache, config):
             acc = acc + w * k
         return acc / total
 
+    def spectrum(v):
+        # The band pairing written out, independent of kernels.band_view.
+        return v[0::2] + 1j * v[1::2]
+
     def scalar_d_kappa(a, b):
-        mags = kappa_magnitudes(config.pi, a.frequencies)
-        return float(np.sum(mags * np.abs(a.coefficients - b.coefficients)))
+        mags = kappa_magnitudes(config.pi, band_frequencies(2 * a.size))
+        return float(np.sum(mags * np.abs(a - b)))
 
     candidates = [e for e in cache.entries
                   if e.origin == DECODE and not e.protected]
-    spectra = {e.position: band_decompose(e.geometry_key()) for e in candidates}
+    spectra = {e.position: spectrum(e.geometry_key()) for e in candidates}
     assigned, groups = set(), []
     for i, seed in enumerate(candidates):
         if seed.position in assigned:
@@ -222,7 +226,7 @@ def reference_form_merge_groups(cache, config):
                 break
             if len(members) >= config.max_group_size:
                 break
-            centroid = band_decompose(centroid_of(keys, weights))
+            centroid = spectrum(centroid_of(keys, weights))
             if scalar_d_kappa(spectra[cand.position], centroid) \
                     <= config.merge_epsilon:
                 members.append(cand)
@@ -260,7 +264,7 @@ def random_merged_cache(rng, num_layers, n):
             position=position, origin=PREFIX if i < n_prefix else DECODE,
             score_mass=mass,
             group_mass=float(rng.uniform(1, 3)) if merged else 1.0,
-            member_count=len(members), members=members))
+            members=members))
         position += len(members)
     return cache
 
@@ -428,7 +432,6 @@ def fold_inputs(draw):
         entries.append(KVEntry(
             key=draw(rows), value=draw(rows), position=10 * i,
             score_mass=weights[i], group_mass=1.0 + count,
-            member_count=count,
             members=tuple(10 * i + j for j in range(count))))
     group = MergeGroup(positions=tuple(e.position for e in entries),
                        weights=tuple(weights), mass=ltr_sum(weights))

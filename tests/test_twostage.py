@@ -156,7 +156,7 @@ def test_finalize_label_priorities():
     cache = CacheState(budget=8)
     append(cache, make_entry(0, [1.0, 0.0]))
     cache.compression_events.extend(
-        [CompressOutcome(fired=True, evicted=1)] * 3)
+        [CompressOutcome(evicted=1)] * 3)
     flags = finalize_flags(cache, stage_cfg)
     assert flags.regime_label == REGIME_DECODE_ACTIVE
     assert flags.decode_events == 3
