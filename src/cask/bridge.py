@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .cache import CacheState
-from .model import ModelParams, decode
+from .model import ModelParams, decode, prefill
 
 EMBED_WIDTH = 256
 EMBED_SEED = 17
@@ -25,7 +25,7 @@ def bridge_run(params: ModelParams, prompt, length: int, policy
     returns the emitted tokens and the terminal cache."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    run = decode(params, prompt, length, policy)
+    run = decode(params, prefill(params, prompt), length, policy)
     return run.tokens, run.cache
 
 

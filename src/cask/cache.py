@@ -203,10 +203,12 @@ def check_invariants(cache: CacheState) -> None:
 
     Positions strictly increase; every appended token is live, folded into a
     live entry or evicted (``sum(member_count) + evicted_tokens ==
-    total_appended``); no original position is covered by two entries; and
-    the cache holds at most ``budget`` entries unless core overflow was
-    signalled.  Linear in the cache size, so it is meant for tests and
-    debugging, not for the decode loop.
+    total_appended``); each entry's members strictly increase from its own
+    position, which :meth:`CacheState.entry_at` lookups of group positions
+    rely on; no original position is covered by two entries; and the cache
+    holds at most ``budget`` entries unless core overflow was signalled.
+    Linear in the cache size, so it is meant for tests and debugging, not
+    for the decode loop.
     """
     positions = [e.position for e in cache.entries]
     for a, b in zip(positions, positions[1:]):
@@ -219,6 +221,11 @@ def check_invariants(cache: CacheState) -> None:
             f"{cache.total_appended} appended")
     covered: set[int] = set()
     for e in cache.entries:
+        m = e.members
+        if m[0] != e.position or any(b <= a for a, b in zip(m, m[1:])):
+            raise CacheError(f"entry at position {e.position} has members "
+                             f"{m}; they must start at {e.position} and "
+                             f"strictly increase")
         shared = covered.intersection(e.members)
         if shared:
             raise CacheError(f"entry at position {e.position} covers "

@@ -7,6 +7,7 @@ report can be reproduced from its manifest alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -134,7 +135,8 @@ def _cmd_report(args, _built: None) -> int:
     crossings = detect_crossings(rows, metric=args.metric)
     crossings_path = Path(args.out) / "crossings.json"
     crossings_path.write_text(
-        json.dumps([c.to_json() for c in crossings], indent=2) + "\n")
+        json.dumps([dataclasses.asdict(c) for c in crossings], indent=2)
+        + "\n")
     written.append(crossings_path)
     for path in written:
         print(f"wrote {path}")

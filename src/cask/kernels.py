@@ -48,30 +48,16 @@ def truncated_geometric(horizon: int) -> HorizonDistribution:
     return HorizonDistribution(support, w / w.sum())
 
 
-def kappa(pi: HorizonDistribution, omega: float) -> complex:
-    """Characteristic function of the offset distribution at frequency omega."""
-    return complex(np.sum(pi.weights * np.exp(1j * omega * pi.support)))
+def kappa(pi: HorizonDistribution, omega):
+    """Characteristic function of the offset distribution at frequency
+    ``omega``, a scalar or an array of frequencies."""
+    return np.exp(1j * np.multiply.outer(omega, pi.support)) @ pi.weights
 
 
 def band_view(vectors: np.ndarray) -> np.ndarray:
     """Band spectra of C-contiguous float64 ``vectors``, sharing their memory:
     band f pairs components (2f, 2f+1) as one complex128."""
     return vectors.view(np.complex128)
-
-
-@dataclass
-class BandSpectrum:
-    """Per-band complex view of a d-vector: band f pairs components (2f, 2f+1)."""
-
-    coefficients: np.ndarray
-
-    @property
-    def band_count(self) -> int:
-        return self.coefficients.size
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return band_frequencies(2 * self.band_count)
 
 
 def band_frequencies(dim: int) -> np.ndarray:
@@ -82,21 +68,22 @@ def band_frequencies(dim: int) -> np.ndarray:
     return FREQ_BASE ** (-2.0 * f / dim)
 
 
-def band_decompose(vector: np.ndarray) -> BandSpectrum:
-    v = np.array(vector, dtype=np.float64)    # a copy: the view never aliases
+def band_decompose(vector: np.ndarray) -> np.ndarray:
+    """Band spectrum of a 1-D even-length vector: :func:`band_view` of a
+    copy, so it never aliases ``vector``."""
+    v = np.array(vector, dtype=np.float64)
     if v.ndim != 1 or v.size % 2 != 0:
         raise ValueError("vector must be 1-D with even length")
-    return BandSpectrum(band_view(v))
+    return band_view(v)
 
 
-def band_recompose(spectrum: BandSpectrum) -> np.ndarray:
-    return spectrum.coefficients.view(np.float64).copy()
+def band_recompose(spectrum: np.ndarray) -> np.ndarray:
+    return spectrum.view(np.float64).copy()
 
 
 def kappa_magnitudes(pi: HorizonDistribution, frequencies: np.ndarray) -> np.ndarray:
     """|kappa(w_f)| at each band frequency."""
-    phase = np.exp(1j * np.outer(frequencies, pi.support.astype(np.float64)))
-    return np.abs(phase @ pi.weights)
+    return np.abs(kappa(pi, frequencies))
 
 
 def d_kappa_batch(coefficients: np.ndarray, reference: np.ndarray,
@@ -109,26 +96,27 @@ def d_kappa_batch(coefficients: np.ndarray, reference: np.ndarray,
     return np.sum(magnitudes * np.abs(coefficients - reference), axis=-1)
 
 
-def d_kappa(a: BandSpectrum, b: BandSpectrum, pi: HorizonDistribution) -> float:
-    """Kernel-weighted merge distance: sum_f |kappa(w_f)| * |a_f - b_f|."""
-    if a.band_count != b.band_count:
-        raise ValueError("band-count mismatch")
-    return float(d_kappa_batch(a.coefficients, b.coefficients,
-                               kappa_magnitudes(pi, a.frequencies)))
+def d_kappa(a: np.ndarray, b: np.ndarray, pi: HorizonDistribution) -> float:
+    """Kernel-weighted merge distance between band spectra:
+    sum_f |kappa(w_f)| * |a_f - b_f|."""
+    if a.shape != b.shape:
+        raise ValueError(f"band spectra of shapes {a.shape} and {b.shape}")
+    return float(d_kappa_batch(a, b, kappa_magnitudes(
+        pi, band_frequencies(2 * a.size))))
 
 
 def kappa_norm(vector: np.ndarray, pi: HorizonDistribution) -> float:
     """Band norm: sum_f |kappa(w_f)| * ||x_f||_2."""
     spec = band_decompose(vector)
-    mags = kappa_magnitudes(pi, spec.frequencies)
-    return float(np.sum(mags * np.abs(spec.coefficients)))
+    return d_kappa(spec, np.zeros_like(spec), pi)
 
 
 def kappa_dual_norm(vector: np.ndarray, pi: HorizonDistribution) -> float:
     """Dual pairing for the band norm: max_f ||q_f||_2 / max(|kappa|, eps)."""
     spec = band_decompose(vector)
-    mags = np.maximum(kappa_magnitudes(pi, spec.frequencies), KAPPA_DUAL_EPS)
-    return float(np.max(np.abs(spec.coefficients) / mags))
+    mags = np.maximum(kappa_magnitudes(pi, band_frequencies(2 * spec.size)),
+                      KAPPA_DUAL_EPS)
+    return float(np.max(np.abs(spec) / mags))
 
 
 def rms2_decomposition(query_norms: np.ndarray, mu_norm: float) -> tuple[float, float, float]:

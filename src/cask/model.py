@@ -209,18 +209,25 @@ def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
 
 @dataclass
 class DecodeRun:
-    """A decode's fed tokens, the ``(T, V)`` distributions in hand before
-    each token was fed, the live cache size at each step and the terminal
-    cache.  ``fork`` is ``(t, cache)`` for a forced run whose argmax first
-    differs from the forced token at step ``t``, ``cache`` being its state
-    just before that token was fed; it is None for a run that never
-    mismatched (or was not forced)."""
+    """A decode's prefill snapshot, its fed tokens, the ``(T, V)``
+    distributions in hand before each token was fed, the live cache size at
+    each step and the terminal cache.  ``fork`` is ``(t, cache)`` for a
+    forced run whose argmax first differs from the forced token at step
+    ``t``, ``cache`` being its state just before that token was fed; it is
+    None for a run that never mismatched (or was not forced)."""
 
+    snapshot: PrefillSnapshot
     tokens: list[int]
     distributions: np.ndarray      # (T, V)
     cache_sizes: np.ndarray        # (T,)
     cache: CacheState
     fork: tuple[int, CacheState] | None
+
+    @property
+    def oracle_scores(self) -> dict[int, float]:
+        """Accumulated attention mass per position of the terminal cache;
+        a full-KV run's are the oracle score source."""
+        return {e.position: e.score_mass for e in self.cache.entries}
 
 
 def _run_steps(params: ModelParams, policy, cache: CacheState,
@@ -248,23 +255,18 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
     return fork
 
 
-def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
-           snapshot: PrefillSnapshot | None = None) -> DecodeRun:
-    """Decode ``steps`` tokens after ``prompt`` through ``policy``.
+def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
+           policy, forced=None) -> DecodeRun:
+    """Decode ``steps`` tokens after ``snapshot``'s prompt through ``policy``.
 
-    The run starts from a fork of ``snapshot``, a prefill of ``prompt``
-    (one is made when none is given), on which the policy's
+    The run starts from a fork of ``snapshot``, on which the policy's
     ``after_prefill`` runs first.  It feeds ``forced`` (teacher forcing) or
     else the greedy argmax; a forced run keeps the fork its greedy run
     continues from (:func:`greedy_branch`).
     """
     budget = policy.budget
     if budget is None:
-        budget = len(prompt) + steps + 1
-    if snapshot is None:
-        snapshot = prefill(params, prompt)
-    elif snapshot.prompt != tuple(prompt):
-        raise ValueError("snapshot was prefilled from another prompt")
+        budget = len(snapshot.prompt) + steps + 1
     # replace, not assignment, so the budget check in __post_init__ runs.
     cache = dataclasses.replace(snapshot.cache.fork(), budget=budget)
     policy.after_prefill(cache)
@@ -273,7 +275,7 @@ def decode(params: ModelParams, prompt, steps: int, policy, forced=None,
     sizes = np.empty(steps, dtype=np.int64)
     fork = _run_steps(params, policy, cache, snapshot.distribution, tokens,
                       dists, sizes, forced)
-    return DecodeRun(tokens, dists, sizes, cache, fork)
+    return DecodeRun(snapshot, tokens, dists, sizes, cache, fork)
 
 
 def greedy_branch(params: ModelParams, run: DecodeRun,
@@ -296,29 +298,17 @@ def greedy_branch(params: ModelParams, run: DecodeRun,
     return tokens, cache
 
 
-@dataclass
-class ReferenceRun(DecodeRun):
-    """Greedy full-KV continuation (not forced, so without a fork) plus the
-    prefill snapshot that the sweep's cells fork.  Its terminal cache is
-    never written after :func:`generate_reference`."""
-
-    snapshot: PrefillSnapshot
-
-    @property
-    def oracle_scores(self) -> dict[int, float]:
-        """Accumulated attention mass per position, the oracle score source."""
-        return {e.position: e.score_mass for e in self.cache.entries}
-
-
 def generate_reference(params: ModelParams, prompt: list[int],
-                       length: int) -> ReferenceRun:
-    """Greedy argmax continuation under full KV; ties go to the lowest id."""
+                       length: int) -> DecodeRun:
+    """Greedy argmax continuation under full KV; ties go to the lowest id.
+
+    Its snapshot is the prefill that the sweep's cells fork, and its
+    terminal cache is never written after this call.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    snapshot = prefill(params, prompt)
-    run = decode(params, prompt, length, NoCompressionPolicy(),
-                 snapshot=snapshot)
-    return ReferenceRun(**vars(run), snapshot=snapshot)
+    return decode(params, prefill(params, prompt), length,
+                  NoCompressionPolicy())
 
 
 @dataclass
@@ -335,17 +325,6 @@ class Witness:
     @property
     def name(self) -> str:
         return f"{self.kind}-s{self.seed}"
-
-    def to_manifest(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "prefix_len": self.prefix_len,
-            "decode_len": self.decode_len,
-            "redundancy": self.redundancy,
-            "prompt": list(self.prompt),
-            "vocab_size": self.vocab_size,
-        }
 
 
 def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
@@ -391,8 +370,21 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
 
 def write_witness_manifest(witness: Witness, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(witness.to_manifest(), indent=2) + "\n")
+    path.write_text(json.dumps(dataclasses.asdict(witness), indent=2) + "\n")
     return path
+
+
+# The JSON types a manifest may give each Witness field, and how a message
+# names them.  Types are compared exactly, so a bool is not an int.
+_MANIFEST_TYPES = {
+    "kind": ((str,), "a string"),
+    "seed": ((int,), "an integer"),
+    "prefix_len": ((int,), "an integer"),
+    "decode_len": ((int,), "an integer"),
+    "redundancy": ((int, float), "a number"),
+    "prompt": ((list,), "a list of integers"),
+    "vocab_size": ((int, type(None)), "an integer or null"),
+}
 
 
 def read_witness_manifest(path: str | Path) -> Witness:
@@ -403,8 +395,12 @@ def read_witness_manifest(path: str | Path) -> Witness:
                if f.default is MISSING and f.name not in data]
     if missing:
         raise ValueError(f"witness manifest {path}: missing keys {missing}")
-    return Witness(kind=data["kind"], seed=data["seed"],
-                   prefix_len=data["prefix_len"], decode_len=data["decode_len"],
-                   redundancy=data["redundancy"],
-                   prompt=tuple(data["prompt"]),
-                   vocab_size=data.get("vocab_size"))
+    values = {f.name: data[f.name] for f in fields(Witness) if f.name in data}
+    for key, value in values.items():
+        types, expected = _MANIFEST_TYPES[key]
+        if type(value) not in types or (key == "prompt" and any(
+                type(t) is not int for t in value)):
+            raise ValueError(f"witness manifest {path}: {key!r} is "
+                             f"{value!r}, expected {expected}")
+    values["prompt"] = tuple(values["prompt"])
+    return Witness(**values)

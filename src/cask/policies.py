@@ -257,7 +257,6 @@ class CompressOutcome:
     """What one :func:`cask_compress` call did; a fired one is also the
     cache's record of that consolidation."""
 
-    core_overflow: bool = False
     groups_folded: int = 0
     members_folded: int = 0
     evicted: int = 0
@@ -284,18 +283,19 @@ def cask_compress(cache: CacheState, config: CaskConfig,
 
     A cache already at or under budget is left untouched (which also makes
     the operation idempotent).  A budget smaller than the detected core
-    signals core overflow (a regime condition, not an exception) and leaves
-    the cache untouched.  Otherwise the cache is over a budget that fits
-    the core, so at least one fold or eviction happens: the outcome fires
-    and is appended to ``cache.compression_events``.  Terminal protected
-    flags are recomputed on the final state.
+    sets ``cache.core_overflow`` (a regime condition, not an exception) and
+    leaves the cache untouched; the outcome does not fire.  Otherwise the
+    cache is over a budget that fits the core, so at least one fold or
+    eviction happens: the outcome fires and is appended to
+    ``cache.compression_events``.  Terminal protected flags are recomputed
+    on the final state.
     """
     if len(cache.entries) <= budget:
         return CompressOutcome()
     core = detect_core(cache, config)
     if budget < len(core):
         cache.core_overflow = True
-        return CompressOutcome(core_overflow=True)
+        return CompressOutcome()
     outcome = CompressOutcome()
     groups = form_merge_groups(cache, config)
     for group in groups:
@@ -333,7 +333,6 @@ class MassDiagnostics:
 
     rho_core: float
     rho_rep: float
-    topk_size: int
 
 
 def mass_diagnostics(core: set[int], covered: set[int],
@@ -345,7 +344,7 @@ def mass_diagnostics(core: set[int], covered: set[int],
     counting as held by its representative (``covered_positions(cache)``);
     it includes the live ``core``.  Top-k selection orders by score
     descending then position descending; ``k`` beyond the population clamps
-    to the population size (``topk_size``).
+    to the population size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -360,8 +359,7 @@ def mass_diagnostics(core: set[int], covered: set[int],
         rho_core = ltr_sum(oracle_scores[p] for p in topk if p in core) / denom
         rho_rep = ltr_sum(oracle_scores[p] for p in topk
                           if p in covered) / denom
-    return MassDiagnostics(rho_core=rho_core, rho_rep=rho_rep,
-                           topk_size=len(topk))
+    return MassDiagnostics(rho_core=rho_core, rho_rep=rho_rep)
 
 
 @dataclass

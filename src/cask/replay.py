@@ -21,6 +21,7 @@ from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     NoCompressionPolicy,
     PrefillSnapshot,
     decode,
+    prefill,
     run_prefill,
 )
 from .policies import CaskConfig, evict_baseline
@@ -144,15 +145,20 @@ def teacher_forced_replay(params: ModelParams, prompt, reference, policy,
                           snapshot: PrefillSnapshot | None = None
                           ) -> ReplayRecord:
     """Replay the reference continuation under a compression policy,
-    starting from a fork of ``snapshot`` when one is given."""
+    starting from a fork of ``snapshot`` (a prefill of ``prompt``) when one
+    is given."""
     reference = [int(t) for t in reference]
     if not reference:
         raise ValueError("reference must be nonempty")
     for t in reference:
         if not 0 <= t < params.vocab_size:
             raise ValueError(f"reference token {t} out of vocab")
-    return replay_record(decode(params, prompt, len(reference), policy,
-                                forced=reference, snapshot=snapshot))
+    if snapshot is None:
+        snapshot = prefill(params, prompt)
+    elif snapshot.prompt != tuple(prompt):
+        raise ValueError("snapshot was prefilled from another prompt")
+    return replay_record(decode(params, snapshot, len(reference), policy,
+                                forced=reference))
 
 
 def replay_record(run: DecodeRun) -> ReplayRecord:

@@ -84,18 +84,8 @@ class SweepSpec:
         """The spec plus the policy defaults every cell runs with."""
         stage = dataclasses.asdict(StageConfig(budget=1))
         del stage["budget"]
-        return {
-            "witnesses": [dataclasses.asdict(w) for w in self.witnesses],
-            "methods": list(self.methods),
-            "budgets": list(self.budgets),
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "vocab_size": self.vocab_size,
-            "model_dim": self.model_dim,
-            "num_layers": self.num_layers,
-            "cask": dataclasses.asdict(CaskConfig()),
-            **stage,
-        }
+        return {**dataclasses.asdict(self),
+                "cask": dataclasses.asdict(CaskConfig()), **stage}
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -142,8 +132,8 @@ def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
     if method == METHOD_NONE:
         run = ref
     else:
-        run = decode(params, list(witness.prompt), witness.decode_len,
-                     policy, forced=ref.tokens, snapshot=ref.snapshot)
+        run = decode(params, ref.snapshot, witness.decode_len, policy,
+                     forced=ref.tokens)
     return [replay_row(spec, witness, ref, method, budget,
                        replay_record(run)),
             bridge_row(spec, witness, ref, method, budget,
@@ -229,9 +219,6 @@ class CrossingFinding:
             raise ValueError("margin must be positive")
         if self.lower_budget >= self.higher_budget:
             raise ValueError("lower budget must be below higher budget")
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def detect_crossings(rows: list[dict], metric: str = "top1") -> list[CrossingFinding]:

@@ -207,6 +207,9 @@ def test_check_invariants_accepts_folds_and_evictions():
     ("order", "position 1 follows 2"),
     ("count", "live members"),
     ("overlap", "covers \\[1\\], already covered"),
+    ("members-start", "members \\(3,\\); they must start at 2"),
+    ("members-order", "members \\(0, 0\\); they must start at 0 and "
+                      "strictly increase"),
     ("budget", "exceed budget 2 without core overflow"),
 ])
 def test_check_invariants_names_the_broken_invariant(breakage, message):
@@ -217,6 +220,11 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
         cache.evicted_tokens += 1
     elif breakage == "overlap":
         cache.entries[0].members = (0, 1)
+        cache.evicted_tokens -= 1
+    elif breakage == "members-start":
+        cache.entries[2].members = (3,)
+    elif breakage == "members-order":
+        cache.entries[0].members = (0, 0)
         cache.evicted_tokens -= 1
     else:
         cache.budget = 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,11 @@ import pytest
 import cask
 from cask.cli import main
 from cask.report import ROW_FIELDS, load_rows
+
+# sha256 of the manifest of the README's `cask gen-witness --seed 3 ...`,
+# taken while the manifest's keys were still listed by hand.
+README_WITNESS_DIGEST = (
+    "970132bc21fe8439b5061becc55ec7f022600c5026df54ceb814f675c1db0f32")
 
 
 def gen_witness(tmp_path, name="w.json", kind="prompt-heavy-decode-active",
@@ -27,6 +33,11 @@ def test_gen_witness_writes_manifest(tmp_path):
     data = json.loads(path.read_text())
     assert data["kind"] == "prompt-heavy-decode-active"
     assert len(data["prompt"]) == 17
+
+
+def test_readme_witness_manifest_matches_golden_digest(tmp_path):
+    path = gen_witness(tmp_path, seed=3, prefix=24, decode=64)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == README_WITNESS_DIGEST
 
 
 def test_replay_command_prints_row(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cask.cache import (
 )
 from cask.model import (
     WITNESS_KINDS,
-    NoCompressionPolicy,
     StepOutput,
     _softmax,
     accumulate_mass,
@@ -34,7 +34,7 @@ from cask.model import (
     write_witness_manifest,
 )
 from cask.policies import CaskConfig, CompressOutcome, cask_compress
-from cask.replay import make_policy
+from cask.replay import make_policy, teacher_forced_replay
 
 
 def test_init_model_deterministic():
@@ -266,11 +266,10 @@ def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
                                0.7).prompt)
     ref = generate_reference(params, prompt, 24)
     runs = []
-    for snapshot in (None, ref.snapshot):
+    for snapshot in (prefill(params, prompt), ref.snapshot):
         policy = make_policy(method, 16)
-        runs.append(decode(params, prompt, 24, policy,
-                           forced=ref.tokens if forced else None,
-                           snapshot=snapshot))
+        runs.append(decode(params, snapshot, 24, policy,
+                           forced=ref.tokens if forced else None))
     a, b = runs
     assert a.tokens == b.tokens
     assert a.distributions.tobytes() == b.distributions.tobytes()
@@ -304,8 +303,8 @@ def test_greedy_branch_equals_independent_bridge_run():
                 [("cask", 4), ("cask", 16), ("evict", 4), ("evict", 16)],
                 [ref.tokens, shifted, midway]):
             policy = make_policy(method, budget)
-            run = decode(params, prompt, decode_len, policy, forced=forced,
-                         snapshot=ref.snapshot)
+            run = decode(params, ref.snapshot, decode_len, policy,
+                         forced=forced)
             tokens, cache = greedy_branch(params, run, policy)
             alone_tokens, alone = bridge_run(params, prompt, decode_len,
                                              make_policy(method, budget))
@@ -322,8 +321,8 @@ def test_greedy_branch_equals_independent_bridge_run():
             forks.add(t)
             assert t == 0 if forced is shifted else t <= mid
             # The fork is the replay's cache as it stood before step t.
-            head = decode(params, prompt, t, make_policy(method, budget),
-                          forced=forced, snapshot=ref.snapshot)
+            head = decode(params, ref.snapshot, t,
+                          make_policy(method, budget), forced=forced)
             assert head.fork is None
             assert _cache_state(fork) == _cache_state(head.cache)
             overflowed |= fork.core_overflow
@@ -352,10 +351,11 @@ def test_reference_run_carries_its_prefill(params):
     assert ref.cache_sizes.tolist() == [3, 4, 5, 6, 7]
 
 
-def test_decode_rejects_snapshot_of_another_prompt(params):
+def test_replay_rejects_snapshot_of_another_prompt(params):
     snap = prefill(params, [1, 2, 3])
     with pytest.raises(ValueError, match="another prompt"):
-        decode(params, [1, 2, 4], 4, NoCompressionPolicy(), snapshot=snap)
+        teacher_forced_replay(params, [1, 2, 4], [1, 2, 3, 4],
+                              make_policy("none"), snapshot=snap)
     with pytest.raises(ValueError, match="nonempty"):
         prefill(params, [])
 
@@ -416,6 +416,25 @@ def test_witness_manifest_roundtrip(tmp_path):
     path.write_text(json.dumps(data))
     assert read_witness_manifest(path) == dataclasses.replace(w,
                                                               vocab_size=None)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "3"), ("seed", True), ("vocab_size", "32"), ("decode_len", "64"),
+    ("prefix_len", 24.5), ("redundancy", "x"), ("kind", 1),
+    ("prompt", [0, "27"]), ("prompt", 5),
+])
+def test_read_witness_manifest_rejects_a_value_of_the_wrong_type(
+        tmp_path, key, value):
+    # These used to be accepted, or to end later in a TypeError or a vocab
+    # size mismatch that named neither the manifest nor the key.
+    w = make_witness("prompt-heavy-decode-active", 3, 24, 64, 0.7)
+    path = write_witness_manifest(w, tmp_path / "w.json")
+    data = json.loads(path.read_text())
+    data[key] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: {key!r} is {value!r}")):
+        read_witness_manifest(path)
 
 
 @given(st.sampled_from([1, 2, 3, 4, 7]), st.integers(1, 9), st.data())

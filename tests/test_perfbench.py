@@ -44,9 +44,9 @@ def test_traced_fires_equal_row_decode_events(tmp_path):
                 continue
             steps = (witness.decode_len if r["first_mismatch"] is None
                      else r["first_mismatch"] - 1)
-            before_fork = decode(params, list(witness.prompt), steps,
+            before_fork = decode(params, ref.snapshot, steps,
                                  make_policy(r["method"], r["budget"]),
-                                 forced=ref.tokens, snapshot=ref.snapshot)
+                                 forced=ref.tokens)
             shared += len(before_fork.cache.compression_events)
     assert shared > 0
     assert fired == sum(r["decode_events"] for r in rows) - shared

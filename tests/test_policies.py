@@ -495,7 +495,7 @@ def test_compress_core_overflow_is_signaled_not_raised(rng):
     cfg = CaskConfig(sink_count=4, recency_window=6, anchor_quantile=1.0)
     before = len(cache.entries)
     outcome = cask_compress(cache, cfg, budget=3)
-    assert outcome.core_overflow
+    assert not outcome.fired
     assert cache.core_overflow
     assert len(cache.entries) == before
 
@@ -599,9 +599,10 @@ def test_rho_counts_folded_members_as_covered():
     assert diag.rho_rep == pytest.approx(5 / 6)
 
 
-def test_k_beyond_population_clamps_with_flag():
-    diag = mass_diagnostics(set(), {0}, {0: 1.0}, k=10)
-    assert diag.topk_size == 1
+def test_k_beyond_population_clamps():
+    scores = {0: 3.0, 1: 2.0, 2: 1.0}
+    assert mass_diagnostics({0}, {0, 1}, scores, k=10) \
+        == mass_diagnostics({0}, {0, 1}, scores, k=len(scores))
 
 
 def test_k_must_be_positive():

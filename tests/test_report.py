@@ -7,6 +7,7 @@ import pytest
 
 from cask import model, policies, report
 from cask.bridge import bridge_run
+from cask.cli import main
 from cask.report import (
     ROW_FIELDS,
     CrossingFinding,
@@ -34,6 +35,10 @@ FOLD_HEAVY_DIGEST = (
 # out/frontier, taken while SweepSpec still carried the policy knobs.
 FRONTIER_MANIFEST_DIGEST = (
     "5c1ddb810ff498e2fdf8030cf3bd2eb56b52f2973b4cee6706ec07a0b8c467e5")
+# sha256 of the crossings.json that `cask report` (top-1) writes for the
+# canonical frontier rows, taken while crossings were serialized by hand.
+FRONTIER_CROSSINGS_DIGEST = (
+    "7f5355f9c51aa539b1da43ae7a123d6f6878a481dc51e65071c5f40fc923665e")
 
 WSPEC = WitnessSpec(kind="prompt-heavy-decode-active", seed=1,
                     prefix_len=16, decode_len=16, redundancy=0.7)
@@ -148,6 +153,14 @@ def test_frontier_manifest_matches_golden_digest():
     assert digest == FRONTIER_MANIFEST_DIGEST
 
 
+def test_frontier_crossings_match_golden_digest(tmp_path):
+    run_sweep(frontier_spec(tmp_path / "sweep"))
+    assert main(["report", "--rows", str(tmp_path / "sweep" / "rows.jsonl"),
+                 "--out", str(tmp_path / "report")]) == 0
+    crossings = (tmp_path / "report" / "crossings.json").read_bytes()
+    assert hashlib.sha256(crossings).hexdigest() == FRONTIER_CROSSINGS_DIGEST
+
+
 def prefix_dominant_spec(out_dir, num_layers=2):
     return SweepSpec(
         witnesses=[WitnessSpec("prompt-heavy-prefix-dominant", s, 48, 10, 0.2)
@@ -182,19 +195,20 @@ def test_fold_heavy_sweep_rows_match_golden_digest(tmp_path, monkeypatch):
 
 
 def _record_runs(monkeypatch, share: bool) -> list:
-    """Log (method, forks a snapshot) per cell decode.
+    """Log (method, snapshot) per cell decode.
 
-    With ``share=False`` every decode drops its snapshot and prefills on its
-    own, and ``none`` cells are decoded as well: the per-cell computation
-    the shared sweep must reproduce.
+    With ``share=False`` every decode prefills a snapshot of its own instead
+    of forking the reference's, and ``none`` cells are decoded as well: the
+    per-cell computation the shared sweep must reproduce.
     """
     log = []
     decode = report.decode
 
-    def logged(*args, forced, snapshot):
-        snapshot = snapshot if share else None
-        log.append((args[-1].method, snapshot is not None))
-        return decode(*args, forced=forced, snapshot=snapshot)
+    def logged(params, snapshot, steps, policy, forced):
+        if not share:
+            snapshot = model.prefill(params, snapshot.prompt)
+        log.append((policy.method, snapshot))
+        return decode(params, snapshot, steps, policy, forced=forced)
 
     monkeypatch.setattr(report, "decode", logged)
     if not share:
@@ -216,7 +230,7 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
         shared = run_sweep(spec)
     assert len(prefills) == len(spec.witnesses)
     assert {method for method, _ in shared_log} == {"cask", "evict"}
-    assert all(forked for _, forked in shared_log)
+    assert len({id(snap) for _, snap in shared_log}) == len(spec.witnesses)
     assert any(r["decode_events"] > 0 for r in shared)
     assert any(r["regime_label"] == "prefix-dominant" for r in shared)
 
@@ -224,7 +238,8 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
     with monkeypatch.context() as m:
         independent_log = _record_runs(m, share=False)
         independent = run_sweep(spec)
-    assert not any(forked for _, forked in independent_log)
+    assert len({id(snap) for _, snap in independent_log}) \
+        == len(independent_log)
     assert 2 * len(independent_log) == len(independent)
     assert shared == independent
     assert ((tmp_path / "shared" / "rows.jsonl").read_bytes()
