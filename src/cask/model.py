@@ -109,29 +109,30 @@ class StepOutput:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = np.exp(x - np.max(x))
+    z = np.exp(x - x.max())
     return z / z.sum()
 
 
 def forward_step(params: ModelParams, cache: CacheState, token: int,
                  origin: str = DECODE) -> StepOutput:
-    """Pure forward pass; the caller decides what to insert into the cache."""
+    """Forward pass over the live rows; the caller decides what to insert
+    into the cache.
+
+    The token's key and value rows are written into the cache's free slot
+    ``n`` (:meth:`CacheState.slot`), so each layer attends over
+    ``keys[l, :n + 1]``, one C-contiguous operand, without re-stacking the
+    cache.  The live rows are only read, and ``n`` does not change.
+    """
     if not 0 <= token < params.vocab_size:
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
     L, d = params.num_layers, params.model_dim
-    entries = cache.entries
-    n = len(entries)
-    # The cache is read once per call; slot n takes the new token's rows.
-    slot = np.empty((L, d))
-    try:
-        keys = np.array([e.key for e in entries] + [slot])
-        values = np.array([e.value for e in entries] + [slot])
-    except ValueError:
-        raise ValueError(f"cache entries must have shape {(L, d)}, "
-                         f"the model's (num_layers, model_dim)") from None
-    keys = keys.swapaxes(0, 1).copy()        # (L, n + 1, d), C order
-    values = values.swapaxes(0, 1).copy()
-    log_mass = np.log([e.group_mass for e in entries] + [1.0])
+    n = cache.n
+    if n and cache.row_shape != (L, d):
+        raise ValueError(f"cache entries must have shape {(L, d)}, the "
+                         f"model's (num_layers, model_dim), not "
+                         f"{cache.row_shape}")
+    keys, values, group_mass = cache.slot((L, d))
+    log_mass = np.log(group_mass)
     h = params.embedding[token]
     weights = np.empty((L, n + 1))
     sqrt_d = np.sqrt(d)
@@ -151,13 +152,13 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
 
 
 def accumulate_mass(cache: CacheState, output: StepOutput) -> None:
-    """Add this step's attention mass (mean over layers) onto live entries."""
-    if cache.entries:
+    """Add this step's attention mass (mean over layers) onto the live
+    rows' score mass, in one vector add."""
+    if cache.n:
         weights = output.attention_weights
         # The layer mean as ndarray.mean computes it, bit for bit.
-        per_entry = weights[:, :-1].sum(axis=0) / len(weights)
-        for e, a in zip(cache.entries, per_entry.tolist()):
-            e.score_mass += a
+        mass = cache.score_mass
+        mass += weights[:, :-1].sum(axis=0) / len(weights)
 
 
 class NoCompressionPolicy:
@@ -227,21 +228,25 @@ class DecodeRun:
     def oracle_scores(self) -> dict[int, float]:
         """Accumulated attention mass per position of the terminal cache;
         a full-KV run's are the oracle score source."""
-        return {e.position: e.score_mass for e in self.cache.entries}
+        cache = self.cache
+        return dict(zip(cache.position.tolist(), cache.score_mass.tolist()))
 
 
 def _run_steps(params: ModelParams, policy, cache: CacheState,
-               dist: np.ndarray, tokens: list[int], dists: np.ndarray,
-               sizes: np.ndarray, forced=None):
-    """Feed tokens into ``cache`` from step ``len(tokens)`` until ``dists``
-    is full, ``dist`` being the distribution in hand.  Each step records
+               dist: np.ndarray, tokens: list[int], steps: int, forced=None):
+    """Feed tokens into ``cache`` from step ``len(tokens)`` to step
+    ``steps``, ``dist`` being the distribution in hand.  Each step records
     the distribution and the live cache size, then feeds ``forced[t]`` or
     else the greedy argmax (ties go to the lowest id) through the policy's
-    append path.  Returns the ``DecodeRun.fork`` of a forced run."""
+    append path.  Returns the ``(steps, V)`` distributions and ``(steps,)``
+    sizes (rows before ``len(tokens)`` are left unset) and the
+    ``DecodeRun.fork`` of a forced run."""
+    dists = np.empty((steps, params.vocab_size))
+    sizes = np.empty(steps, dtype=np.int64)
     fork = None
-    for t in range(len(tokens), len(dists)):
+    for t in range(len(tokens), steps):
         dists[t] = dist
-        sizes[t] = len(cache.entries)
+        sizes[t] = cache.n
         tok = int(np.argmax(dist))
         if forced is not None:
             if fork is None and tok != forced[t]:
@@ -252,7 +257,7 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
         accumulate_mass(cache, out)
         policy.force_append(cache, out.new_entry)
         dist = out.distribution
-    return fork
+    return dists, sizes, fork
 
 
 def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
@@ -267,14 +272,12 @@ def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
     budget = policy.budget
     if budget is None:
         budget = len(snapshot.prompt) + steps + 1
-    # replace, not assignment, so the budget check in __post_init__ runs.
-    cache = dataclasses.replace(snapshot.cache.fork(), budget=budget)
+    cache = snapshot.cache.fork(budget)
     policy.after_prefill(cache)
     tokens: list[int] = []
-    dists = np.empty((steps, params.vocab_size))
-    sizes = np.empty(steps, dtype=np.int64)
-    fork = _run_steps(params, policy, cache, snapshot.distribution, tokens,
-                      dists, sizes, forced)
+    dists, sizes, fork = _run_steps(params, policy, cache,
+                                    snapshot.distribution, tokens, steps,
+                                    forced)
     return DecodeRun(snapshot, tokens, dists, sizes, cache, fork)
 
 
@@ -294,7 +297,7 @@ def greedy_branch(params: ModelParams, run: DecodeRun,
     t, fork = run.fork
     tokens, cache = run.tokens[:t], fork.fork()
     _run_steps(params, policy, cache, run.distributions[t], tokens,
-               np.empty_like(run.distributions), np.empty_like(run.cache_sizes))
+               len(run.tokens))
     return tokens, cache
 
 

@@ -120,6 +120,18 @@ def linear_quantile(ordered, q: float) -> float:
     return a + diff * t
 
 
+def _check_score_mass(cache: CacheState, rows: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of ``rows`` whose score mass is
+    NaN, infinite or negative."""
+    masses = cache.score_mass[rows]
+    ok = (masses >= 0.0) & (masses < inf)
+    if not ok.all():
+        first = int(np.argmin(ok))
+        raise ValueError(f"entry at position {cache.position[rows[first]]} "
+                         f"has score_mass {float(masses[first])}; expected "
+                         f"finite >= 0")
+
+
 def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     """Mark the protected core among decode entries and return its positions.
 
@@ -130,28 +142,23 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     decode score mass raises ``ValueError`` naming its position, since it
     would turn the quantile into NaN and silently drop every anchor.
     """
-    if not cache.entries:
+    if not cache.n:
         raise ValueError("cache is empty")
-    decode = [e for e in cache.entries if e.origin == DECODE]
-    for e in decode:
-        if not 0.0 <= e.score_mass < inf:
-            raise ValueError(f"decode entry at position {e.position} has "
-                             f"score_mass {e.score_mass}; expected finite >= 0")
-    for e in cache.entries:
-        e.protected = False
-    if not decode:
+    decode = np.flatnonzero(cache.origin == DECODE)
+    _check_score_mass(cache, decode)
+    protected = cache.protected
+    protected[:] = False
+    if not decode.size:
         return set()
-    core: set[int] = set()
-    core.update(e.position for e in decode[:config.sink_count])
+    masses = cache.score_mass[decode]
+    core = masses > linear_quantile(sorted(masses.tolist()),
+                                    config.anchor_quantile)
+    core[:config.sink_count] = True
     if config.recency_window > 0:
-        core.update(e.position for e in decode[-config.recency_window:])
-    threshold = linear_quantile(sorted(e.score_mass for e in decode),
-                                config.anchor_quantile)
-    core.update(e.position for e in decode if e.score_mass > threshold)
-    for e in decode:
-        if e.position in core:
-            e.protected = True
-    return core
+        core[-config.recency_window:] = True
+    rows = decode[core]
+    protected[rows] = True
+    return set(cache.position[rows].tolist())
 
 
 def _weighted_centroid(keys: Sequence[np.ndarray],
@@ -183,24 +190,26 @@ def form_merge_groups(cache: CacheState,
     are taken in one batched call; admitting the first one within
     ``merge_epsilon`` is the choice a one-by-one scan makes.
     """
-    candidates = [e for e in cache.entries
-                  if e.origin == DECODE and not e.protected]
-    if len(candidates) < 2:
+    candidates = np.flatnonzero((cache.origin == DECODE) & ~cache.protected)
+    if candidates.size < 2:
         return []
-    stacked = np.array([e.geometry_key() for e in candidates])
+    layers = cache.keys[:, candidates]
+    # KVEntry.geometry_key of every candidate at once, bit for bit.
+    stacked = layers.sum(axis=0) / len(layers)
     spectra = band_view(stacked)
     mags = kappa_magnitudes(config.pi, band_frequencies(stacked.shape[1]))
-    positions = [e.position for e in candidates]
-    free = np.ones(len(candidates), dtype=bool)
+    positions = cache.position[candidates].tolist()
+    masses = cache.score_mass[candidates].tolist()
+    free = np.ones(candidates.size, dtype=bool)
     groups: list[MergeGroup] = []
-    for i, seed in enumerate(candidates):
+    for i, seed in enumerate(positions):
         if not free[i]:
             continue
-        end = bisect_right(positions, seed.position + config.temporal_window)
+        end = bisect_right(positions, seed + config.temporal_window)
         pool = i + 1 + np.flatnonzero(free[i + 1:end])
         members = [i]
         keys = [stacked[i]]
-        weights = [seed.score_mass]
+        weights = [masses[i]]
         while pool.size and len(members) < config.max_group_size:
             centroid = band_view(_weighted_centroid(keys, weights))
             near = np.flatnonzero(
@@ -211,7 +220,7 @@ def form_merge_groups(cache: CacheState,
             j = int(pool[near[0]])
             members.append(j)
             keys.append(stacked[j])
-            weights.append(candidates[j].score_mass)
+            weights.append(masses[j])
             pool = pool[near[0] + 1:]
         if len(members) >= 2:
             free[members] = False
@@ -267,14 +276,10 @@ class CompressOutcome:
         return self.groups_folded > 0 or self.evicted > 0
 
 
-def keep_order(entries: list[KVEntry]) -> list[KVEntry]:
-    """Keep priority: score mass descending, then recency (higher position)."""
-    return sorted(entries, key=lambda e: (-e.score_mass, -e.position))
-
-
-def _drop_after(cache: CacheState, candidates: list[KVEntry], n: int) -> int:
-    """Drop every candidate after the first ``n`` in keep order."""
-    return drop(cache, {e.position for e in keep_order(candidates)[n:]})
+def keep_order(cache: CacheState, rows: np.ndarray) -> np.ndarray:
+    """``rows`` in keep priority: score mass descending, then recency
+    (higher position).  Positions are unique, so the order is total."""
+    return rows[np.lexsort((-cache.position[rows], -cache.score_mass[rows]))]
 
 
 def cask_compress(cache: CacheState, config: CaskConfig,
@@ -290,7 +295,7 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     ``cache.compression_events``.  Terminal protected flags are recomputed
     on the final state.
     """
-    if len(cache.entries) <= budget:
+    if cache.n <= budget:
         return CompressOutcome()
     core = detect_core(cache, config)
     if budget < len(core):
@@ -301,15 +306,14 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     for group in groups:
         if group.mass <= 0.0:
             continue
-        entries = [cache.entry_at(p) for p in group.positions]
-        rep = fold_group(group, entries)
+        rep = fold_group(group, [cache.entry_at(p) for p in group.positions])
         merge_replace(cache, group.positions, rep)
         outcome.groups_folded += 1
         outcome.members_folded += len(group)
-    if len(cache.entries) > budget:
-        unprotected = [e for e in cache.entries if not e.protected]
-        n_keep = budget - (len(cache.entries) - len(unprotected))
-        outcome.evicted = _drop_after(cache, unprotected, n_keep)
+    if cache.n > budget:
+        unprotected = np.flatnonzero(~cache.protected)
+        n_keep = budget - (cache.n - unprotected.size)
+        outcome.evicted = drop(cache, keep_order(cache, unprotected)[n_keep:])
     cache.compression_events.append(outcome)
     # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
     detect_core(cache, config)
@@ -319,11 +323,16 @@ def cask_compress(cache: CacheState, config: CaskConfig,
 def evict_baseline(cache: CacheState, budget: int) -> CacheState:
     """Keep the ``budget`` highest-score entries, recency breaking ties.
 
-    Protection flags are ignored: the baseline has no core concept.
+    Protection flags are ignored: the baseline has no core concept.  A
+    NaN, infinite or negative score mass raises ``ValueError`` naming its
+    position, since the keep order is undefined on NaN.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    _drop_after(cache, cache.entries, budget)
+    rows = np.arange(cache.n)
+    _check_score_mass(cache, rows)
+    if cache.n > budget:
+        drop(cache, keep_order(cache, rows)[budget:])
     return cache
 
 

@@ -46,7 +46,7 @@ class EvictionPolicy:
 
     def force_append(self, cache: CacheState, entry: KVEntry) -> None:
         append(cache, entry)
-        if len(cache.entries) > self.budget:
+        if cache.n > self.budget:
             evict_baseline(cache, self.budget)
 
 

@@ -167,7 +167,7 @@ def replay_row(spec: SweepSpec, witness: Witness, ref, method: str,
     budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``."""
     summary = summarize(record)
     cache = record.cache
-    core = {e.position for e in cache.entries if e.protected}
+    core = set(cache.position[cache.protected].tolist())
     diag = mass_diagnostics(core, covered_positions(cache), ref.oracle_scores,
                             k=budget)
     row = _cell_row("replay", spec, witness, method, budget, cache)

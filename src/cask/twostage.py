@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import floor
 
+import numpy as np
+
 from .cache import PREFIX, CacheState, KVEntry, append, evict
 from .policies import CaskConfig, CompressOutcome, cask_compress, keep_order
 
@@ -53,12 +55,12 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     falls short of ``min_decode_slack``.  Returns the flag, which is also
     stored on the cache.
     """
-    prefix = [e for e in cache.entries if e.origin == PREFIX]
+    prefix = np.flatnonzero(cache.origin == PREFIX)
     cap = floor(config.prefix_fraction * config.budget)
-    if len(prefix) > cap:
+    if prefix.size > cap:
         target = max(cap, config.min_prefix_keep)
-        evict(cache, [e.position for e in keep_order(prefix)[target:]])
-    prefix_after = sum(1 for e in cache.entries if e.origin == PREFIX)
+        evict(cache, cache.position[keep_order(cache, prefix)[target:]])
+    prefix_after = int(np.count_nonzero(cache.origin == PREFIX))
     exhausted = (config.budget - prefix_after) < config.min_decode_slack
     cache.prefix_budget_exhausted = exhausted
     return exhausted
@@ -73,7 +75,7 @@ def stage2_step(cache: CacheState, new_entry: KVEntry,
     only see decode entries); core overflow propagates as a cache flag.
     """
     append(cache, new_entry)
-    if len(cache.entries) > stage_config.budget:
+    if cache.n > stage_config.budget:
         return cask_compress(cache, cask_config, stage_config.budget)
     return CompressOutcome()
 

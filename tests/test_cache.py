@@ -215,16 +215,16 @@ def test_check_invariants_accepts_folds_and_evictions():
 def test_check_invariants_names_the_broken_invariant(breakage, message):
     cache = fill_cache([[float(i), 0.0] for i in range(3)], budget=3)
     if breakage == "order":
-        cache.entries[1], cache.entries[2] = cache.entries[2], cache.entries[1]
+        cache.position[1:] = cache.position[[2, 1]]
     elif breakage == "count":
         cache.evicted_tokens += 1
     elif breakage == "overlap":
-        cache.entries[0].members = (0, 1)
+        cache.members[0] = (0, 1)
         cache.evicted_tokens -= 1
     elif breakage == "members-start":
-        cache.entries[2].members = (3,)
+        cache.members[2] = (3,)
     elif breakage == "members-order":
-        cache.entries[0].members = (0, 0)
+        cache.members[0] = (0, 0)
         cache.evicted_tokens -= 1
     else:
         cache.budget = 2

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from cask.bridge import bridge_run
 from cask.cache import (
     DECODE,
+    CacheError,
     CacheState,
     KVEntry,
     append,
@@ -86,17 +87,29 @@ def test_forward_step_rejects_out_of_vocab(params):
 
 
 def test_forward_step_rejects_dimension_mismatch(params):
-    for models in ([(32, 8, 1)],                # model_dim mismatch
-                   [(32, 16, 2)],               # layer-count mismatch
-                   [(32, 16, 1), (32, 8, 1)]):  # ragged cache
+    for dims in ((32, 8, 1),                    # model_dim mismatch
+                 (32, 16, 2)):                  # layer-count mismatch
         cache = CacheState(budget=4)
-        for dims in models:
-            out = forward_step(init_model(0, *dims), CacheState(budget=4), 1)
-            append(cache, KVEntry(key=out.new_entry.key,
-                                  value=out.new_entry.value,
-                                  position=cache.total_appended))
+        out = forward_step(init_model(0, *dims), CacheState(budget=4), 1)
+        append(cache, KVEntry(key=out.new_entry.key,
+                              value=out.new_entry.value, position=0))
         with pytest.raises(ValueError, match=r"shape \(1, 16\)"):
             forward_step(params, cache, 1)
+
+
+def test_append_rejects_a_ragged_cache(params):
+    # A row of another width fails where it is appended, not one step later.
+    cache = CacheState(budget=4)
+    for position, dims in enumerate([(32, 16, 1), (32, 8, 1)]):
+        out = forward_step(init_model(0, *dims), CacheState(budget=4), 1)
+        entry = KVEntry(key=out.new_entry.key, value=out.new_entry.value,
+                        position=position)
+        if position == 0:
+            append(cache, entry)
+    with pytest.raises(CacheError, match=r"entry shape \(1, 8\) does not "
+                                         r"match the cache's \(1, 16\)"):
+        append(cache, entry)
+    assert cache.n == 1 and cache.total_appended == 1
 
 
 def _restack_forward_step(params, cache, token, origin=DECODE):
@@ -245,12 +258,12 @@ def test_prefill_fork_isolation(params):
     snap = prefill(params, [3, 1, 4, 1, 5, 9])
     before = _entry_state(snap.cache.entries)
     a, b = snap.cache.fork(), snap.cache.fork()
-    # Forks share the (never written) key/value arrays, not the entries.
-    assert a.entries[0].key is snap.cache.entries[0].key
-    assert a.entries[0] is not snap.cache.entries[0]
-    a.entries[0].score_mass += 1.0
-    a.entries[1].protected = True
-    drop(a, {2})
+    # Forks copy every buffer.
+    assert not np.shares_memory(a.keys, snap.cache.keys)
+    a.score_mass[0] += 1.0
+    a.protected[1] = True
+    a.keys[0, 3] = 0.0
+    drop(a, [2])
     append(a, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
                       position=6))
     a.compression_events.append(CompressOutcome(evicted=1))
@@ -328,10 +341,9 @@ def test_greedy_branch_equals_independent_bridge_run():
             overflowed |= fork.core_overflow
             before = _cache_state(run.cache)
             for branch in (fork, cache):
-                for e in branch.entries:
-                    e.score_mass += 1.0
-                    e.protected = not e.protected
-                drop(branch, {branch.entries[0].position})
+                branch.score_mass[:] += 1.0
+                branch.protected[:] = ~branch.protected
+                drop(branch, [0])
                 append(branch, KVEntry(key=np.zeros((num_layers, 16)),
                                        value=np.zeros((num_layers, 16)),
                                        position=branch.total_appended + 1))

@@ -1,4 +1,3 @@
-import copy
 
 import numpy as np
 import pytest
@@ -69,7 +68,7 @@ def test_detect_core_rejects_bad_score_mass(bad):
     masses[17] = bad
     cache = decode_cache([[float(i), 0.0] for i in range(30)],
                          score_masses=masses)
-    cache.entries[0].protected = True
+    cache.protected[0] = True
     with pytest.raises(ValueError, match="position 17 has score_mass"):
         detect_core(cache, CaskConfig())
     assert [e.protected for e in cache.entries] == [True] + [False] * 29
@@ -173,12 +172,13 @@ def test_groups_are_disjoint(rng):
 
 # --- batched grouping and core detection vs. their scalar versions -------------
 # The references are detect_core and form_merge_groups as they were before the
-# anchor threshold left np.quantile and merge distances were batched.
+# anchor threshold left np.quantile and merge distances were batched, over a
+# list of the cache's entries.
 
-def reference_detect_core(cache, config):
-    decode = [e for e in cache.entries if e.origin == DECODE]
+def reference_detect_core(entries, config):
+    decode = [e for e in entries if e.origin == DECODE]
     masses = np.array([e.score_mass for e in decode])
-    for e in cache.entries:
+    for e in entries:
         e.protected = False
     if not decode:
         return set()
@@ -193,7 +193,7 @@ def reference_detect_core(cache, config):
     return core
 
 
-def reference_form_merge_groups(cache, config):
+def reference_form_merge_groups(entries, config):
     def centroid_of(keys, weights):
         total = ltr_sum(weights)
         if total == 0.0:
@@ -211,7 +211,7 @@ def reference_form_merge_groups(cache, config):
         mags = kappa_magnitudes(config.pi, band_frequencies(2 * a.size))
         return float(np.sum(mags * np.abs(a - b)))
 
-    candidates = [e for e in cache.entries
+    candidates = [e for e in entries
                   if e.origin == DECODE and not e.protected]
     spectra = {e.position: spectrum(e.geometry_key()) for e in candidates}
     assigned, groups = set(), []
@@ -293,10 +293,9 @@ def test_core_and_groups_match_scalar_reference(
                      merge_epsilon=merge_epsilon,
                      temporal_window=temporal_window,
                      max_group_size=max_group_size)
-    twin = copy.deepcopy(cache)
+    twin = cache.entries
     assert detect_core(cache, cfg) == reference_detect_core(twin, cfg)
-    assert [e.protected for e in cache.entries] \
-        == [e.protected for e in twin.entries]
+    assert cache.protected.tolist() == [e.protected for e in twin]
     groups = form_merge_groups(cache, cfg)
     expected = reference_form_merge_groups(twin, cfg)
     assert [g.positions for g in groups] == [g.positions for g in expected]

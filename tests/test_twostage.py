@@ -112,7 +112,7 @@ def test_stage2_below_budget_no_events(rng):
 def test_stage2_overflow_consolidates(rng):
     cache = prefix_cache(4)
     stage_cfg = StageConfig(budget=12, min_decode_slack=0)
-    key = rng.standard_normal(8)
+    key = rng.standard_normal(2)
     for i in range(20):
         stage2_step(cache, make_entry(4 + i, key, origin=DECODE,
                                       score_mass=0.5),
@@ -128,7 +128,7 @@ def test_stage2_never_merges_prefix_entries(rng):
     cache = prefix_cache(6)
     prefix_positions = {e.position for e in cache.entries}
     stage_cfg = StageConfig(budget=10, min_decode_slack=0)
-    key = rng.standard_normal(8)
+    key = rng.standard_normal(2)
     for i in range(16):
         stage2_step(cache, make_entry(6 + i, key, origin=DECODE,
                                       score_mass=0.5),
@@ -141,7 +141,7 @@ def test_stage2_never_merges_prefix_entries(rng):
 def test_decode_events_equal_consolidate_event_count(rng):
     cache = prefix_cache(4)
     stage_cfg = StageConfig(budget=10, min_decode_slack=0)
-    outcomes = [stage2_step(cache, make_entry(4 + i, rng.standard_normal(8),
+    outcomes = [stage2_step(cache, make_entry(4 + i, rng.standard_normal(2),
                                               origin=DECODE, score_mass=0.5),
                             CaskConfig(recency_window=2), stage_cfg)
                 for i in range(14)]
