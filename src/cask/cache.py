@@ -260,13 +260,7 @@ class CacheState:
         keep[rows] = False
         n, k = self.n, int(np.count_nonzero(keep))
         kv, columns = self._kv, self._columns.values()
-        if k == n - 1:
-            # Mostly one row leaves: shift the rows after it down by one.
-            row = int(np.argmin(keep))
-            kv[:, :, row:n - 1] = kv[:, :, row + 1:n]
-            for col in columns:
-                col[row:n - 1] = col[row + 1:n]
-        elif k < n:
+        if k < n:
             kv[:, :, :k] = kv[:, :, :n][:, :, keep]
             for col in columns:
                 col[:k] = col[:n][keep]

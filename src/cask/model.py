@@ -20,6 +20,13 @@ keys and redundancy in the prompt shows up as exactly mergeable cache
 entries.  A merged representative attends like a normal entry except that
 its logit gains ``log(group_mass)``, letting consolidated mass keep a
 mass-proportional share of the softmax.
+
+The step reads the cache in place.  The cache keeps keys and values as
+``(L, capacity, d)`` buffers (see :mod:`cask.cache`); :func:`forward_step`
+writes the new token's rows into the free slot ``n`` and layer ``l`` attends
+over ``keys[l, :n + 1]`` and ``values[l, :n + 1]``, with the log group
+masses of the same rows.  :func:`accumulate_mass` adds the step's layer-mean
+attention onto the ``score_mass`` column in one vector add.
 """
 
 from __future__ import annotations

@@ -46,6 +46,20 @@ def test_append_rejects_non_monotone_position():
         append(cache, make_entry(1, [2.0, 2.0]))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    (np.zeros(4), np.zeros(3), r"key shape \(4,\) and value shape \(3,\)"),
+    (np.zeros((2, 4)), np.zeros((1, 4)),
+     r"key shape \(2, 4\) and value shape \(1, 4\)"),
+    (np.zeros((1, 2, 4)), np.zeros((1, 2, 4)), r"neither \(L, d\) nor"),
+])
+def test_append_rejects_a_malformed_entry(key, value, message):
+    # Such an entry used to be accepted; the next forward_step then failed.
+    cache = fill_cache([[1.0, 0.0]])
+    with pytest.raises(CacheError, match=message):
+        append(cache, KVEntry(key=key, value=value, position=5))
+    assert len(cache) == 1 and cache.total_appended == 1
+
+
 def test_total_appended_survives_compression():
     cache = fill_cache([[float(i), 0.0] for i in range(10)])
     evict(cache, {3, 4, 5})
@@ -211,6 +225,9 @@ def test_check_invariants_accepts_folds_and_evictions():
     ("members-order", "members \\(0, 0\\); they must start at 0 and "
                       "strictly increase"),
     ("budget", "exceed budget 2 without core overflow"),
+    ("rows", "buffers disagree with 1000 live rows"),
+    ("stray-members", "members are recorded for position 7, which holds "
+                      "no live entry"),
 ])
 def test_check_invariants_names_the_broken_invariant(breakage, message):
     cache = fill_cache([[float(i), 0.0] for i in range(3)], budget=3)
@@ -226,6 +243,10 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
     elif breakage == "members-order":
         cache.members[0] = (0, 0)
         cache.evicted_tokens -= 1
+    elif breakage == "rows":
+        cache.n = 1000              # more live rows than the buffers hold
+    elif breakage == "stray-members":
+        cache.members[7] = (7, 8)
     else:
         cache.budget = 2
     with pytest.raises(CacheError, match=message):

@@ -12,9 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cask import report
+import numpy as np
+from cask import cache as cask_cache
+from cask import policies, report
 from cask.model import WITNESS_KINDS, decode, generate_reference, init_model
 from cask.replay import make_policy
+from reference import cache as reference_cache
+from reference import policies as reference_policies
 from reference import report as reference_report
 
 
@@ -106,3 +110,78 @@ def test_cask_budget_below_the_core_overflows():
                 run = decode(params, ref.snapshot, 16,
                              make_policy("cask", budget), forced=ref.tokens)
                 assert run.cache.core_overflow, (kind, seed, budget)
+
+
+@st.composite
+def cache_rows(draw):
+    """KVEntry fields for a cache: prefix entries, then decode entries, some
+    of them fold representatives; keys repeat a small pool and masses tie."""
+    shape = draw(st.sampled_from([(4,), (1, 4), (3, 4)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pool = rng.standard_normal((3, *shape))
+    n = draw(st.integers(1, 30))
+    n_prefix = draw(st.integers(0, n))
+    mass = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)
+    rows, position = [], 0
+    for i in range(n):
+        width = draw(st.sampled_from([1, 1, 2, 3])) if i >= n_prefix else 1
+        rows.append(dict(
+            key=pool[draw(st.integers(0, 2))], value=rng.standard_normal(shape),
+            position=position,
+            origin=cask_cache.PREFIX if i < n_prefix else cask_cache.DECODE,
+            score_mass=draw(mass), group_mass=float(width),
+            members=tuple(range(position, position + width))))
+        position += width + draw(st.integers(0, 2))
+    return rows
+
+
+def both_caches(rows):
+    caches = []
+    for module in (cask_cache, reference_cache):
+        cache = module.CacheState(budget=10_000)
+        for fields in rows:
+            module.append(cache, module.KVEntry(**fields))
+        caches.append(cache)
+    return caches
+
+
+CONFIGS = st.builds(
+    dict, sink_count=st.integers(0, 3), recency_window=st.integers(0, 5),
+    anchor_quantile=st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0, 1),
+    merge_epsilon=st.sampled_from([0.0, 0.25, 1e9]))
+
+
+@given(cache_rows(), CONFIGS, st.integers(1, 30))
+@settings(max_examples=80, deadline=None)
+def test_core_and_entries_equal_the_list_based_reference(rows, config,
+                                                         budget):
+    # detect_core flags and returns the same core, and after a compression
+    # (folds and evictions) entry_at reads back the same entries, bit for
+    # bit; a position no entry holds raises the same CacheError.
+    cache, twin = both_caches(rows)
+    cfg = policies.CaskConfig(**config)
+    reference_cfg = reference_policies.CaskConfig(**config)
+    assert policies.detect_core(cache, cfg) \
+        == reference_policies.detect_core(twin, reference_cfg)
+    assert cache.protected.tolist() == [e.protected for e in twin.entries]
+    policies.cask_compress(cache, cfg, budget)
+    reference_policies.cask_compress(twin, reference_cfg, budget)
+    assert cache.position.tolist() == [e.position for e in twin.entries]
+    for e in twin.entries:
+        got = cache.entry_at(e.position)
+        assert got.key.shape == e.key.shape
+        assert got.key.tobytes() == e.key.tobytes()
+        assert got.value.tobytes() == e.value.tobytes()
+        assert (got.position, got.origin, got.score_mass, got.group_mass,
+                got.protected, got.members) \
+            == (e.position, e.origin, e.score_mass, e.group_mass,
+                e.protected, e.members)
+    for missing in (-1, rows[-1]["position"] + 50,
+                    *(p + 1 for p in cache.position.tolist()[:3])):
+        if missing in cache.position.tolist():
+            continue
+        with pytest.raises(cask_cache.CacheError) as got:
+            cache.entry_at(missing)
+        with pytest.raises(reference_cache.CacheError) as expected:
+            twin.entry_at(missing)
+        assert str(got.value) == str(expected.value)

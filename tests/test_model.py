@@ -97,18 +97,15 @@ def test_forward_step_rejects_dimension_mismatch(params):
             forward_step(params, cache, 1)
 
 
-def test_append_rejects_a_ragged_cache(params):
+def test_append_rejects_a_ragged_cache():
     # A row of another width fails where it is appended, not one step later.
     cache = CacheState(budget=4)
-    for position, dims in enumerate([(32, 16, 1), (32, 8, 1)]):
-        out = forward_step(init_model(0, *dims), CacheState(budget=4), 1)
-        entry = KVEntry(key=out.new_entry.key, value=out.new_entry.value,
-                        position=position)
-        if position == 0:
-            append(cache, entry)
+    append(cache, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
+                          position=0))
     with pytest.raises(CacheError, match=r"entry shape \(1, 8\) does not "
                                          r"match the cache's \(1, 16\)"):
-        append(cache, entry)
+        append(cache, KVEntry(key=np.zeros((1, 8)), value=np.zeros((1, 8)),
+                              position=1))
     assert cache.n == 1 and cache.total_appended == 1
 
 
@@ -171,6 +168,35 @@ def test_forward_step_matches_per_layer_restack(num_layers, n):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert new.new_entry.score_mass == old.new_entry.score_mass
         assert new.new_entry.key.flags.owndata
+
+
+def test_decode_builds_one_entry_per_fed_token(params, monkeypatch):
+    # The step reads the cache's buffers in place: the only KVEntry a
+    # decode builds is each fed token's new row.  Forks and mass
+    # accumulation build none.
+    built = []
+    post_init = KVEntry.__post_init__
+
+    def counting(entry):
+        built.append(entry.position)
+        post_init(entry)
+
+    monkeypatch.setattr(KVEntry, "__post_init__", counting)
+    prompt = list(make_witness("prompt-heavy-decode-active", 2, 24, 64,
+                               0.7).prompt)
+    snapshot = prefill(params, prompt)
+    assert built == list(range(len(prompt)))
+    for method, forced in (("none", None), ("evict", None),
+                           ("evict", [1] * 64)):
+        built.clear()
+        run = decode(params, snapshot, 64, make_policy(method, 16), forced)
+        assert built == list(range(len(prompt), len(prompt) + 64))
+    out = forward_step(params, run.cache, 3)
+    built.clear()
+    accumulate_mass(run.cache, out)
+    run.cache.fork()
+    snapshot.cache.fork(budget=4)
+    assert built == []
 
 
 def test_noop_compression_keeps_distributions_identical(params):

@@ -23,6 +23,7 @@ from cask.policies import (
     evict_baseline,
     fold_group,
     form_merge_groups,
+    keep_order,
     linear_quantile,
     mass_diagnostics,
     perturbation_check,
@@ -570,6 +571,43 @@ def test_evict_baseline_matches_sort_truncate_oracle(seed, budget):
     expected = sorted(range(n), key=lambda i: (-scores[i], -i))[:budget]
     evict_baseline(cache, budget)
     assert [e.position for e in cache.entries] == sorted(expected)
+
+
+@pytest.mark.parametrize("budget", [4, 40])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 -0.5])
+def test_evict_baseline_rejects_bad_score_mass(bad, budget):
+    # The keep order is undefined once a mass is NaN.
+    masses = [1.0 + i for i in range(30)]
+    masses[17] = bad
+    cache = fill_cache([[float(i), 0.0] for i in range(30)],
+                       origin=PREFIX, score_masses=masses)
+    with pytest.raises(ValueError, match="position 17 has score_mass"):
+        evict_baseline(cache, budget)
+    assert cache.position.tolist() == list(range(30))
+
+
+MASS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) \
+    | st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@given(masses=st.lists(MASS, min_size=1, max_size=40),
+       gaps=st.lists(st.integers(1, 3), min_size=40, max_size=40),
+       data=st.data())
+@settings(max_examples=100)
+def test_keep_order_equals_sorted_on_finite_masses(masses, gaps, data):
+    # np.lexsort on (-position, -score_mass) against the sort it replaced,
+    # with ties and signed zeros (equal under both).
+    positions = np.cumsum(gaps[:len(masses)]).tolist()
+    cache = CacheState(budget=10_000)
+    for p, m in zip(positions, masses):
+        append(cache, make_entry(p, [1.0, 0.0], score_mass=m))
+    rows = np.array(sorted(data.draw(st.sets(
+        st.integers(0, len(masses) - 1)))), dtype=np.intp)
+    chosen = [cache.entries[i] for i in rows]
+    expected = sorted(chosen, key=lambda e: (-e.score_mass, -e.position))
+    assert cache.position[keep_order(cache, rows)].tolist() \
+        == [e.position for e in expected]
 
 
 # --- mass diagnostics ----------------------------------------------------------
