@@ -86,9 +86,10 @@ class KVEntry:
         return self.key.sum(axis=0) / len(self.key)
 
 
-# The per-row columns, each a 1-D buffer of the cache's capacity.
-_COLUMNS = ("position", "origin", "score_mass", "group_mass", "protected")
-_DTYPES = (np.int64, "<U6", np.float64, np.float64, np.bool_)
+# The per-row columns, each a 1-D buffer of the cache's capacity, and their
+# dtypes; each is also a KVEntry field.
+_COLUMNS = {"position": np.int64, "origin": "<U6", "score_mass": np.float64,
+            "group_mass": np.float64, "protected": np.bool_}
 
 
 class CacheState:
@@ -115,7 +116,7 @@ class CacheState:
         # Keys are _kv[0], values _kv[1]: (2, L, capacity, d).
         self._kv = np.empty((2, 0, 0, 0))
         self._columns = {name: np.empty(0, dtype)
-                         for name, dtype in zip(_COLUMNS, _DTYPES)}
+                         for name, dtype in _COLUMNS.items()}
 
     def __len__(self) -> int:
         return self.n
