@@ -17,10 +17,11 @@ buffers of one common capacity that doubles when a row does not fit:
   row's position; every other row covers its own position alone.
 
 The properties of the same names are views of the live rows; writing them
-writes the cache.  Rows leave by mask compaction, and a position is found
-by binary search.  :class:`KVEntry` is the value type a row is appended,
-folded and merged as; :attr:`CacheState.entries` reads the live rows back
-as copies of it, for tests and debugging.
+writes the cache.  One row leaves by shifting the rows after it down a
+slot, several by mask compaction, and a position is found by binary
+search.  :class:`KVEntry` is the value type a row is appended, folded and
+merged as; :attr:`CacheState.entries` reads the live rows back as copies
+of it, for tests and debugging.
 """
 
 from __future__ import annotations
@@ -255,12 +256,29 @@ class CacheState:
             self.members[entry.position] = entry.members
 
     def _remove(self, rows) -> int:
-        """Compact the live rows to all but ``rows``, keeping their order;
-        returns how many rows left.  Their members must already be gone."""
-        keep = np.ones(self.n, dtype=bool)
+        """Remove the live ``rows`` (row indices), keeping the order of the
+        rest; returns how many rows left.  Their members must already be
+        gone.
+
+        One row leaves by moving the rows after it down one slot, one slice
+        copy per buffer; several leave by mask compaction.  Nearly every
+        removal is of one row: in one seed-0 pass of each benchmark workload,
+        4,125 of frontier's 4,222 removals, 1,992 of long-decode's 1,994,
+        5,082 of consolidate's 5,596 and 74 of prefix-heavy's 82 (a baseline
+        or consolidation step over budget by one evicts one row, and a fold
+        of two members removes one).
+        """
+        n, kv, columns = self.n, self._kv, self._columns.values()
+        if len(rows) == 1:
+            row = int(rows[0])
+            kv[:, :, row:n - 1] = kv[:, :, row + 1:n]
+            for col in columns:
+                col[row:n - 1] = col[row + 1:n]
+            self.n = n - 1
+            return 1
+        keep = np.ones(n, dtype=bool)
         keep[rows] = False
-        n, k = self.n, int(np.count_nonzero(keep))
-        kv, columns = self._kv, self._columns.values()
+        k = int(np.count_nonzero(keep))
         if k < n:
             kv[:, :, :k] = kv[:, :, :n][:, :, keep]
             for col in columns:

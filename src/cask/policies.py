@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import floor, inf
 from typing import Sequence
 
@@ -120,16 +120,16 @@ def linear_quantile(ordered, q: float) -> float:
     return a + diff * t
 
 
-def _check_score_mass(cache: CacheState, rows: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first of ``rows`` whose score mass is
-    NaN, infinite or negative."""
+def _check_score_mass(cache: CacheState, rows) -> None:
+    """Raise ``ValueError`` naming the first of ``rows`` (any index of the
+    live rows) whose score mass is NaN, infinite or negative."""
     masses = cache.score_mass[rows]
-    ok = (masses >= 0.0) & (masses < inf)
-    if not ok.all():
-        first = int(np.argmin(ok))
-        raise ValueError(f"entry at position {cache.position[rows[first]]} "
-                         f"has score_mass {float(masses[first])}; expected "
-                         f"finite >= 0")
+    if not masses.size or (masses.min() >= 0.0 and masses.max() < inf):
+        return
+    first = int(np.argmin((masses >= 0.0) & (masses < inf)))
+    raise ValueError(f"entry at position {cache.position[rows][first]} "
+                     f"has score_mass {float(masses[first])}; expected "
+                     f"finite >= 0")
 
 
 def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
@@ -174,6 +174,22 @@ def _weighted_centroid(keys: Sequence[np.ndarray],
     return acc / total
 
 
+@lru_cache(maxsize=64)
+def _kappa_magnitudes(config: CaskConfig, dim: int) -> np.ndarray:
+    """``kappa_magnitudes(config.pi, band_frequencies(dim))``, computed once
+    per config and key width.  Every caller shares the array, so it is
+    read-only."""
+    mags = kappa_magnitudes(config.pi, band_frequencies(dim))
+    mags.setflags(write=False)
+    return mags
+
+
+# Seed-candidate pairs in one block of form_merge_groups' distance table:
+# c candidates take blocks of ``_TABLE_PAIRS // c`` seed rows, so a budget in
+# the hundreds never holds c**2 differences of spectra at once.
+_TABLE_PAIRS = 4096
+
+
 def form_merge_groups(cache: CacheState,
                       config: CaskConfig) -> list[MergeGroup]:
     """Greedy temporal scan over unprotected decode entries, fold
@@ -185,44 +201,67 @@ def form_merge_groups(cache: CacheState,
     and the group is below ``max_group_size``.  Size-1 groups are discarded.
 
     The candidates' geometry keys are stacked once and read as band spectra
-    (:func:`band_view`).  The centroid changes only when a member is
-    admitted, so the distances of all remaining in-window candidates to it
-    are taken in one batched call; admitting the first one within
-    ``merge_epsilon`` is the choice a one-by-one scan makes.
+    (:func:`band_view`).  A seed's first admission is measured against the
+    seed alone, whose centroid is ``(w * k) / w`` (``k`` where ``w == 0``),
+    so one batched call per block of seed rows takes every candidate's
+    distance to every seed's centroid.  A seed with no free, in-window
+    candidate within ``merge_epsilon`` in its row of that table forms no
+    group and costs no further work; any other admits the first one.  From
+    then on the centroid changes only when a member is admitted, so the
+    distances of all remaining in-window candidates to it are taken in one
+    batched call.  Admitting the first one within ``merge_epsilon`` is the
+    choice a one-by-one scan makes.
     """
     candidates = np.flatnonzero((cache.origin == DECODE) & ~cache.protected)
-    if candidates.size < 2:
+    c = candidates.size
+    if c < 2:
         return []
     layers = cache.keys[:, candidates]
     # KVEntry.geometry_key of every candidate at once, bit for bit.
     stacked = layers.sum(axis=0) / len(layers)
     spectra = band_view(stacked)
-    mags = kappa_magnitudes(config.pi, band_frequencies(stacked.shape[1]))
-    positions = cache.position[candidates].tolist()
-    masses = cache.score_mass[candidates].tolist()
-    free = np.ones(candidates.size, dtype=bool)
+    mags = _kappa_magnitudes(config, stacked.shape[1])
+    position = cache.position[candidates]
+    mass = cache.score_mass[candidates]
+    # _weighted_centroid([k], [w]) of every candidate, bit for bit.
+    scale = np.where(mass == 0.0, 1.0, mass)[:, None]
+    seed_centroids = band_view(scale * stacked / scale)
+    positions, masses = position.tolist(), mass.tolist()
+    window = config.temporal_window
+    free = np.ones(c, dtype=bool)
     groups: list[MergeGroup] = []
-    for i, seed in enumerate(positions):
-        if not free[i]:
-            continue
-        end = bisect_right(positions, seed + config.temporal_window)
-        pool = i + 1 + np.flatnonzero(free[i + 1:end])
-        members = [i]
-        keys = [stacked[i]]
-        weights = [masses[i]]
-        while pool.size and len(members) < config.max_group_size:
-            centroid = band_view(_weighted_centroid(keys, weights))
-            near = np.flatnonzero(
-                d_kappa_batch(spectra[pool], centroid, mags)
-                <= config.merge_epsilon)
-            if not near.size:
-                break
-            j = int(pool[near[0]])
-            members.append(j)
-            keys.append(stacked[j])
-            weights.append(masses[j])
-            pool = pool[near[0] + 1:]
-        if len(members) >= 2:
+    block = max(1, _TABLE_PAIRS // c)
+    for start in range(0, c, block):
+        stop = min(start + block, c)
+        lo = start + 1
+        hi = bisect_right(positions, positions[stop - 1] + window)
+        gap = position[lo:hi] - position[start:stop, None]
+        within = (d_kappa_batch(spectra[None, lo:hi],
+                                seed_centroids[start:stop, None], mags)
+                  <= config.merge_epsilon) \
+            & (gap > 0) & (gap <= window) & free[lo:hi]
+        for i in (start + np.flatnonzero(within.any(axis=1))).tolist():
+            partners = np.flatnonzero(within[i - start] & free[lo:hi])
+            if not free[i] or not partners.size:
+                continue
+            j = lo + int(partners[0])
+            members = [i, j]
+            keys = [stacked[i], stacked[j]]
+            weights = [masses[i], masses[j]]
+            end = bisect_right(positions, positions[i] + window)
+            pool = j + 1 + np.flatnonzero(free[j + 1:end])
+            while pool.size and len(members) < config.max_group_size:
+                centroid = band_view(_weighted_centroid(keys, weights))
+                near = np.flatnonzero(
+                    d_kappa_batch(spectra[pool], centroid, mags)
+                    <= config.merge_epsilon)
+                if not near.size:
+                    break
+                j = int(pool[near[0]])
+                members.append(j)
+                keys.append(stacked[j])
+                weights.append(masses[j])
+                pool = pool[near[0] + 1:]
             free[members] = False
             groups.append(MergeGroup(
                 positions=tuple(positions[j] for j in members),
@@ -294,9 +333,14 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     eviction happens: the outcome fires and is appended to
     ``cache.compression_events``.  Terminal protected flags are recomputed
     on the final state.
+
+    The eviction ranks prefix rows too, so a cache over budget with a NaN,
+    infinite or negative score mass on any row raises ``ValueError`` naming
+    its position, and is left untouched.
     """
     if cache.n <= budget:
         return CompressOutcome()
+    _check_score_mass(cache, slice(None))
     core = detect_core(cache, config)
     if budget < len(core):
         cache.core_overflow = True
@@ -329,10 +373,9 @@ def evict_baseline(cache: CacheState, budget: int) -> CacheState:
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rows = np.arange(cache.n)
-    _check_score_mass(cache, rows)
+    _check_score_mass(cache, slice(None))
     if cache.n > budget:
-        drop(cache, keep_order(cache, rows)[budget:])
+        drop(cache, keep_order(cache, np.arange(cache.n))[budget:])
     return cache
 
 

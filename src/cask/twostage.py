@@ -13,7 +13,13 @@ from math import floor
 import numpy as np
 
 from .cache import PREFIX, CacheState, KVEntry, append, evict
-from .policies import CaskConfig, CompressOutcome, cask_compress, keep_order
+from .policies import (
+    CaskConfig,
+    CompressOutcome,
+    _check_score_mass,
+    cask_compress,
+    keep_order,
+)
 
 REGIME_DECODE_ACTIVE = "decode-active"
 REGIME_PREFIX_DOMINANT = "prefix-dominant"
@@ -53,11 +59,13 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     Evicts the lowest-score prefix entries (never below ``min_prefix_keep``)
     and flags ``prefix_budget_exhausted`` when the remaining decode slack
     falls short of ``min_decode_slack``.  Returns the flag, which is also
-    stored on the cache.
+    stored on the cache.  A NaN, infinite or negative prefix score mass
+    raises ``ValueError`` naming its position before anything is evicted.
     """
     prefix = np.flatnonzero(cache.origin == PREFIX)
     cap = floor(config.prefix_fraction * config.budget)
     if prefix.size > cap:
+        _check_score_mass(cache, prefix)
         target = max(cap, config.min_prefix_keep)
         evict(cache, cache.position[keep_order(cache, prefix)[target:]])
     prefix_after = int(np.count_nonzero(cache.origin == PREFIX))

@@ -19,6 +19,7 @@ from cask.cache import (
     append,
     check_invariants,
     covered_positions,
+    drop,
     evict,
     merge_replace,
     terminal_saved_ratio,
@@ -88,6 +89,43 @@ def test_evict_records_no_event():
     assert [e.position for e in cache.entries] == [0, 3, 4]
     assert cache.evicted_tokens == 2
     assert cache.compression_events == []
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+@pytest.mark.parametrize("rows", [[0], [3], [7], [5], [1, 5]],
+                         ids=["first", "middle", "last", "folded", "two"])
+def test_drop_equals_a_list_model(num_layers, rows):
+    # One row leaves by a shift of the rows after it, several by a mask;
+    # both leave what deleting the rows from a list of the entries leaves.
+    rng = np.random.default_rng(num_layers)
+    model, position = [], 0
+    for i in range(8):
+        members = (position, position + 1, position + 3) if i == 5 \
+            else (position,)
+        model.append(KVEntry(
+            key=rng.standard_normal((num_layers, 4)),
+            value=rng.standard_normal((num_layers, 4)), position=position,
+            origin=PREFIX if i < 2 else DECODE, score_mass=float(i) / 4,
+            group_mass=3.0 if i == 5 else 1.0, protected=i % 3 == 0,
+            members=members))
+        position = members[-1] + 1
+    cache = CacheState(budget=10_000)
+    for entry in model:
+        append(cache, entry)
+    evicted = sum(len(model[r].members) for r in rows)
+    model = [e for r, e in enumerate(model) if r not in rows]
+    assert drop(cache, np.array(rows)) == len(rows)
+    assert cache.n == len(model)
+    assert cache.evicted_tokens == evicted
+    assert cache.members == {e.position: e.members for e in model
+                             if len(e.members) > 1}
+    for got, want in zip(cache.entries, model, strict=True):
+        assert got.key.tobytes() == want.key.tobytes()
+        assert got.value.tobytes() == want.value.tobytes()
+        assert (got.position, got.origin, got.score_mass, got.group_mass,
+                got.protected, got.members) \
+            == (want.position, want.origin, want.score_mass, want.group_mass,
+                want.protected, want.members)
 
 
 def rep_for(entries, weights=None):

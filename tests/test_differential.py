@@ -69,9 +69,19 @@ FOLD_HEAVY = dict(kind="prompt-heavy-decode-active", seed=3, prefix_len=16,
                   model_seed=0, num_layers=3, vocab_size=32, model_dim=16)
 
 
+# The long-decode regime: merge grouping sees one to six candidates per
+# call, and some calls form no group while others form one or two, so both
+# the skip and the admit paths of the distance table run.
+FEW_CANDIDATES = dict(kind="prompt-heavy-decode-active", seed=3,
+                      prefix_len=48, decode_len=48, redundancy=0.7,
+                      budgets=[48, 56, 64], model_seed=0, num_layers=4,
+                      vocab_size=32, model_dim=16)
+
+
 @given(sweep_inputs())
 @example(FOLD_HEAVY)
 @example(dict(FOLD_HEAVY, prefix_len=8, num_layers=1, budgets=[24, 40]))
+@example(FEW_CANDIDATES)
 @settings(max_examples=25, deadline=None)
 def test_sweep_rows_equal_the_list_based_reference(inputs):
     with tempfile.TemporaryDirectory() as out:

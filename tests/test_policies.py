@@ -14,10 +14,20 @@ from cask.cache import (
     covered_positions,
     ltr_sum,
 )
-from cask.kernels import band_frequencies, kappa_magnitudes, truncated_geometric
+from cask import policies
+from cask.kernels import (
+    band_decompose,
+    band_frequencies,
+    d_kappa,
+    d_kappa_batch,
+    kappa_magnitudes,
+    truncated_geometric,
+)
 from cask.policies import (
     CaskConfig,
     MergeGroup,
+    _kappa_magnitudes,
+    _weighted_centroid,
     cask_compress,
     detect_core,
     evict_baseline,
@@ -28,6 +38,7 @@ from cask.policies import (
     mass_diagnostics,
     perturbation_check,
 )
+from cask.twostage import StageConfig, stage1_prefix_evict
 from conftest import fill_cache, make_entry
 
 PI = truncated_geometric(4)
@@ -242,12 +253,13 @@ def reference_form_merge_groups(entries, config):
     return groups
 
 
-def random_merged_cache(rng, num_layers, n):
+def random_merged_cache(rng, num_layers, n, width=8):
     """Prefix then decode entries; some decode entries are fold
     representatives that also cover the position after them.  Keys repeat a
-    small pool, so exact duplicates and ties in score mass are common."""
-    pool = rng.standard_normal((4, num_layers, 8))
-    masses = (0.0, 0.5, 1.0, 1.0, 2.0)
+    small pool, so exact duplicates and ties in score mass (zeros of both
+    signs among them) are common."""
+    pool = rng.standard_normal((4, num_layers, width))
+    masses = (0.0, -0.0, 0.5, 1.0, 1.0, 2.0)
     cache = CacheState(budget=10_000)
     n_prefix = int(rng.integers(0, 4))
     position = 0
@@ -256,12 +268,12 @@ def random_merged_cache(rng, num_layers, n):
         if rng.random() < 0.5:
             key = pool[rng.integers(4)]
         else:
-            key = rng.standard_normal((num_layers, 8))
+            key = rng.standard_normal((num_layers, width))
         mass = float(rng.choice(masses)) if rng.random() < 0.5 \
             else float(rng.uniform(0, 3))
         members = (position, position + 1) if merged else (position,)
         append(cache, KVEntry(
-            key=key, value=rng.standard_normal((num_layers, 8)),
+            key=key, value=rng.standard_normal((num_layers, width)),
             position=position, origin=PREFIX if i < n_prefix else DECODE,
             score_mass=mass,
             group_mass=float(rng.uniform(1, 3)) if merged else 1.0,
@@ -276,8 +288,9 @@ def same_bits(a, b) -> bool:
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       num_layers=st.sampled_from([1, 3]),
-       n=st.integers(min_value=1, max_value=24),
+       num_layers=st.sampled_from([1, 3, 4]),
+       n=st.integers(min_value=1, max_value=48),
+       width=st.sampled_from([4, 8, 64]),
        sink_count=st.integers(min_value=0, max_value=3),
        recency_window=st.integers(min_value=0, max_value=4),
        anchor_quantile=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
@@ -286,9 +299,10 @@ def same_bits(a, b) -> bool:
        max_group_size=st.sampled_from([2, 3, 16]))
 @settings(max_examples=150, deadline=None)
 def test_core_and_groups_match_scalar_reference(
-        seed, num_layers, n, sink_count, recency_window, anchor_quantile,
-        merge_epsilon, temporal_window, max_group_size):
-    cache = random_merged_cache(np.random.default_rng(seed), num_layers, n)
+        seed, num_layers, n, width, sink_count, recency_window,
+        anchor_quantile, merge_epsilon, temporal_window, max_group_size):
+    cache = random_merged_cache(np.random.default_rng(seed), num_layers, n,
+                                width)
     cfg = CaskConfig(sink_count=sink_count, recency_window=recency_window,
                      anchor_quantile=anchor_quantile,
                      merge_epsilon=merge_epsilon,
@@ -305,6 +319,69 @@ def test_core_and_groups_match_scalar_reference(
         assert same_bits(g.mass, ref.mass)
         assert len(g.keys) == len(ref.keys)
         assert all(same_bits(k, r) for k, r in zip(g.keys, ref.keys))
+
+
+@pytest.mark.parametrize("n, num_layers, width",
+                         [(12, 1, 8), (40, 3, 4), (48, 4, 64), (100, 4, 16)])
+def test_distance_table_entries_equal_scalar_d_kappa(monkeypatch, n,
+                                                     num_layers, width):
+    # form_merge_groups' seed-to-candidate table: every entry is d_kappa of
+    # that candidate's spectrum and the seed's own centroid,
+    # _weighted_centroid([k], [w]), bit for bit.  The table is the only
+    # distance call with a 2-D result; its blocks cover every seed once,
+    # and 100 candidates take more than one block.
+    cache = random_merged_cache(np.random.default_rng(n), num_layers, n,
+                                width)
+    cfg = scratch_config(merge_epsilon=1.0, max_group_size=3)
+    tables = []
+
+    def recording(coefficients, reference, magnitudes):
+        out = d_kappa_batch(coefficients, reference, magnitudes)
+        if out.ndim == 2:
+            tables.append((coefficients, reference, out))
+        return out
+
+    monkeypatch.setattr(policies, "d_kappa_batch", recording)
+    groups = form_merge_groups(cache, cfg)
+    monkeypatch.undo()
+    decode = [e for e in cache.entries if e.origin == DECODE]
+    spectra = [band_decompose(e.geometry_key()) for e in decode]
+    seeds = [band_decompose(_weighted_centroid([e.geometry_key()],
+                                               [e.score_mass]))
+             for e in decode]
+    assert [g.positions for g in groups] \
+        == [g.positions for g in reference_form_merge_groups(decode, cfg)]
+    start = 0
+    for coefficients, reference, out in tables:
+        stop = start + len(reference)
+        assert same_bits(reference[:, 0].view(np.float64),
+                         np.array(seeds[start:stop]).view(np.float64))
+        assert same_bits(coefficients[0].view(np.float64),
+                         np.array(spectra[start + 1:]).view(np.float64))
+        want = [[d_kappa(a, seed, cfg.pi) for a in spectra[start + 1:]]
+                for seed in seeds[start:stop]]
+        assert same_bits(out, want)
+        start = stop
+    assert start == len(decode)
+    if len(decode) > 64:
+        assert len(tables) > 1
+        assert max(out.size for *_, out in tables) < len(decode) ** 2 // 2
+
+
+@pytest.mark.parametrize("d", [4, 8, 16, 64])
+def test_memoized_kappa_magnitudes_are_exact_and_read_only(d):
+    mags = _kappa_magnitudes(CaskConfig(), d)
+    assert mags is _kappa_magnitudes(CaskConfig(), d)
+    expected = kappa_magnitudes(CaskConfig().pi, band_frequencies(d))
+    assert mags.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        mags[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        mags *= 2.0
+    assert mags.tobytes() == expected.tobytes()
+    other = _kappa_magnitudes(CaskConfig(horizon=1), d)
+    assert other.tobytes() == kappa_magnitudes(
+        truncated_geometric(1), band_frequencies(d)).tobytes()
 
 
 def with_examples(test):
@@ -585,6 +662,31 @@ def test_evict_baseline_rejects_bad_score_mass(bad, budget):
     with pytest.raises(ValueError, match="position 17 has score_mass"):
         evict_baseline(cache, budget)
     assert cache.position.tolist() == list(range(30))
+
+
+@pytest.mark.parametrize("rank", [
+    lambda cache: cask_compress(cache, CaskConfig(), 20),
+    lambda cache: stage1_prefix_evict(cache, StageConfig(budget=8)),
+], ids=["cask_compress", "stage1_prefix_evict"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 -0.5, -3.0])
+def test_prefix_ranking_rejects_bad_score_mass(bad, rank):
+    # Both rank prefix rows for eviction; a bad mass on one raises before
+    # anything is folded or evicted.
+    cache = CacheState(budget=10_000)
+    for i in range(32):
+        append(cache, make_entry(
+            i, [float(i), 1.0, -float(i), 0.5],
+            origin=PREFIX if i < 12 else DECODE,
+            score_mass=bad if i == 5 else 1.0 + i % 7))
+    masses = cache.score_mass.tobytes()
+    with pytest.raises(ValueError, match="position 5 has score_mass"):
+        rank(cache)
+    assert cache.position.tolist() == list(range(32))
+    assert cache.score_mass.tobytes() == masses
+    assert not cache.protected.any()
+    assert (cache.evicted_tokens, cache.members,
+            cache.compression_events) == (0, {}, [])
 
 
 MASS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) \
