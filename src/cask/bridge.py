@@ -30,9 +30,12 @@ def bridge_run(params: ModelParams, prompt, length: int, policy
 
 
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
-    """Longest common subsequence length by row-wise dynamic programming."""
+    """Longest common subsequence length by row-wise dynamic programming;
+    equal sequences are their own longest common subsequence."""
     if not a or not b:
         return 0
+    if a == b:
+        return len(a)
     b_arr = np.asarray(b, dtype=np.int64)
     prev = np.zeros(len(b) + 1, dtype=np.int64)
     for x in a:

@@ -8,8 +8,8 @@ buffers of one common capacity that doubles when a row does not fit:
   halves of one buffer): one row per token for every layer, so a token
   occupies exactly one budget slot and structural operations (evict,
   merge) apply uniformly across layers.  ``keys[l, :n + 1]`` is
-  C-contiguous, and row ``n`` is the slot the model step writes the next
-  token into (:meth:`CacheState.slot`);
+  C-contiguous, and row ``n`` is the free slot the model step writes the
+  next token into (:meth:`CacheState.slot`);
 - one column each for ``position`` (int64), ``origin`` (:data:`PREFIX` or
   :data:`DECODE`), ``score_mass``, ``group_mass`` (float64) and
   ``protected`` (bool);
@@ -19,9 +19,16 @@ buffers of one common capacity that doubles when a row does not fit:
 The properties of the same names are views of the live rows; writing them
 writes the cache.  One row leaves by shifting the rows after it down a
 slot, several by mask compaction, and a position is found by binary
-search.  :class:`KVEntry` is the value type a row is appended, folded and
-merged as; :attr:`CacheState.entries` reads the live rows back as copies
-of it, for tests and debugging.
+search.
+
+A row enters in one of two ways.  The model step writes a token's whole
+row into the free slot and stages it (:meth:`CacheState.stage`), and
+:func:`append` given the returned :class:`StagedRow` commits it by
+counting it live, so each row's bytes are written once.  The handle is
+stale once ``n`` moves, the buffers are reallocated or the free slot is
+handed out again.  Otherwise :class:`KVEntry` is the value type a row is
+appended, folded and merged as; :attr:`CacheState.entries` reads the live
+rows back as copies of it, for tests and debugging.
 """
 
 from __future__ import annotations
@@ -87,6 +94,28 @@ class KVEntry:
         return self.key.sum(axis=0) / len(self.key)
 
 
+class StagedRow:
+    """A handle to the row a model step staged in a cache's free slot.
+
+    :func:`append` commits it while it is that cache's staged row; it is
+    stale once ``n`` moves, the buffers are reallocated or the free slot
+    is handed out again (:meth:`CacheState.slot`), and a fork stages
+    nothing.
+    """
+
+    __slots__ = ("cache",)
+
+    def __init__(self, cache: "CacheState"):
+        self.cache = cache
+
+    def entry(self) -> KVEntry:
+        """A copy of the staged row; :class:`CacheError` once stale."""
+        cache = self.cache
+        if cache._staged is not self:
+            raise CacheError("the row is no longer staged")
+        return cache._entry(cache.n)
+
+
 # The per-row columns, each a 1-D buffer of the cache's capacity, and their
 # dtypes; each is also a KVEntry field.
 _COLUMNS = {"position": np.int64, "origin": "<U6", "score_mass": np.float64,
@@ -99,7 +128,8 @@ class CacheState:
     ``compression_events`` holds the outcome of every decode consolidation
     that fired, in order; prefill trimming and baseline eviction add none.
     ``row_shape`` is the shape of one entry's key, ``(L, d)`` or ``(d,)``
-    (stored as ``L = 1``); it is None until a row arrives.
+    (stored as ``L = 1``); it is None until a row arrives.  ``_staged`` is
+    the :class:`StagedRow` in the free slot, if any.
     """
 
     def __init__(self, budget: int):
@@ -114,6 +144,7 @@ class CacheState:
         self.n = 0
         self.row_shape: tuple[int, ...] | None = None
         self.members: dict[int, tuple[int, ...]] = {}
+        self._staged: StagedRow | None = None
         # Keys are _kv[0], values _kv[1]: (2, L, capacity, d).
         self._kv = np.empty((2, 0, 0, 0))
         self._columns = {name: np.empty(0, dtype)
@@ -167,7 +198,7 @@ class CacheState:
         compression), or for the live rows if there are more.  The members
         and the list of compression events are copied too (a fired outcome
         is never changed after it is recorded); counters and flags carry
-        over.
+        over.  Nothing is staged in the copy: its buffers are new.
         """
         twin = CacheState(self.budget if budget is None else budget)
         twin.__dict__.update(vars(self), budget=twin.budget)
@@ -180,7 +211,14 @@ class CacheState:
 
     def entry_at(self, position: int) -> KVEntry:
         """A copy of the row at ``position``."""
-        row, c = self.row_of(position), self._columns
+        return self._entry(self.row_of(position))
+
+    def _entry(self, row: int) -> KVEntry:
+        """A copy of ``row``, live or staged; a staged row covers its own
+        position alone."""
+        c = self._columns
+        position = int(c["position"][row])
+        members = self.members if row < self.n else {}
         return KVEntry(
             key=self._kv[0, :, row].reshape(self.row_shape).copy(),
             value=self._kv[1, :, row].reshape(self.row_shape).copy(),
@@ -188,7 +226,7 @@ class CacheState:
             score_mass=float(c["score_mass"][row]),
             group_mass=float(c["group_mass"][row]),
             protected=bool(c["protected"][row]),
-            members=self.members.get(position, (position,)))
+            members=members.get(position, (position,)))
 
     def row_of(self, position: int) -> int:
         """The row holding ``position``; :class:`CacheError` when none does."""
@@ -205,7 +243,9 @@ class CacheState:
         set to 1.
 
         Makes room for the slot first: an empty cache takes any row shape,
-        and a full one doubles its capacity."""
+        and a full one doubles its capacity.  A row staged before is
+        stale, since the caller writes the slot."""
+        self._staged = None
         if row_shape != self.row_shape:
             if self.n:
                 raise CacheError(f"entry shape {row_shape} does not match "
@@ -219,8 +259,24 @@ class CacheState:
         group_mass[-1] = 1.0
         return self._kv[0, :, :end], self._kv[1, :, :end], group_mass
 
+    def stage(self, origin: str, score_mass: float) -> StagedRow:
+        """Stage the row whose keys and values a model step wrote into the
+        free slot (:meth:`slot`): position ``total_appended``, ``origin``,
+        its own ``score_mass``, group mass 1, unprotected.  ``n`` does not
+        change until :func:`append` commits the returned handle."""
+        if origin not in (PREFIX, DECODE):
+            raise CacheError(f"unknown origin {origin!r}")
+        n, c = self.n, self._columns
+        c["position"][n] = self.total_appended
+        c["origin"][n] = origin
+        c["score_mass"][n] = score_mass
+        c["protected"][n] = False
+        self._staged = staged = StagedRow(self)
+        return staged
+
     def _resize(self, capacity: int) -> None:
         """Move the live rows into buffers of ``capacity`` rows."""
+        self._staged = None
         n, shape = self.n, self.row_shape
         kv = np.empty((2, shape[0] if len(shape) == 2 else 1, capacity,
                        shape[-1]))
@@ -268,6 +324,7 @@ class CacheState:
         or consolidation step over budget by one evicts one row, and a fold
         of two members removes one).
         """
+        self._staged = None
         n, kv, columns = self.n, self._kv, self._columns.values()
         if len(rows) == 1:
             row = int(rows[0])
@@ -287,18 +344,33 @@ class CacheState:
         return n - k
 
 
-def append(cache: CacheState, entry: KVEntry) -> CacheState:
-    """Append one token's entry; positions must be strictly increasing and
-    the entry's key and value must have the shape of the cache's rows."""
-    cache._check_row(entry)
+def append(cache: CacheState, entry: KVEntry | StagedRow) -> CacheState:
+    """Append one token's row; positions must be strictly increasing.
+
+    A :class:`StagedRow` must be the row staged in ``cache`` now; it is
+    committed in place, its bytes already written.  A :class:`KVEntry` is
+    written into the free slot, and its key and value must have the shape
+    of the cache's rows.  A rejected row leaves the cache as it was.
+    """
     n = cache.n
-    if n and entry.position <= cache.position[-1]:
-        raise CacheError(
-            f"non-monotone position {entry.position} "
-            f"(last is {cache.position[-1]})"
-        )
-    cache.slot(entry.key.shape)
-    cache._write(n, entry)
+    staged = isinstance(entry, StagedRow)
+    if staged:
+        if entry is not cache._staged:
+            raise CacheError("no row is staged in this cache" if
+                             cache._staged is None else
+                             "the row is not the one staged in this cache")
+        position = cache._columns["position"][n]
+    else:
+        cache._check_row(entry)
+        position = entry.position
+    if n and position <= cache.position[-1]:
+        raise CacheError(f"non-monotone position {position} "
+                         f"(last is {cache.position[-1]})")
+    if staged:
+        cache._staged = None
+    else:
+        cache.slot(entry.key.shape)
+        cache._write(n, entry)
     cache.n = n + 1
     cache.total_appended += 1
     return cache

@@ -93,7 +93,7 @@ def d_kappa_batch(coefficients: np.ndarray, reference: np.ndarray,
 
     A row's distance has the same bits as the distance of that row alone.
     """
-    return np.sum(magnitudes * np.abs(coefficients - reference), axis=-1)
+    return (magnitudes * np.abs(coefficients - reference)).sum(axis=-1)
 
 
 def d_kappa(a: np.ndarray, b: np.ndarray, pi: HorizonDistribution) -> float:

@@ -21,12 +21,21 @@ entries.  A merged representative attends like a normal entry except that
 its logit gains ``log(group_mass)``, letting consolidated mass keep a
 mass-proportional share of the softmax.
 
-The step reads the cache in place.  The cache keeps keys and values as
-``(L, capacity, d)`` buffers (see :mod:`cask.cache`); :func:`forward_step`
-writes the new token's rows into the free slot ``n`` and layer ``l`` attends
-over ``keys[l, :n + 1]`` and ``values[l, :n + 1]``, with the log group
-masses of the same rows.  :func:`accumulate_mass` adds the step's layer-mean
-attention onto the ``score_mass`` column in one vector add.
+The step reads the cache in place and writes each token's row once.  The
+cache keeps keys and values as ``(L, capacity, d)`` buffers (see
+:mod:`cask.cache`); :func:`forward_step` writes the new token's keys and
+values into the free slot ``n``, layer ``l`` attends over
+``keys[l, :n + 1]`` and ``values[l, :n + 1]`` with the log group masses of
+the same rows, and the step stages the whole row there.  The policy's
+append commits it without copying it.  :func:`accumulate_mass` adds the
+step's layer-mean attention onto the ``score_mass`` column in one vector
+add.
+
+Layer 0's input is the token's embedding alone, so its query, key and value
+are taken once per token by :class:`ModelParams`; later layers take all three
+in one product against the side-by-side ``(d, 3d)`` weights, which gives
+each the bits of its own ``h @ w`` (``tests/test_model.py`` checks this on
+the BLAS in use).
 """
 
 from __future__ import annotations
@@ -34,12 +43,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
+import math
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .cache import DECODE, PREFIX, CacheState, KVEntry, append
+from .cache import DECODE, PREFIX, CacheState, KVEntry, StagedRow, append
 
 WITNESS_KINDS = (
     "short-prompt-reasoning",
@@ -68,6 +78,17 @@ class ModelParams:
     wv: np.ndarray
     wo: np.ndarray
     unembed: np.ndarray            # (d, V)
+    # Derived from the weights above, which are never written: each layer's
+    # wq, wk and wv side by side, and layer 0's query, key and value of
+    # every token (the products embedding[t] @ w[0], read-only).
+    wqkv: np.ndarray = field(init=False, repr=False)    # (L, d, 3d)
+    qkv0: np.ndarray = field(init=False, repr=False)    # (V, 3, d)
+
+    def __post_init__(self):
+        self.wqkv = np.concatenate([self.wq, self.wk, self.wv], axis=2)
+        self.qkv0 = np.array([[h @ w[0] for w in (self.wq, self.wk, self.wv)]
+                              for h in self.embedding])
+        self.qkv0.setflags(write=False)
 
     def checksum(self) -> str:
         h = hashlib.sha256()
@@ -106,29 +127,34 @@ def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
 
 @dataclass
 class StepOutput:
-    """One forward pass: next-token distribution, the token's cache entry
-    (stacked per-layer rows), and per-layer attention weights over the
-    entries present at call time plus the new position (last column)."""
+    """One forward pass: next-token distribution, the handle of the token's
+    row staged in the cache (commit it with :func:`cask.cache.append`), and
+    per-layer attention weights over the entries present at call time plus
+    the new position (last column)."""
 
     distribution: np.ndarray       # (V,)
-    new_entry: KVEntry
+    staged: StagedRow
     attention_weights: np.ndarray  # (L, n_cache + 1)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
     z = np.exp(x - x.max())
-    return z / z.sum()
+    z /= z.sum()
+    return z
 
 
 def forward_step(params: ModelParams, cache: CacheState, token: int,
                  origin: str = DECODE) -> StepOutput:
-    """Forward pass over the live rows; the caller decides what to insert
-    into the cache.
+    """Forward pass over the live rows that stages the token's row in the
+    cache; the caller decides whether to commit it.
 
     The token's key and value rows are written into the cache's free slot
     ``n`` (:meth:`CacheState.slot`), so each layer attends over
     ``keys[l, :n + 1]``, one C-contiguous operand, without re-stacking the
-    cache.  The live rows are only read, and ``n`` does not change.
+    cache.  The row is then staged there (:meth:`CacheState.stage`) with
+    position ``total_appended``, ``origin``, its own layer-mean attention
+    as score mass, group mass 1 and no protection.  The live rows are only
+    read, and ``n`` does not change.
     """
     if not 0 <= token < params.vocab_size:
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
@@ -141,20 +167,19 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     keys, values, group_mass = cache.slot((L, d))
     log_mass = np.log(group_mass)
     h = params.embedding[token]
+    q, keys[0, n], values[0, n] = params.qkv0[token]
     weights = np.empty((L, n + 1))
-    sqrt_d = np.sqrt(d)
+    sqrt_d = math.sqrt(d)
     for l in range(L):
-        q = h @ params.wq[l]
-        keys[l, n] = h @ params.wk[l]
-        values[l, n] = h @ params.wv[l]
+        if l:
+            qkv = h @ params.wqkv[l]
+            q, keys[l, n], values[l, n] = qkv[:d], qkv[d:2 * d], qkv[2 * d:]
         w = _softmax(keys[l] @ q / sqrt_d + log_mass)
         weights[l] = w
         h = h + (w @ values[l]) @ params.wo[l]
     dist = _softmax(h @ params.unembed)
-    entry = KVEntry(key=keys[:, n].copy(), value=values[:, n].copy(),
-                    position=cache.total_appended, origin=origin,
-                    score_mass=float(weights[:, -1].sum() / L))
-    return StepOutput(distribution=dist, new_entry=entry,
+    staged = cache.stage(origin, float(weights[:, -1].sum() / L))
+    return StepOutput(distribution=dist, staged=staged,
                       attention_weights=weights)
 
 
@@ -177,7 +202,8 @@ class NoCompressionPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         pass
 
-    def force_append(self, cache: CacheState, entry: KVEntry) -> None:
+    def force_append(self, cache: CacheState,
+                     entry: KVEntry | StagedRow) -> None:
         append(cache, entry)
 
 
@@ -188,7 +214,7 @@ def run_prefill(params: ModelParams, cache: CacheState, prompt) -> np.ndarray:
     for tok in prompt:
         out = forward_step(params, cache, int(tok), origin=PREFIX)
         accumulate_mass(cache, out)
-        append(cache, out.new_entry)
+        append(cache, out.staged)
         dist = out.distribution
     return dist
 
@@ -254,7 +280,7 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
     for t in range(len(tokens), steps):
         dists[t] = dist
         sizes[t] = cache.n
-        tok = int(np.argmax(dist))
+        tok = int(dist.argmax())
         if forced is not None:
             if fork is None and tok != forced[t]:
                 fork = (t, cache.fork())
@@ -262,7 +288,7 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
         tokens.append(tok)
         out = forward_step(params, cache, tok, origin=DECODE)
         accumulate_mass(cache, out)
-        policy.force_append(cache, out.new_entry)
+        policy.force_append(cache, out.staged)
         dist = out.distribution
     return dists, sizes, fork
 

@@ -144,7 +144,7 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     """
     if not cache.n:
         raise ValueError("cache is empty")
-    decode = np.flatnonzero(cache.origin == DECODE)
+    decode = (cache.origin == DECODE).nonzero()[0]
     _check_score_mass(cache, decode)
     protected = cache.protected
     protected[:] = False
@@ -212,7 +212,7 @@ def form_merge_groups(cache: CacheState,
     batched call.  Admitting the first one within ``merge_epsilon`` is the
     choice a one-by-one scan makes.
     """
-    candidates = np.flatnonzero((cache.origin == DECODE) & ~cache.protected)
+    candidates = ((cache.origin == DECODE) & ~cache.protected).nonzero()[0]
     c = candidates.size
     if c < 2:
         return []
@@ -240,8 +240,8 @@ def form_merge_groups(cache: CacheState,
                                 seed_centroids[start:stop, None], mags)
                   <= config.merge_epsilon) \
             & (gap > 0) & (gap <= window) & free[lo:hi]
-        for i in (start + np.flatnonzero(within.any(axis=1))).tolist():
-            partners = np.flatnonzero(within[i - start] & free[lo:hi])
+        for i in (start + within.any(axis=1).nonzero()[0]).tolist():
+            partners = (within[i - start] & free[lo:hi]).nonzero()[0]
             if not free[i] or not partners.size:
                 continue
             j = lo + int(partners[0])
@@ -249,12 +249,11 @@ def form_merge_groups(cache: CacheState,
             keys = [stacked[i], stacked[j]]
             weights = [masses[i], masses[j]]
             end = bisect_right(positions, positions[i] + window)
-            pool = j + 1 + np.flatnonzero(free[j + 1:end])
+            pool = j + 1 + free[j + 1:end].nonzero()[0]
             while pool.size and len(members) < config.max_group_size:
                 centroid = band_view(_weighted_centroid(keys, weights))
-                near = np.flatnonzero(
-                    d_kappa_batch(spectra[pool], centroid, mags)
-                    <= config.merge_epsilon)
+                near = (d_kappa_batch(spectra[pool], centroid, mags)
+                        <= config.merge_epsilon).nonzero()[0]
                 if not near.size:
                     break
                 j = int(pool[near[0]])
@@ -355,7 +354,7 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         outcome.groups_folded += 1
         outcome.members_folded += len(group)
     if cache.n > budget:
-        unprotected = np.flatnonzero(~cache.protected)
+        unprotected = (~cache.protected).nonzero()[0]
         n_keep = budget - (cache.n - unprotected.size)
         outcome.evicted = drop(cache, keep_order(cache, unprotected)[n_keep:])
     cache.compression_events.append(outcome)

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheState, KVEntry, append, terminal_saved_ratio
+from .cache import (
+    CacheState,
+    KVEntry,
+    StagedRow,
+    append,
+    terminal_saved_ratio,
+)
 from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     METHOD_NONE,
     DecodeRun,
@@ -44,7 +50,8 @@ class EvictionPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         evict_baseline(cache, self.budget)
 
-    def force_append(self, cache: CacheState, entry: KVEntry) -> None:
+    def force_append(self, cache: CacheState,
+                     entry: KVEntry | StagedRow) -> None:
         append(cache, entry)
         if cache.n > self.budget:
             evict_baseline(cache, self.budget)
@@ -66,7 +73,8 @@ class CaskPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         stage1_prefix_evict(cache, self.stage_config)
 
-    def force_append(self, cache: CacheState, entry: KVEntry) -> None:
+    def force_append(self, cache: CacheState,
+                     entry: KVEntry | StagedRow) -> None:
         stage2_step(cache, entry, self.cask_config, self.stage_config)
 
 

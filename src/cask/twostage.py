@@ -12,7 +12,7 @@ from math import floor
 
 import numpy as np
 
-from .cache import PREFIX, CacheState, KVEntry, append, evict
+from .cache import PREFIX, CacheState, KVEntry, StagedRow, append, evict
 from .policies import (
     CaskConfig,
     CompressOutcome,
@@ -62,7 +62,7 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     stored on the cache.  A NaN, infinite or negative prefix score mass
     raises ``ValueError`` naming its position before anything is evicted.
     """
-    prefix = np.flatnonzero(cache.origin == PREFIX)
+    prefix = (cache.origin == PREFIX).nonzero()[0]
     cap = floor(config.prefix_fraction * config.budget)
     if prefix.size > cap:
         _check_score_mass(cache, prefix)
@@ -74,7 +74,7 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     return exhausted
 
 
-def stage2_step(cache: CacheState, new_entry: KVEntry,
+def stage2_step(cache: CacheState, new_entry: KVEntry | StagedRow,
                 cask_config: CaskConfig,
                 stage_config: StageConfig) -> CompressOutcome:
     """Append a decode entry and consolidate when the budget overflows.

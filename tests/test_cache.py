@@ -298,15 +298,29 @@ KEY_POOL = np.random.default_rng(7).standard_normal((3, 2, 8))
 MACHINE_CONFIG = CaskConfig(sink_count=1, recency_window=2)
 
 
+def _row(e):
+    return (e.position, e.origin, e.score_mass, e.group_mass, e.protected,
+            e.members, e.key.tobytes(), e.value.tobytes())
+
+
+def _rows_state(cache):
+    return ([_row(e) for e in cache.entries], cache.n, cache.total_appended,
+            cache.evicted_tokens)
+
+
 class CacheMachine(RuleBasedStateMachine):
-    """Appends interleaved with consolidation, baseline eviction, protected
+    """Appends, and rows staged as a model step stages them and committed
+    later, interleaved with consolidation, baseline eviction, protected
     eviction and single folds.  The structural invariants hold after every
-    step, and only a fired consolidation adds a compression event."""
+    step, only a fired consolidation adds a compression event, and a staged
+    row commits only while nothing has moved ``n`` or appended since, with
+    the bytes it was staged with."""
 
     @initialize(budget=st.integers(min_value=6, max_value=16))
     def start(self, budget):
         self.cache = CacheState(budget=budget)
         self.fired = 0
+        self.staged = None
 
     @precondition(lambda self: len(self.cache) < self.cache.budget
                   or self.cache.core_overflow)
@@ -323,6 +337,32 @@ class CacheMachine(RuleBasedStateMachine):
                 key=KEY_POOL[key], value=KEY_POOL[key] + 1.0,
                 position=self.cache.total_appended, origin=origin,
                 score_mass=mass))
+
+    @precondition(lambda self: len(self.cache) < self.cache.budget
+                  or self.cache.core_overflow)
+    @rule(key=st.integers(min_value=0, max_value=len(KEY_POOL) - 1),
+          mass=st.floats(0.0, 3.0), origin=st.sampled_from([DECODE, PREFIX]))
+    def stage(self, key, mass, origin):
+        keys, values, _ = self.cache.slot(KEY_POOL[key].shape)
+        keys[:, -1] = KEY_POOL[key]
+        values[:, -1] = KEY_POOL[key] + 1.0
+        self.staged = self.cache.stage(origin, mass)
+        self.staged_row = self.staged.entry()
+        self.staged_at = (len(self.cache), self.cache.total_appended)
+
+    @precondition(lambda self: self.staged is not None)
+    @rule()
+    def commit(self):
+        staged, self.staged = self.staged, None
+        before = _rows_state(self.cache)
+        moved = (len(self.cache), self.cache.total_appended) != self.staged_at
+        try:
+            append(self.cache, staged)
+        except CacheError:
+            assert _rows_state(self.cache) == before
+            return
+        assert not moved
+        assert _row(self.cache.entries[-1]) == _row(self.staged_row)
 
     @rule(shrink=st.integers(min_value=0, max_value=6))
     def compress(self, shrink):

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 from cask.bridge import bridge_run
 from cask.cache import (
     DECODE,
+    PREFIX,
     CacheError,
     CacheState,
     KVEntry,
@@ -74,7 +75,7 @@ def test_forward_step_deterministic(params):
     for tok in (1, 2, 3):
         out = forward_step(params, cache, tok)
         accumulate_mass(cache, out)
-        append(cache, out.new_entry)
+        append(cache, out.staged)
     a = forward_step(params, cache, 5)
     b = forward_step(params, cache, 5)
     assert np.array_equal(a.distribution, b.distribution)
@@ -90,9 +91,9 @@ def test_forward_step_rejects_dimension_mismatch(params):
     for dims in ((32, 8, 1),                    # model_dim mismatch
                  (32, 16, 2)):                  # layer-count mismatch
         cache = CacheState(budget=4)
-        out = forward_step(init_model(0, *dims), CacheState(budget=4), 1)
-        append(cache, KVEntry(key=out.new_entry.key,
-                              value=out.new_entry.value, position=0))
+        row = forward_step(init_model(0, *dims), CacheState(budget=4),
+                           1).staged.entry()
+        append(cache, KVEntry(key=row.key, value=row.value, position=0))
         with pytest.raises(ValueError, match=r"shape \(1, 16\)"):
             forward_step(params, cache, 1)
 
@@ -110,7 +111,8 @@ def test_append_rejects_a_ragged_cache():
 
 
 def _restack_forward_step(params, cache, token, origin=DECODE):
-    """Reference forward pass that re-stacks the cache once per layer."""
+    """Reference forward pass that re-stacks the cache once per layer;
+    returns the distribution, the token's entry and the attention weights."""
     L, d = params.num_layers, params.model_dim
     n = len(cache.entries)
     h = params.embedding[token]
@@ -140,8 +142,13 @@ def _restack_forward_step(params, cache, token, origin=DECODE):
     entry = KVEntry(key=new_keys, value=new_values,
                     position=cache.total_appended, origin=origin,
                     score_mass=float(weights[:, -1].mean()))
-    return StepOutput(distribution=dist, new_entry=entry,
-                      attention_weights=weights)
+    return dist, entry, weights
+
+
+def _row_state(entry):
+    return (entry.key.shape, entry.key.tobytes(), entry.value.tobytes(),
+            entry.position, entry.origin, entry.score_mass, entry.group_mass,
+            entry.protected, entry.members)
 
 
 @pytest.mark.parametrize("num_layers", [1, 3])
@@ -158,22 +165,112 @@ def test_forward_step_matches_per_layer_restack(num_layers, n):
             position=3 * i, score_mass=float(rng.random()),
             group_mass=1.0 if members == 1 else float(rng.uniform(0.1, 4.0)),
             members=tuple(range(3 * i, 3 * i + members))))
-    for token in (0, 17, 31):
-        new = forward_step(params, cache, token)
-        old = _restack_forward_step(params, cache, token)
-        for a, b in ((new.distribution, old.distribution),
-                     (new.attention_weights, old.attention_weights),
-                     (new.new_entry.key, old.new_entry.key),
-                     (new.new_entry.value, old.new_entry.value)):
+    for token, origin in ((0, DECODE), (17, PREFIX), (31, DECODE)):
+        live = _entry_state(cache.entries)
+        new = forward_step(params, cache, token, origin)
+        dist, entry, weights = _restack_forward_step(params, cache, token,
+                                                     origin)
+        for a, b in ((new.distribution, dist),
+                     (new.attention_weights, weights)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert new.new_entry.score_mass == old.new_entry.score_mass
-        assert new.new_entry.key.flags.owndata
+        # Every column of the staged row, and nothing live, moved.
+        assert _row_state(new.staged.entry()) == _row_state(entry)
+        assert cache.n == n and _entry_state(cache.entries) == live
+    # The live positions run to 3n - 3 (or past it, counting members), so
+    # from n = 2 on the staged position n is out of order.
+    if n < 2:
+        append(cache, new.staged)
+        assert _row_state(cache.entries[-1]) == _row_state(entry)
+        assert cache.n == n + 1 and cache.total_appended == n + 1
+    else:
+        with pytest.raises(CacheError, match=f"non-monotone position {n} "):
+            append(cache, new.staged)
+        assert cache.n == n and _entry_state(cache.entries) == live
 
 
-def test_decode_builds_one_entry_per_fed_token(params, monkeypatch):
-    # The step reads the cache's buffers in place: the only KVEntry a
-    # decode builds is each fed token's new row.  Forks and mass
-    # accumulation build none.
+def _misuse_nothing_staged(params, cache):
+    out = forward_step(params, cache, 3)
+    append(cache, out.staged)
+    return out.staged, None          # committed once already
+
+
+def _misuse_another_cache(params, cache):
+    other = prefill(params, [1, 2, 3, 4, 5, 6]).cache
+    return forward_step(params, other, 3).staged, forward_step(
+        params, cache, 3).staged
+
+
+def _misuse_a_fork(params, cache):
+    out = forward_step(params, cache, 3)
+    twin = cache.fork()
+    assert twin.n == cache.n
+    with pytest.raises(CacheError, match="no row is staged"):
+        append(twin, out.staged)
+    return forward_step(params, twin, 4).staged, out.staged
+
+
+def _misuse_stale(params, cache):
+    first = forward_step(params, cache, 3)
+    return first.staged, forward_step(params, cache, 4).staged
+
+
+def _misuse_removed_in_between(params, cache):
+    out = forward_step(params, cache, 3)
+    drop(cache, [0])
+    return out.staged, None
+
+
+@pytest.mark.parametrize("misuse", [
+    _misuse_nothing_staged, _misuse_another_cache, _misuse_a_fork,
+    _misuse_stale, _misuse_removed_in_between])
+def test_append_rejects_a_row_that_is_not_staged_here(params, misuse):
+    # Each handle fails where it is committed and leaves the cache, and
+    # the row staged in it, as they were.
+    cache = prefill(params, [1, 2, 3, 4, 5, 6]).cache.fork(budget=32)
+    bad, staged = misuse(params, cache)
+    before = (_cache_state(cache), cache.n)
+    with pytest.raises(CacheError, match="staged"):
+        append(cache, bad)
+    if bad.cache is cache:
+        with pytest.raises(CacheError, match="no longer staged"):
+            bad.entry()
+    assert (_cache_state(cache), cache.n) == before
+    check_invariants(cache)
+    if staged is not None:
+        row = staged.entry()
+        append(cache, staged)
+        assert _row_state(cache.entries[-1]) == _row_state(row)
+        assert cache.n == before[1] + 1
+        check_invariants(cache)
+
+
+@pytest.mark.parametrize("num_layers", [1, 4])
+@pytest.mark.parametrize("seed", range(20))
+def test_step_projections_equal_the_separate_products(seed, num_layers):
+    # Layer 0 reads memoized products, later layers one product against
+    # wq, wk and wv side by side; either must give the bits of the three
+    # separate h @ w products.  A BLAS whose kernels differ fails here.
+    params = init_model(seed, num_layers=num_layers)
+    d = params.model_dim
+    for token in range(params.vocab_size):
+        h = params.embedding[token]
+        for got, w in zip(params.qkv0[token], (params.wq, params.wk,
+                                               params.wv)):
+            assert got.tobytes() == (h @ w[0]).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
+    rng = np.random.default_rng(seed)
+    for l in range(1, num_layers):
+        for h in rng.standard_normal((64, d)):
+            qkv = h @ params.wqkv[l]
+            for i, w in enumerate((params.wq, params.wk, params.wv)):
+                assert qkv[i * d:(i + 1) * d].tobytes() == (h @ w[l]).tobytes()
+
+
+def test_prefill_and_decode_build_no_entry(params, monkeypatch):
+    # The step reads the cache's buffers in place and stages each fed
+    # token's row in the free slot, which append commits: prefill, decode,
+    # forks and mass accumulation build no KVEntry.
     built = []
     post_init = KVEntry.__post_init__
 
@@ -185,18 +282,18 @@ def test_decode_builds_one_entry_per_fed_token(params, monkeypatch):
     prompt = list(make_witness("prompt-heavy-decode-active", 2, 24, 64,
                                0.7).prompt)
     snapshot = prefill(params, prompt)
-    assert built == list(range(len(prompt)))
     for method, forced in (("none", None), ("evict", None),
                            ("evict", [1] * 64)):
-        built.clear()
         run = decode(params, snapshot, 64, make_policy(method, 16), forced)
-        assert built == list(range(len(prompt), len(prompt) + 64))
+        assert len(run.tokens) == 64
     out = forward_step(params, run.cache, 3)
-    built.clear()
     accumulate_mass(run.cache, out)
+    append(run.cache, out.staged)
     run.cache.fork()
     snapshot.cache.fork(budget=4)
     assert built == []
+    assert snapshot.cache.total_appended == len(prompt)
+    assert run.cache.total_appended == len(prompt) + 65
 
 
 def test_noop_compression_keeps_distributions_identical(params):
@@ -206,12 +303,12 @@ def test_noop_compression_keeps_distributions_identical(params):
     for tok in prompt:
         out = forward_step(params, full, tok)
         accumulate_mass(full, out)
-        append(full, out.new_entry)
+        append(full, out.staged)
     compressed = CacheState(budget=64)
     for tok in prompt:
         out = forward_step(params, compressed, tok)
         accumulate_mass(compressed, out)
-        append(compressed, out.new_entry)
+        append(compressed, out.staged)
     cask_compress(compressed, CaskConfig(merge_epsilon=0.0), budget=64)
     a = forward_step(params, full, 11)
     b = forward_step(params, compressed, 11)
@@ -230,7 +327,7 @@ def test_distribution_and_weights_normalized(seed):
         assert np.all(out.attention_weights >= 0)
         assert np.allclose(out.attention_weights.sum(axis=1), 1.0, atol=1e-9)
         accumulate_mass(cache, out)
-        append(cache, out.new_entry)
+        append(cache, out.staged)
     assert all(e.score_mass >= 0 for e in cache.entries)
 
 
@@ -256,7 +353,7 @@ def test_generate_reference_matches_manual_replay(params):
     for tok in prompt + ref.tokens:
         out = forward_step(params, cache, tok)
         accumulate_mass(cache, out)
-        append(cache, out.new_entry)
+        append(cache, out.staged)
         seen.append(out.distribution)
     for t in range(6):
         assert np.array_equal(ref.distributions[t], seen[len(prompt) - 1 + t])
@@ -491,12 +588,12 @@ def test_layer_means_equal_ndarray_mean(num_layers, n, data):
     for i in range(n):
         append(cache, KVEntry(key=key, value=key, position=i))
     accumulate_mass(cache, StepOutput(distribution=np.ones(1),
-                                      new_entry=entry,
+                                      staged=None,
                                       attention_weights=weights))
     expected = weights[:, :-1].mean(axis=0)
     assert [e.score_mass for e in cache.entries] == expected.tolist()
 
     params = init_model(data.draw(st.integers(0, 99)), 16, 16, num_layers)
     out = forward_step(params, cache, data.draw(st.integers(0, 15)))
-    assert out.new_entry.score_mass == float(
+    assert out.staged.entry().score_mass == float(
         out.attention_weights[:, -1].mean())

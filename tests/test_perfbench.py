@@ -50,3 +50,35 @@ def test_traced_fires_equal_row_decode_events(tmp_path):
             shared += len(before_fork.cache.compression_events)
     assert shared > 0
     assert fired == sum(r["decode_events"] for r in rows) - shared
+
+
+def test_every_fed_token_takes_one_step_one_mass_add_and_one_append(
+        tmp_path):
+    # A step path that bypassed the timed functions would read as a
+    # speedup.  Fed tokens, counted from the spec and the rows: each
+    # reference prefills its prompt and decodes T steps, each cell but
+    # `none` (the reference itself) replays T steps, and its bridge run
+    # decodes the T - t steps after its fork at step t.
+    spec = SweepSpec(
+        witnesses=[WitnessSpec(kind, 1, 16, 24, 0.7) for kind in
+                   ("prompt-heavy-decode-active", "short-prompt-reasoning")],
+        methods=["cask", "evict", "none"], budgets=[12, 24],
+        out_dir=str(tmp_path), seed=0)
+    with tracer.Tracer(cask) as traced:
+        rows = run_sweep(spec)
+    calls = dict(zip(traced.names, traced.calls))
+
+    fed = 0
+    for wspec in spec.witnesses:
+        witness = wspec.materialize(spec.vocab_size)
+        T = witness.decode_len
+        fed += len(witness.prompt) + T
+        for r in rows:
+            if (r["witness"] == witness.name and r["kind"] == "replay"
+                    and r["method"] != "none"):
+                mismatch = r["first_mismatch"]
+                fed += T + (0 if mismatch is None else T - (mismatch - 1))
+    assert fed > 0
+    assert calls["model.forward_step"] == fed
+    assert calls["model.accumulate_mass"] == fed
+    assert calls["cache.append"] == fed
