@@ -291,6 +291,28 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
         check_invariants(cache)
 
 
+@pytest.mark.parametrize("members, message", [
+    # Malformed members at entry 0, an overlap at the later entry 3.
+    ({0: (1, 2), 2: (2, 3)},
+     "entry at position 0 has members \\(1, 2\\); they must start at 0"),
+    # Entry 2's members are malformed and cover 1 and 2, already covered.
+    ({0: (0, 2), 2: (2, 1)},
+     "entry at position 2 has members \\(2, 1\\); they must start at 2"),
+    # An overlap at entry 1 comes before the malformed members of entry 3.
+    ({0: (0, 1), 3: (4,)}, "entry at position 1 covers \\[1\\], already "
+                           "covered"),
+])
+def test_check_invariants_names_the_first_of_two_broken_entries(members,
+                                                                message):
+    # In position order the first broken entry is named; at one entry the
+    # members check comes before the overlap check.
+    cache = fill_cache([[float(i), 0.0] for i in range(5)], budget=5)
+    cache.members.update(members)
+    cache.evicted_tokens -= sum(len(m) - 1 for m in members.values())
+    with pytest.raises(CacheError, match=f"^{message}"):
+        check_invariants(cache)
+
+
 # --- model-based: every cache mutation, in any order -------------------------
 
 # Three L=2 keys, so exact repeats (and hence folds) are common.
