@@ -187,7 +187,7 @@ class CacheState:
     def entries(self) -> list[KVEntry]:
         """The live rows as :class:`KVEntry` copies; writing them does not
         write the cache."""
-        return [self.entry_at(p) for p in self.position.tolist()]
+        return [self._entry(row) for row in range(self.n)]
 
     def fork(self, budget: int | None = None) -> "CacheState":
         """An independent copy that a decode can continue on, under
@@ -466,43 +466,30 @@ def check_invariants(cache: CacheState) -> None:
     if len(set(rows.values())) != 1 or rows["keys and values"] < n:
         raise CacheError(f"buffers disagree with {n} live rows: rows per "
                          f"buffer {rows}")
-    positions = cache.position
-    stray = sorted(set(cache.members) - set(positions.tolist()))
+    positions = cache.position.tolist()
+    stray = sorted(set(cache.members) - set(positions))
     if stray:
         raise CacheError(f"members are recorded for position {stray[0]}, "
                          f"which holds no live entry")
-    bad = np.flatnonzero(positions[1:] <= positions[:-1])
-    if bad.size:
-        i = bad[0]
-        raise CacheError(f"position {positions[i + 1]} follows {positions[i]}")
-    folded = sorted(cache.members.items())
-    live = n + sum(len(m) - 1 for _, m in folded)
+    for a, b in zip(positions, positions[1:]):
+        if b <= a:
+            raise CacheError(f"position {b} follows {a}")
+    live = n + sum(len(m) - 1 for m in cache.members.values())
     if live + cache.evicted_tokens != cache.total_appended:
         raise CacheError(
             f"{live} live members + {cache.evicted_tokens} evicted tokens != "
             f"{cache.total_appended} appended")
-    # The first entry, in position order, whose members are malformed or
-    # cover a position an earlier entry covers; at one entry the members
-    # check comes first.
-    broken = [(p, 0, f"entry at position {p} has members {m}; they must "
-                     f"start at {p} and strictly increase")
-              for p, m in folded
-              if m[0] != p or any(b <= a for a, b in zip(m, m[1:]))]
-    covered = np.concatenate([positions, *(np.array(m[1:], dtype=np.int64)
-                                           for _, m in folded)])
-    owners = np.concatenate([positions, *(np.full(len(m) - 1, p)
-                                          for p, m in folded)])
-    order = np.lexsort((owners, covered))
-    covered, owners = covered[order], owners[order]
-    again = np.flatnonzero((covered[1:] == covered[:-1])
-                           & (owners[1:] != owners[:-1])) + 1
-    if again.size:
-        first = owners[again].min()
-        shared = covered[again[owners[again] == first]].tolist()
-        broken.append((first, 1, f"entry at position {first} covers "
-                                 f"{shared}, already covered"))
-    if broken:
-        raise CacheError(min(broken)[2])
+    covered: set[int] = set()
+    for p in positions:
+        m = cache.members.get(p, (p,))
+        if m[0] != p or any(b <= a for a, b in zip(m, m[1:])):
+            raise CacheError(f"entry at position {p} has members {m}; they "
+                             f"must start at {p} and strictly increase")
+        shared = covered.intersection(m)
+        if shared:
+            raise CacheError(f"entry at position {p} covers "
+                             f"{sorted(shared)}, already covered")
+        covered.update(m)
     if n > cache.budget and not cache.core_overflow:
         raise CacheError(f"{n} entries exceed budget "
                          f"{cache.budget} without core overflow")

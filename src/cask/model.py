@@ -26,10 +26,10 @@ cache keeps keys and values as ``(L, capacity, d)`` buffers (see
 :mod:`cask.cache`); :func:`forward_step` writes the new token's keys and
 values into the free slot ``n``, layer ``l`` attends over
 ``keys[l, :n + 1]`` and ``values[l, :n + 1]`` with the log group masses of
-the same rows, and the step stages the whole row there.  The policy's
-append commits it without copying it.  :func:`accumulate_mass` adds the
-step's layer-mean attention onto the ``score_mass`` column in one vector
-add.
+the same rows, and the step stages the whole row there.  The decode loop
+commits it without copying it, and only then does the policy compress.
+:func:`accumulate_mass` adds the step's layer-mean attention onto the
+``score_mass`` column in one vector add.
 
 Layer 0's input is the token's embedding alone, so its query, key and value
 are taken once per token by :class:`ModelParams`; later layers take all three
@@ -49,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import DECODE, PREFIX, CacheState, KVEntry, StagedRow, append
+from .cache import DECODE, PREFIX, CacheState, StagedRow, append
 
 WITNESS_KINDS = (
     "short-prompt-reasoning",
@@ -128,9 +128,9 @@ def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
 @dataclass
 class StepOutput:
     """One forward pass: next-token distribution, the handle of the token's
-    row staged in the cache (commit it with :func:`cask.cache.append`), and
-    per-layer attention weights over the entries present at call time plus
-    the new position (last column)."""
+    row staged in the cache (prefill and the decode loop commit it with
+    :func:`cask.cache.append`), and per-layer attention weights over the
+    entries present at call time plus the new position (last column)."""
 
     distribution: np.ndarray       # (V,)
     staged: StagedRow
@@ -194,7 +194,11 @@ def accumulate_mass(cache: CacheState, output: StepOutput) -> None:
 
 
 class NoCompressionPolicy:
-    """Full-KV pipeline: appends everything, never compresses."""
+    """Full-KV pipeline: never compresses.
+
+    A policy compresses the cache at two points of a decode: once after
+    prefill (``after_prefill``) and after each decode token's row is
+    appended (``after_append``).  It never appends rows itself."""
 
     method = METHOD_NONE
     budget: int | None = None
@@ -202,9 +206,8 @@ class NoCompressionPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         pass
 
-    def force_append(self, cache: CacheState,
-                     entry: KVEntry | StagedRow) -> None:
-        append(cache, entry)
+    def after_append(self, cache: CacheState) -> None:
+        pass
 
 
 def run_prefill(params: ModelParams, cache: CacheState, prompt) -> np.ndarray:
@@ -270,9 +273,9 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
     """Feed tokens into ``cache`` from step ``len(tokens)`` to step
     ``steps``, ``dist`` being the distribution in hand.  Each step records
     the distribution and the live cache size, then feeds ``forced[t]`` or
-    else the greedy argmax (ties go to the lowest id) through the policy's
-    append path.  Returns the ``(steps, V)`` distributions and ``(steps,)``
-    sizes (rows before ``len(tokens)`` are left unset) and the
+    else the greedy argmax (ties go to the lowest id), appends its row and
+    lets the policy compress.  Returns the ``(steps, V)`` distributions and
+    ``(steps,)`` sizes (rows before ``len(tokens)`` are left unset) and the
     ``DecodeRun.fork`` of a forced run."""
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)
@@ -288,7 +291,8 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
         tokens.append(tok)
         out = forward_step(params, cache, tok, origin=DECODE)
         accumulate_mass(cache, out)
-        policy.force_append(cache, out.staged)
+        append(cache, out.staged)
+        policy.after_append(cache)
         dist = out.distribution
     return dists, sizes, fork
 
@@ -300,8 +304,11 @@ def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
     The run starts from a fork of ``snapshot``, on which the policy's
     ``after_prefill`` runs first.  It feeds ``forced`` (teacher forcing) or
     else the greedy argmax; a forced run keeps the fork its greedy run
-    continues from (:func:`greedy_branch`).
+    continues from (:func:`greedy_branch`).  ``forced`` needs a token for
+    each step, and tokens past ``steps`` are not fed.
     """
+    if forced is not None and len(forced) < steps:
+        raise ValueError(f"forced has {len(forced)} tokens for {steps} steps")
     budget = policy.budget
     if budget is None:
         budget = len(snapshot.prompt) + steps + 1

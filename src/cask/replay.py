@@ -4,7 +4,7 @@ A replay prefils the prompt through the policy pipeline, then walks the
 reference continuation token by token: at each step the candidate's
 next-token distribution (produced before the reference token enters the
 cache) is scored against the reference token, and the token is then forced
-into the cache through the policy's step path.
+into the cache, after which the policy compresses it.
 """
 
 from __future__ import annotations
@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import (
-    CacheState,
-    KVEntry,
-    StagedRow,
-    append,
-    terminal_saved_ratio,
-)
+from .cache import CacheState, terminal_saved_ratio
 from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     METHOD_NONE,
     DecodeRun,
@@ -50,9 +44,7 @@ class EvictionPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         evict_baseline(cache, self.budget)
 
-    def force_append(self, cache: CacheState,
-                     entry: KVEntry | StagedRow) -> None:
-        append(cache, entry)
+    def after_append(self, cache: CacheState) -> None:
         if cache.n > self.budget:
             evict_baseline(cache, self.budget)
 
@@ -73,9 +65,8 @@ class CaskPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         stage1_prefix_evict(cache, self.stage_config)
 
-    def force_append(self, cache: CacheState,
-                     entry: KVEntry | StagedRow) -> None:
-        stage2_step(cache, entry, self.cask_config, self.stage_config)
+    def after_append(self, cache: CacheState) -> None:
+        stage2_step(cache, self.cask_config, self.stage_config)
 
 
 def make_policy(method: str, budget: int | None = None):

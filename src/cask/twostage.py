@@ -12,7 +12,7 @@ from math import floor
 
 import numpy as np
 
-from .cache import PREFIX, CacheState, KVEntry, StagedRow, append, evict
+from .cache import PREFIX, CacheState, evict
 from .policies import (
     CaskConfig,
     CompressOutcome,
@@ -74,15 +74,13 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     return exhausted
 
 
-def stage2_step(cache: CacheState, new_entry: KVEntry | StagedRow,
-                cask_config: CaskConfig,
+def stage2_step(cache: CacheState, cask_config: CaskConfig,
                 stage_config: StageConfig) -> CompressOutcome:
-    """Append a decode entry and consolidate when the budget overflows.
+    """Consolidate once a decode entry's append overflows the budget.
 
     Prefix entries are never merge candidates (core detection and grouping
     only see decode entries); core overflow propagates as a cache flag.
     """
-    append(cache, new_entry)
     if cache.n > stage_config.budget:
         return cask_compress(cache, cask_config, stage_config.budget)
     return CompressOutcome()

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +69,21 @@ def test_total_appended_survives_compression():
     evict(cache, {3, 4, 5})
     assert cache.total_appended == 10
     assert len(cache.entries) == 7
+
+
+def test_only_the_model_imports_the_row_commit():
+    # Rows enter the cache in model.run_prefill and the decode loop alone;
+    # policies and stages only compress.
+    importers = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "cask").glob(
+            "*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and {
+                    alias.name for alias in node.names} & {"append",
+                                                          "StagedRow"}:
+                importers.add(path.name)
+    assert "model.py" in importers
+    assert importers <= {"cache.py", "model.py"}
 
 
 def test_evict_empty_set_is_noop():

@@ -417,6 +417,21 @@ def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
     assert _cache_state(cache_a) == _cache_state(cache_b)
 
 
+def test_decode_rejects_a_forced_sequence_shorter_than_steps(params,
+                                                            monkeypatch):
+    ref = generate_reference(params, [1, 2, 3], 5)
+    # A longer sequence is fed up to the step count.
+    assert decode(params, ref.snapshot, 3, make_policy("none"),
+                  forced=ref.tokens).tokens == ref.tokens[:3]
+    steps = []
+    monkeypatch.setattr("cask.model.forward_step",
+                        lambda *args, **kwargs: steps.append(args))
+    with pytest.raises(ValueError, match="forced has 4 tokens for 5 steps"):
+        decode(params, ref.snapshot, 5, make_policy("none"),
+               forced=ref.tokens[:4])
+    assert steps == []
+
+
 def test_greedy_branch_equals_independent_bridge_run():
     # Decode-active and prefix-dominant witnesses at L = 1 and 2, cask and
     # evict, budget 4 being below cask's protected core.  Every shifted

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cask.cache import check_invariants
-from cask.model import generate_reference, init_model, make_witness
+from cask.cache import check_invariants, drop
+from cask.model import decode, generate_reference, init_model, make_witness
+from cask.policies import keep_order
 from cask.replay import (
     FidelitySummary,
     ReplayRecord,
@@ -242,6 +243,48 @@ def test_make_policy_rejects_unknown_method():
         make_policy("cask")  # needs a budget
 
 
+def _run_state(run):
+    cache = run.cache
+    rows = [(e.position, e.origin, e.score_mass, e.group_mass, e.protected,
+             e.members, e.key.tobytes(), e.value.tobytes())
+            for e in cache.entries]
+    return (run.tokens, run.distributions.tobytes(), run.cache_sizes.tolist(),
+            rows, cache.total_appended, cache.evicted_tokens,
+            cache.compression_events)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_policy_written_against_the_protocol_equals_eviction(params, forced):
+    # A policy only compresses: after prefill and after each decode row is
+    # appended.  This one evicts by score mass with the cache's own
+    # primitives, as EvictionPolicy does.
+    class LowestMassEviction:
+        method = "lowest-mass"
+
+        def __init__(self, budget):
+            self.budget = budget
+
+        def after_prefill(self, cache):
+            self.after_append(cache)
+
+        def after_append(self, cache):
+            if cache.n > self.budget:
+                drop(cache, keep_order(cache, np.arange(cache.n))[self.budget:])
+
+    for witness in (make_witness("prompt-heavy-decode-active", 0, 32, 48, 0.8),
+                    make_witness("prompt-heavy-prefix-dominant", 1, 48, 16,
+                                 0.2)):
+        ref = generate_reference(params, list(witness.prompt),
+                                 witness.decode_len)
+        for budget in (12, 40):
+            runs = [decode(params, ref.snapshot, witness.decode_len, policy,
+                           forced=ref.tokens if forced else None)
+                    for policy in (LowestMassEviction(budget),
+                                   make_policy("evict", budget))]
+            assert _run_state(runs[0]) == _run_state(runs[1])
+            assert runs[0].cache.evicted_tokens > 0
+
+
 def test_multi_layer_pipeline_end_to_end():
     params = init_model(2, vocab_size=24, model_dim=12, num_layers=3)
     w = make_witness("prompt-heavy-decode-active", 4, prefix_len=16,
@@ -271,8 +314,8 @@ class CheckedPolicy:
         self.policy.after_prefill(cache)
         check_invariants(cache)
 
-    def force_append(self, cache, entry):
-        self.policy.force_append(cache, entry)
+    def after_append(self, cache):
+        self.policy.after_append(cache)
         check_invariants(cache)
         self.checks += 1
         self.max_members = max(self.max_members,

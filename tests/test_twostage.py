@@ -99,9 +99,8 @@ def test_stage2_below_budget_no_events(rng):
     cache = prefix_cache(4)
     stage_cfg = StageConfig(budget=32)
     for i in range(8):
-        out = stage2_step(cache, make_entry(4 + i, rng.standard_normal(2),
-                                            origin=DECODE),
-                          CaskConfig(), stage_cfg)
+        append(cache, make_entry(4 + i, rng.standard_normal(2), origin=DECODE))
+        out = stage2_step(cache, CaskConfig(), stage_cfg)
         assert not out.fired
     flags = finalize_flags(cache, stage_cfg)
     assert flags.decode_events == 0
@@ -114,9 +113,8 @@ def test_stage2_overflow_consolidates(rng):
     stage_cfg = StageConfig(budget=12, min_decode_slack=0)
     key = rng.standard_normal(2)
     for i in range(20):
-        stage2_step(cache, make_entry(4 + i, key, origin=DECODE,
-                                      score_mass=0.5),
-                    CaskConfig(recency_window=3), stage_cfg)
+        append(cache, make_entry(4 + i, key, origin=DECODE, score_mass=0.5))
+        stage2_step(cache, CaskConfig(recency_window=3), stage_cfg)
         assert len(cache.entries) <= 12
     flags = finalize_flags(cache, stage_cfg)
     assert flags.decode_events >= 1
@@ -130,9 +128,8 @@ def test_stage2_never_merges_prefix_entries(rng):
     stage_cfg = StageConfig(budget=10, min_decode_slack=0)
     key = rng.standard_normal(2)
     for i in range(16):
-        stage2_step(cache, make_entry(6 + i, key, origin=DECODE,
-                                      score_mass=0.5),
-                    CaskConfig(recency_window=2), stage_cfg)
+        append(cache, make_entry(6 + i, key, origin=DECODE, score_mass=0.5))
+        stage2_step(cache, CaskConfig(recency_window=2), stage_cfg)
     for e in cache.entries:
         if e.member_count > 1:
             assert not (set(e.members) & prefix_positions)
@@ -141,10 +138,12 @@ def test_stage2_never_merges_prefix_entries(rng):
 def test_decode_events_equal_consolidate_event_count(rng):
     cache = prefix_cache(4)
     stage_cfg = StageConfig(budget=10, min_decode_slack=0)
-    outcomes = [stage2_step(cache, make_entry(4 + i, rng.standard_normal(2),
-                                              origin=DECODE, score_mass=0.5),
-                            CaskConfig(recency_window=2), stage_cfg)
-                for i in range(14)]
+    outcomes = []
+    for i in range(14):
+        append(cache, make_entry(4 + i, rng.standard_normal(2), origin=DECODE,
+                                 score_mass=0.5))
+        outcomes.append(stage2_step(cache, CaskConfig(recency_window=2),
+                                    stage_cfg))
     fired = [out for out in outcomes if out.fired]
     assert fired
     assert cache.compression_events == fired
