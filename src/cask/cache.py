@@ -10,16 +10,14 @@ buffers of one common capacity that doubles when a row does not fit:
   merge) apply uniformly across layers.  ``keys[l, :n + 1]`` is
   C-contiguous, and row ``n`` is the free slot the model step writes the
   next token into (:meth:`CacheState.slot`);
-- one column each for ``position`` (int64), ``origin`` (:data:`PREFIX` or
-  :data:`DECODE`), ``score_mass``, ``group_mass`` (float64) and
-  ``protected`` (bool);
+- one column each for ``position`` (int64), ``is_decode`` (bool: the row
+  came from a decode step, not the prompt), ``score_mass``, ``group_mass``
+  (float64) and ``protected`` (bool);
 - ``members``, the covered positions of folded rows only, keyed by the
   row's position; every other row covers its own position alone.
 
-The properties of the same names are views of the live rows; writing them
-writes the cache.  One row leaves by shifting the rows after it down a
-slot, several by mask compaction, and a position is found by binary
-search.
+One row leaves by shifting the rows after it down a slot, several by mask
+compaction, and a position is found by binary search.
 
 A row enters in one of two ways.  The model step writes a token's whole
 row into the free slot and stages it (:meth:`CacheState.stage`), and
@@ -117,9 +115,10 @@ class StagedRow:
 
 
 # The per-row columns, each a 1-D buffer of the cache's capacity, and their
-# dtypes; each is also a KVEntry field.
-_COLUMNS = {"position": np.int64, "origin": "<U6", "score_mass": np.float64,
-            "group_mass": np.float64, "protected": np.bool_}
+# dtypes.  Each is a KVEntry field but is_decode, which is origin == DECODE.
+_COLUMNS = {"position": np.int64, "is_decode": np.bool_,
+            "score_mass": np.float64, "group_mass": np.float64,
+            "protected": np.bool_}
 
 
 class CacheState:
@@ -130,6 +129,9 @@ class CacheState:
     ``row_shape`` is the shape of one entry's key, ``(L, d)`` or ``(d,)``
     (stored as ``L = 1``); it is None until a row arrives.  ``_staged`` is
     the :class:`StagedRow` in the free slot, if any.
+
+    ``keys``, ``position``, ``is_decode``, ``score_mass`` and ``protected``
+    are views of the live rows; writing them writes the cache.
     """
 
     def __init__(self, budget: int):
@@ -159,25 +161,16 @@ class CacheState:
         return self._kv[0, :, :self.n]
 
     @property
-    def values(self) -> np.ndarray:
-        """``(L, n, d)`` view of the live values."""
-        return self._kv[1, :, :self.n]
-
-    @property
     def position(self) -> np.ndarray:
         return self._columns["position"][:self.n]
 
     @property
-    def origin(self) -> np.ndarray:
-        return self._columns["origin"][:self.n]
+    def is_decode(self) -> np.ndarray:
+        return self._columns["is_decode"][:self.n]
 
     @property
     def score_mass(self) -> np.ndarray:
         return self._columns["score_mass"][:self.n]
-
-    @property
-    def group_mass(self) -> np.ndarray:
-        return self._columns["group_mass"][:self.n]
 
     @property
     def protected(self) -> np.ndarray:
@@ -222,8 +215,8 @@ class CacheState:
         return KVEntry(
             key=self._kv[0, :, row].reshape(self.row_shape).copy(),
             value=self._kv[1, :, row].reshape(self.row_shape).copy(),
-            position=position, origin=str(c["origin"][row]),
-            score_mass=float(c["score_mass"][row]),
+            position=position, score_mass=float(c["score_mass"][row]),
+            origin=DECODE if c["is_decode"][row] else PREFIX,
             group_mass=float(c["group_mass"][row]),
             protected=bool(c["protected"][row]),
             members=members.get(position, (position,)))
@@ -243,9 +236,8 @@ class CacheState:
         set to 1.
 
         Makes room for the slot first: an empty cache takes any row shape,
-        and a full one doubles its capacity.  A row staged before is
-        stale, since the caller writes the slot."""
-        self._staged = None
+        and a full one doubles its capacity.  Unless it refuses the shape,
+        a row staged before is stale, since the caller writes the slot."""
         if row_shape != self.row_shape:
             if self.n:
                 raise CacheError(f"entry shape {row_shape} does not match "
@@ -254,6 +246,7 @@ class CacheState:
             self._resize(_FIRST_CAPACITY)
         elif self.n == len(self._columns["position"]):
             self._resize(max(2 * self.n, _FIRST_CAPACITY))
+        self._staged = None
         end = self.n + 1
         group_mass = self._columns["group_mass"][:end]
         group_mass[-1] = 1.0
@@ -268,7 +261,7 @@ class CacheState:
             raise CacheError(f"unknown origin {origin!r}")
         n, c = self.n, self._columns
         c["position"][n] = self.total_appended
-        c["origin"][n] = origin
+        c["is_decode"][n] = origin == DECODE
         c["score_mass"][n] = score_mass
         c["protected"][n] = False
         self._staged = staged = StagedRow(self)
@@ -306,8 +299,9 @@ class CacheState:
         """Store ``entry`` in ``row``, which must exist."""
         self._kv[0, :, row] = entry.key
         self._kv[1, :, row] = entry.value
-        for name in _COLUMNS:
-            self._columns[name][row] = getattr(entry, name)
+        for name, col in self._columns.items():
+            col[row] = (entry.origin == DECODE if name == "is_decode"
+                        else getattr(entry, name))
         if entry.members != (entry.position,):
             self.members[entry.position] = entry.members
 

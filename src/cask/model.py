@@ -160,10 +160,6 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
     L, d = params.num_layers, params.model_dim
     n = cache.n
-    if n and cache.row_shape != (L, d):
-        raise ValueError(f"cache entries must have shape {(L, d)}, the "
-                         f"model's (num_layers, model_dim), not "
-                         f"{cache.row_shape}")
     keys, values, group_mass = cache.slot((L, d))
     log_mass = np.log(group_mass)
     h = params.embedding[token]

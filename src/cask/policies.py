@@ -144,7 +144,7 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     """
     if not cache.n:
         raise ValueError("cache is empty")
-    decode = (cache.origin == DECODE).nonzero()[0]
+    decode = cache.is_decode.nonzero()[0]
     _check_score_mass(cache, decode)
     protected = cache.protected
     protected[:] = False
@@ -212,7 +212,7 @@ def form_merge_groups(cache: CacheState,
     batched call.  Admitting the first one within ``merge_epsilon`` is the
     choice a one-by-one scan makes.
     """
-    candidates = ((cache.origin == DECODE) & ~cache.protected).nonzero()[0]
+    candidates = (cache.is_decode & ~cache.protected).nonzero()[0]
     c = candidates.size
     if c < 2:
         return []

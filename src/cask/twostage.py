@@ -12,7 +12,7 @@ from math import floor
 
 import numpy as np
 
-from .cache import PREFIX, CacheState, evict
+from .cache import CacheState, evict
 from .policies import (
     CaskConfig,
     CompressOutcome,
@@ -62,13 +62,13 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     stored on the cache.  A NaN, infinite or negative prefix score mass
     raises ``ValueError`` naming its position before anything is evicted.
     """
-    prefix = (cache.origin == PREFIX).nonzero()[0]
+    prefix = (~cache.is_decode).nonzero()[0]
     cap = floor(config.prefix_fraction * config.budget)
     if prefix.size > cap:
         _check_score_mass(cache, prefix)
         target = max(cap, config.min_prefix_keep)
         evict(cache, cache.position[keep_order(cache, prefix)[target:]])
-    prefix_after = int(np.count_nonzero(cache.origin == PREFIX))
+    prefix_after = cache.n - int(np.count_nonzero(cache.is_decode))
     exhausted = (config.budget - prefix_after) < config.min_decode_slack
     cache.prefix_budget_exhausted = exhausted
     return exhausted

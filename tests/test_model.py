@@ -98,6 +98,18 @@ def test_forward_step_rejects_dimension_mismatch(params):
             forward_step(params, cache, 1)
 
 
+def test_a_step_of_another_width_leaves_the_staged_row(params):
+    # The shape check runs before the free slot is handed out again, so the
+    # row staged before the rejected step can still be committed.
+    cache = CacheState(budget=4)
+    append(cache, forward_step(params, cache, 1).staged)
+    staged = forward_step(params, cache, 2).staged
+    with pytest.raises(ValueError, match=r"shape \(1, 8\)"):
+        forward_step(init_model(0, 32, 8, 1), cache, 3)
+    append(cache, staged)
+    assert cache.n == cache.total_appended == 2
+
+
 def test_append_rejects_a_ragged_cache():
     # A row of another width fails where it is appended, not one step later.
     cache = CacheState(budget=4)
@@ -385,6 +397,7 @@ def test_prefill_fork_isolation(params):
     assert not np.shares_memory(a.keys, snap.cache.keys)
     a.score_mass[0] += 1.0
     a.protected[1] = True
+    a.is_decode[0] = True
     a.keys[0, 3] = 0.0
     drop(a, [2])
     append(a, KVEntry(key=np.zeros((1, 16)), value=np.zeros((1, 16)),
