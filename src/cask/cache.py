@@ -128,7 +128,9 @@ class CacheState:
     that fired, in order; prefill trimming and baseline eviction add none.
     ``row_shape`` is the shape of one entry's key, ``(L, d)`` or ``(d,)``
     (stored as ``L = 1``); it is None until a row arrives.  ``_staged`` is
-    the :class:`StagedRow` in the free slot, if any.
+    the :class:`StagedRow` in the free slot, if any.  ``weighted`` is set
+    once a row of group mass other than 1 is written and never cleared, so
+    while it is False every live group mass is 1.
 
     ``keys``, ``position``, ``is_decode``, ``score_mass`` and ``protected``
     are views of the live rows; writing them writes the cache.
@@ -143,6 +145,7 @@ class CacheState:
         self.compression_events: list[CompressOutcome] = []
         self.prefix_budget_exhausted = False
         self.core_overflow = False
+        self.weighted = False
         self.n = 0
         self.row_shape: tuple[int, ...] | None = None
         self.members: dict[int, tuple[int, ...]] = {}
@@ -296,7 +299,10 @@ class CacheState:
                              f"{self.row_shape}")
 
     def _write(self, row: int, entry: KVEntry) -> None:
-        """Store ``entry`` in ``row``, which must exist."""
+        """Store ``entry`` in ``row``, which must exist; the only way a
+        group mass other than 1 enters the cache."""
+        if entry.group_mass != 1.0:
+            self.weighted = True
         self._kv[0, :, row] = entry.key
         self._kv[1, :, row] = entry.value
         for name, col in self._columns.items():
@@ -312,11 +318,8 @@ class CacheState:
 
         One row leaves by moving the rows after it down one slot, one slice
         copy per buffer; several leave by mask compaction.  Nearly every
-        removal is of one row: in one seed-0 pass of each benchmark workload,
-        4,125 of frontier's 4,222 removals, 1,992 of long-decode's 1,994,
-        5,082 of consolidate's 5,596 and 74 of prefix-heavy's 82 (a baseline
-        or consolidation step over budget by one evicts one row, and a fold
-        of two members removes one).
+        removal is of one row: a baseline or consolidation step over budget
+        by one evicts one row, and a fold of two members removes one.
         """
         self._staged = None
         n, kv, columns = self.n, self._kv, self._columns.values()
@@ -445,7 +448,8 @@ def check_invariants(cache: CacheState) -> None:
     """Raise :class:`CacheError` naming the first broken structural invariant.
 
     Every buffer has the cache's capacity, at least ``n`` rows, and members
-    are recorded only for live positions; positions strictly increase;
+    are recorded only for live positions; a live group mass other than 1
+    is only in a cache marked ``weighted``; positions strictly increase;
     every appended token is live, folded into a live entry or evicted
     (``sum(member_count) + evicted_tokens == total_appended``); each
     entry's members strictly increase from its own position, which
@@ -460,6 +464,12 @@ def check_invariants(cache: CacheState) -> None:
     if len(set(rows.values())) != 1 or rows["keys and values"] < n:
         raise CacheError(f"buffers disagree with {n} live rows: rows per "
                          f"buffer {rows}")
+    if not cache.weighted:
+        heavy = (cache._columns["group_mass"][:n] != 1.0).nonzero()[0]
+        if heavy.size:
+            raise CacheError(f"entry at position {cache.position[heavy[0]]} "
+                             f"has group mass other than 1 in a cache not "
+                             f"marked weighted")
     positions = cache.position.tolist()
     stray = sorted(set(cache.members) - set(positions))
     if stray:

@@ -31,6 +31,15 @@ commits it without copying it, and only then does the policy compress.
 :func:`accumulate_mass` adds the step's layer-mean attention onto the
 ``score_mass`` column in one vector add.
 
+The step scores in place: layer ``l``'s scores are computed into row ``l``
+of the step's attention weights and its softmax overwrites them, so a step
+allocates no temporary per layer.  ``log(group_mass)`` is taken and added
+only in a cache marked ``weighted``, which a fold representative's write
+sets; until then every group mass is 1, and adding log(1) = +0.0 could
+only turn a -0.0 score into +0.0, which the softmax maps to the same bits.
+At ``L = 1`` the layer mean of a column is the column itself, so the
+staged row's score mass and :func:`accumulate_mass` take no reduction.
+
 Layer 0's input is the token's embedding alone, so its query, key and value
 are taken once per token by :class:`ModelParams`; later layers take all three
 in one product against the side-by-side ``(d, 3d)`` weights, which gives
@@ -137,10 +146,14 @@ class StepOutput:
     attention_weights: np.ndarray  # (L, n_cache + 1)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    z = np.exp(x - x.max())
-    z /= z.sum()
-    return z
+def _softmax_in_place(x: np.ndarray) -> np.ndarray:
+    """Overwrite ``x`` with its softmax and return it: ``exp(x - x.max())``
+    over its sum, taken with the ufuncs ``ndarray.max`` and ``sum`` call,
+    so bit for bit the same values."""
+    x -= np.maximum.reduce(x)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x)
+    return x
 
 
 def forward_step(params: ModelParams, cache: CacheState, token: int,
@@ -151,30 +164,45 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     The token's key and value rows are written into the cache's free slot
     ``n`` (:meth:`CacheState.slot`), so each layer attends over
     ``keys[l, :n + 1]``, one C-contiguous operand, without re-stacking the
-    cache.  The row is then staged there (:meth:`CacheState.stage`) with
-    position ``total_appended``, ``origin``, its own layer-mean attention
-    as score mass, group mass 1 and no protection.  The live rows are only
-    read, and ``n`` does not change.
+    cache.  Layer ``l``'s scores are written into row ``l`` of the returned
+    weights and its softmax is taken there.  ``log(group_mass)`` is added
+    only once the cache has held a row of group mass other than 1
+    (:attr:`CacheState.weighted`); before that every log is +0.0, whose
+    add changes no softmax bit.  The row is then staged
+    (:meth:`CacheState.stage`) with position ``total_appended``,
+    ``origin``, its own layer-mean attention as score mass, group mass 1
+    and no protection.  The live rows are only read, and ``n`` does not
+    change.
     """
     if not 0 <= token < params.vocab_size:
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
     L, d = params.num_layers, params.model_dim
     n = cache.n
     keys, values, group_mass = cache.slot((L, d))
-    log_mass = np.log(group_mass)
+    log_mass = np.log(group_mass) if cache.weighted else None
     h = params.embedding[token]
-    q, keys[0, n], values[0, n] = params.qkv0[token]
+    # Indexed rows: unpacking the (3, d) array would iterate it.
+    qkv = params.qkv0[token]
+    q = qkv[0]
+    keys[0, n] = qkv[1]
+    values[0, n] = qkv[2]
     weights = np.empty((L, n + 1))
     sqrt_d = math.sqrt(d)
     for l in range(L):
         if l:
             qkv = h @ params.wqkv[l]
             q, keys[l, n], values[l, n] = qkv[:d], qkv[d:2 * d], qkv[2 * d:]
-        w = _softmax(keys[l] @ q / sqrt_d + log_mass)
-        weights[l] = w
+        w = weights[l]
+        np.matmul(keys[l], q, out=w)
+        w /= sqrt_d
+        if log_mass is not None:
+            w += log_mass
+        _softmax_in_place(w)
         h = h + (w @ values[l]) @ params.wo[l]
-    dist = _softmax(h @ params.unembed)
-    staged = cache.stage(origin, float(weights[:, -1].sum() / L))
+    dist = _softmax_in_place(h @ params.unembed)
+    # The layer mean of the staged column; one layer's is its weight.
+    mass = weights[0, -1] if L == 1 else weights[:, -1].sum() / L
+    staged = cache.stage(origin, float(mass))
     return StepOutput(distribution=dist, staged=staged,
                       attention_weights=weights)
 
@@ -184,9 +212,12 @@ def accumulate_mass(cache: CacheState, output: StepOutput) -> None:
     rows' score mass, in one vector add."""
     if cache.n:
         weights = output.attention_weights
-        # The layer mean as ndarray.mean computes it, bit for bit.
         mass = cache.score_mass
-        mass += weights[:, :-1].sum(axis=0) / len(weights)
+        if len(weights) == 1:
+            mass += weights[0, :-1]
+        else:
+            # The layer mean as ndarray.mean computes it, bit for bit.
+            mass += weights[:, :-1].sum(axis=0) / len(weights)
 
 
 class NoCompressionPolicy:

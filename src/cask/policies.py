@@ -316,7 +316,11 @@ class CompressOutcome:
 
 def keep_order(cache: CacheState, rows: np.ndarray) -> np.ndarray:
     """``rows`` in keep priority: score mass descending, then recency
-    (higher position).  Positions are unique, so the order is total."""
+    (higher position).  Positions are unique, so the order is total.
+
+    For ascending ``rows`` the last in this order is the first lowest
+    score mass, ``rows[argmin(score_mass[rows])]``: an eviction of one
+    row takes it without the sort."""
     return rows[np.lexsort((-cache.position[rows], -cache.score_mass[rows]))]
 
 
@@ -355,8 +359,12 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         outcome.members_folded += len(group)
     if cache.n > budget:
         unprotected = (~cache.protected).nonzero()[0]
-        n_keep = budget - (cache.n - unprotected.size)
-        outcome.evicted = drop(cache, keep_order(cache, unprotected)[n_keep:])
+        if cache.n == budget + 1:
+            gone = unprotected[[cache.score_mass[unprotected].argmin()]]
+        else:
+            n_keep = budget - (cache.n - unprotected.size)
+            gone = keep_order(cache, unprotected)[n_keep:]
+        outcome.evicted = drop(cache, gone)
     cache.compression_events.append(outcome)
     # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
     detect_core(cache, config)
@@ -373,7 +381,9 @@ def evict_baseline(cache: CacheState, budget: int) -> CacheState:
     if budget < 1:
         raise ValueError("budget must be >= 1")
     _check_score_mass(cache, slice(None))
-    if cache.n > budget:
+    if cache.n == budget + 1:
+        drop(cache, [cache.score_mass.argmin()])
+    elif cache.n > budget:
         drop(cache, keep_order(cache, np.arange(cache.n))[budget:])
     return cache
 
@@ -395,12 +405,16 @@ def mass_diagnostics(core: set[int], covered: set[int],
     counting as held by its representative (``covered_positions(cache)``);
     it includes the live ``core``.  Top-k selection orders by score
     descending then position descending; ``k`` beyond the population clamps
-    to the population size.
+    to the population size.  A NaN, infinite or negative score raises
+    ``ValueError`` naming its position, since it has no place in the
+    ranking and would make both ratios NaN.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if any(s < 0 for s in oracle_scores.values()):
-        raise ValueError("oracle scores must be non-negative")
+    for p, s in oracle_scores.items():
+        if not 0.0 <= s < inf:
+            raise ValueError(f"oracle score at position {p} is {s}; "
+                             f"expected finite >= 0")
     ranked = sorted(oracle_scores, key=lambda p: (-oracle_scores[p], -p))
     topk = ranked[:k]
     denom = ltr_sum(oracle_scores[p] for p in topk)

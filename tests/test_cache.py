@@ -265,7 +265,10 @@ def test_check_invariants_accepts_folds_and_evictions():
     cache = fill_cache([[float(i), 0.0] for i in range(5)], budget=3)
     rep = make_entry(0, [0.5, 0.0], score_mass=2.0, group_mass=2.0)
     rep.members = (0, 1)
+    assert not cache.weighted
     merge_replace(cache, [0, 1], rep)
+    # The flag says a group mass other than 1 was written; forks keep it.
+    assert cache.weighted and cache.fork().weighted
     evict(cache, [4])
     check_invariants(cache)
     cache.budget = 2
@@ -284,6 +287,8 @@ def test_check_invariants_accepts_folds_and_evictions():
     ("rows", "buffers disagree with 1000 live rows"),
     ("stray-members", "members are recorded for position 7, which holds "
                       "no live entry"),
+    ("unweighted", "entry at position 1 has group mass other than 1 in a "
+                   "cache not marked weighted"),
 ])
 def test_check_invariants_names_the_broken_invariant(breakage, message):
     cache = fill_cache([[float(i), 0.0] for i in range(3)], budget=3)
@@ -303,6 +308,8 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
         cache.n = 1000              # more live rows than the buffers hold
     elif breakage == "stray-members":
         cache.members[7] = (7, 8)
+    elif breakage == "unweighted":
+        cache._columns["group_mass"][1] = 2.0
     else:
         cache.budget = 2
     with pytest.raises(CacheError, match=message):

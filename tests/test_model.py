@@ -23,7 +23,6 @@ from cask.cache import (
 from cask.model import (
     WITNESS_KINDS,
     StepOutput,
-    _softmax,
     accumulate_mass,
     decode,
     forward_step,
@@ -122,6 +121,12 @@ def test_append_rejects_a_ragged_cache():
     assert cache.n == 1 and cache.total_appended == 1
 
 
+def _reference_softmax(x):
+    z = np.exp(x - x.max())
+    z /= z.sum()
+    return z
+
+
 def _restack_forward_step(params, cache, token, origin=DECODE):
     """Reference forward pass that re-stacks the cache once per layer;
     returns the distribution, the token's entry and the attention weights."""
@@ -147,10 +152,10 @@ def _restack_forward_step(params, cache, token, origin=DECODE):
             values = v[None, :]
             masses = np.ones(1)
         logits = keys @ q / sqrt_d + np.log(masses)
-        w = _softmax(logits)
+        w = _reference_softmax(logits)
         weights[l] = w
         h = h + (w @ values) @ params.wo[l]
-    dist = _softmax(h @ params.unembed)
+    dist = _reference_softmax(h @ params.unembed)
     entry = KVEntry(key=new_keys, value=new_values,
                     position=cache.total_appended, origin=origin,
                     score_mass=float(weights[:, -1].mean()))
@@ -163,20 +168,39 @@ def _row_state(entry):
             entry.protected, entry.members)
 
 
-@pytest.mark.parametrize("num_layers", [1, 3])
+@pytest.mark.parametrize("num_layers", range(1, 8))
 @pytest.mark.parametrize("n", [0, 1, 9, 70])
 def test_forward_step_matches_per_layer_restack(num_layers, n):
+    # The first row (and about a third of the rest) is a fold
+    # representative, so the step adds log(group_mass).
+    _check_step_against_restack(num_layers, n, folded=True)
+
+
+@pytest.mark.parametrize("num_layers", range(1, 8))
+@pytest.mark.parametrize("n", [1, 9, 70])
+def test_unfolded_forward_step_matches_per_layer_restack(num_layers, n):
+    # Every group mass is 1, so the step skips log(group_mass).
+    _check_step_against_restack(num_layers, n, folded=False)
+
+
+def _check_step_against_restack(num_layers, n, folded):
     params = init_model(5, 32, 16, num_layers)
-    rng = np.random.default_rng([num_layers, n])
+    rng = np.random.default_rng([num_layers, n, folded])
     cache = CacheState(budget=128)
     for i in range(n):
-        members = int(rng.integers(1, 4))  # members > 1: a merged entry
+        if not folded:
+            members = 1
+        elif i == 0:
+            members = 2             # members > 1: a merged entry
+        else:
+            members = int(rng.integers(1, 4))
         append(cache, KVEntry(
             key=rng.standard_normal((num_layers, 16)),
             value=rng.standard_normal((num_layers, 16)),
             position=3 * i, score_mass=float(rng.random()),
             group_mass=1.0 if members == 1 else float(rng.uniform(0.1, 4.0)),
             members=tuple(range(3 * i, 3 * i + members))))
+    assert cache.weighted == (folded and n > 0)
     for token, origin in ((0, DECODE), (17, PREFIX), (31, DECODE)):
         live = _entry_state(cache.entries)
         new = forward_step(params, cache, token, origin)

@@ -712,6 +712,57 @@ def test_keep_order_equals_sorted_on_finite_masses(masses, gaps, data):
         == [e.position for e in expected]
 
 
+TIED_MASS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)
+
+
+@given(masses=st.lists(TIED_MASS, min_size=1, max_size=30),
+       gaps=st.lists(st.integers(1, 3), min_size=30, max_size=30),
+       data=st.data())
+@settings(max_examples=100)
+def test_evict_baseline_drops_the_tail_of_keep_order(masses, gaps, data):
+    # One row over budget goes by argmin, more by a sort; either way the
+    # rows that leave are the tail of keep_order, ties and signed zeros too.
+    n = len(masses)
+    budget = data.draw(st.sampled_from([max(1, n - 1), *range(1, n + 1)]))
+    positions = np.cumsum(gaps[:n]).tolist()
+    cache = CacheState(budget=10_000)
+    for p, m in zip(positions, masses):
+        append(cache, make_entry(p, [1.0, 0.0], score_mass=m))
+    gone = cache.position[keep_order(cache, np.arange(n))[budget:]].tolist()
+    evict_baseline(cache, budget)
+    assert cache.position.tolist() == sorted(set(positions) - set(gone))
+    assert cache.evicted_tokens == len(gone)
+
+
+@given(masses=st.lists(TIED_MASS, min_size=4, max_size=30),
+       decode=st.lists(st.booleans(), min_size=30, max_size=30),
+       over=st.integers(1, 3))
+@settings(max_examples=100)
+def test_cask_compress_evicts_the_tail_of_keep_order(masses, decode, over):
+    # No two keys are alike and merge_epsilon is 0, so nothing folds and
+    # cask_compress only evicts: the unprotected tail of keep_order, never
+    # a protected row.
+    n = len(masses)
+    config = CaskConfig(sink_count=1, recency_window=2, anchor_quantile=0.75,
+                        merge_epsilon=0.0)
+    cache = CacheState(budget=10_000)
+    for i, m in enumerate(masses):
+        append(cache, make_entry(i, [float(i), 1.0, -0.5 * i, 0.25],
+                                 origin=DECODE if decode[i] else PREFIX,
+                                 score_mass=m))
+    expected = cache.fork()
+    core = detect_core(expected, config)
+    budget = n - over
+    assume(budget >= len(core))
+    unprotected = (~expected.protected).nonzero()[0]
+    keep = budget - (n - unprotected.size)
+    gone = expected.position[keep_order(expected, unprotected)[keep:]]
+    outcome = cask_compress(cache, config, budget)
+    assert (outcome.groups_folded, outcome.evicted) == (0, over)
+    assert set(gone.tolist()).isdisjoint(core)
+    assert cache.position.tolist() == sorted(set(range(n)) - set(gone.tolist()))
+
+
 # --- mass diagnostics ----------------------------------------------------------
 
 def test_rho_rep_is_one_when_rep_covers_topk():
@@ -747,6 +798,13 @@ def test_k_beyond_population_clamps():
 def test_k_must_be_positive():
     with pytest.raises(ValueError):
         mass_diagnostics(set(), set(), {0: 1.0}, k=0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 -0.5])
+def test_mass_diagnostics_rejects_a_bad_oracle_score(bad):
+    with pytest.raises(ValueError, match=r"oracle score at position 1 is "):
+        mass_diagnostics(set(), {0}, {0: 1.0, 1: bad, 2: 0.5}, k=2)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
