@@ -19,14 +19,10 @@ buffers of one common capacity that doubles when a row does not fit:
 One row leaves by shifting the rows after it down a slot, several by mask
 compaction, and a position is found by binary search.
 
-A row enters in one of two ways.  The model step writes a token's whole
-row into the free slot and stages it (:meth:`CacheState.stage`), and
-:func:`append` given the returned :class:`StagedRow` commits it by
-counting it live, so each row's bytes are written once.  The handle is
-stale once ``n`` moves, the buffers are reallocated or the free slot is
-handed out again.  Otherwise :class:`KVEntry` is the value type a row is
-appended, folded and merged as; :attr:`CacheState.entries` reads the live
-rows back as copies of it, for tests and debugging.
+A row enters through :func:`append`, either committed from the free slot
+(see :class:`StagedRow`) or as a :class:`KVEntry`, the frozen value type a
+row is appended, folded and merged as; :attr:`CacheState.entries` reads
+the live rows back as read-only copies of it, for tests and debugging.
 """
 
 from __future__ import annotations
@@ -50,13 +46,15 @@ class CacheError(ValueError):
     """Violation of a cache precondition (ordering, protection, mass, shape)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KVEntry:
     """One token's row: stacked per-layer key/value plus bookkeeping.
 
     ``group_mass`` is 1.0 for unmerged entries; a merged representative
     carries the summed fold weights of its members.  ``members`` records the
     original positions this entry covers (itself, for unmerged entries).
+    Key and value have one shape, ``(L, d)`` or ``(d,)``.  Frozen: a row
+    read back from a cache also has read-only key and value copies.
     """
 
     key: np.ndarray
@@ -69,14 +67,22 @@ class KVEntry:
     members: tuple[int, ...] = ()
 
     def __post_init__(self):
-        self.key = np.asarray(self.key, dtype=np.float64)
-        self.value = np.asarray(self.value, dtype=np.float64)
+        key = np.asarray(self.key, dtype=np.float64)
+        value = np.asarray(self.value, dtype=np.float64)
+        if key.shape != value.shape:
+            raise CacheError(f"entry at position {self.position} has key "
+                             f"shape {key.shape} and value shape "
+                             f"{value.shape}")
+        if key.ndim not in (1, 2):
+            raise CacheError(f"entry shape {key.shape} is neither (L, d) "
+                             f"nor (d,)")
         if self.origin not in (PREFIX, DECODE):
             raise CacheError(f"unknown origin {self.origin!r}")
         if self.group_mass <= 0:
             raise CacheError("group_mass must be positive")
-        if not self.members:
-            self.members = (self.position,)
+        # Frozen: set the checked fields in the instance dict directly.
+        vars(self).update(key=key, value=value,
+                          members=self.members or (self.position,))
 
     @property
     def member_count(self) -> int:
@@ -95,10 +101,12 @@ class KVEntry:
 class StagedRow:
     """A handle to the row a model step staged in a cache's free slot.
 
-    :func:`append` commits it while it is that cache's staged row; it is
-    stale once ``n`` moves, the buffers are reallocated or the free slot
-    is handed out again (:meth:`CacheState.slot`), and a fork stages
-    nothing.
+    The model step writes a token's whole row into the free slot
+    (:meth:`CacheState.slot`) and stages it (:meth:`CacheState.stage`);
+    :func:`append` commits the handle by counting the row live, so each
+    row's bytes are written once.  The handle is stale once ``n`` moves,
+    the buffers are reallocated or the free slot is handed out again, and
+    a fork stages nothing.
     """
 
     __slots__ = ("cache",)
@@ -107,7 +115,8 @@ class StagedRow:
         self.cache = cache
 
     def entry(self) -> KVEntry:
-        """A copy of the staged row; :class:`CacheError` once stale."""
+        """A read-only copy of the staged row; :class:`CacheError` once
+        stale."""
         cache = self.cache
         if cache._staged is not self:
             raise CacheError("the row is no longer staged")
@@ -128,9 +137,7 @@ class CacheState:
     that fired, in order; prefill trimming and baseline eviction add none.
     ``row_shape`` is the shape of one entry's key, ``(L, d)`` or ``(d,)``
     (stored as ``L = 1``); it is None until a row arrives.  ``_staged`` is
-    the :class:`StagedRow` in the free slot, if any.  ``weighted`` is set
-    once a row of group mass other than 1 is written and never cleared, so
-    while it is False every live group mass is 1.
+    the :class:`StagedRow` in the free slot, if any.
 
     ``keys``, ``position``, ``is_decode``, ``score_mass`` and ``protected``
     are views of the live rows; writing them writes the cache.
@@ -145,7 +152,6 @@ class CacheState:
         self.compression_events: list[CompressOutcome] = []
         self.prefix_budget_exhausted = False
         self.core_overflow = False
-        self.weighted = False
         self.n = 0
         self.row_shape: tuple[int, ...] | None = None
         self.members: dict[int, tuple[int, ...]] = {}
@@ -181,8 +187,7 @@ class CacheState:
 
     @property
     def entries(self) -> list[KVEntry]:
-        """The live rows as :class:`KVEntry` copies; writing them does not
-        write the cache."""
+        """The live rows as read-only :class:`KVEntry` copies."""
         return [self._entry(row) for row in range(self.n)]
 
     def fork(self, budget: int | None = None) -> "CacheState":
@@ -193,8 +198,7 @@ class CacheState:
         rows (a run holds one row over its budget between an append and its
         compression), or for the live rows if there are more.  The members
         and the list of compression events are copied too (a fired outcome
-        is never changed after it is recorded); counters and flags carry
-        over.  Nothing is staged in the copy: its buffers are new.
+        is frozen); counters and flags carry over.
         """
         twin = CacheState(self.budget if budget is None else budget)
         twin.__dict__.update(vars(self), budget=twin.budget)
@@ -206,18 +210,20 @@ class CacheState:
         return twin
 
     def entry_at(self, position: int) -> KVEntry:
-        """A copy of the row at ``position``."""
+        """A read-only copy of the row at ``position``."""
         return self._entry(self.row_of(position))
 
     def _entry(self, row: int) -> KVEntry:
-        """A copy of ``row``, live or staged; a staged row covers its own
-        position alone."""
+        """A read-only copy of ``row``, live or staged; a staged row covers
+        its own position alone."""
         c = self._columns
         position = int(c["position"][row])
         members = self.members if row < self.n else {}
+        kv = self._kv[:, :, row].copy()
+        kv.setflags(write=False)
+        kv = kv.reshape(2, *self.row_shape)
         return KVEntry(
-            key=self._kv[0, :, row].reshape(self.row_shape).copy(),
-            value=self._kv[1, :, row].reshape(self.row_shape).copy(),
+            key=kv[0], value=kv[1],
             position=position, score_mass=float(c["score_mass"][row]),
             origin=DECODE if c["is_decode"][row] else PREFIX,
             group_mass=float(c["group_mass"][row]),
@@ -227,7 +233,7 @@ class CacheState:
     def row_of(self, position: int) -> int:
         """The row holding ``position``; :class:`CacheError` when none does."""
         live = self.position
-        row = int(np.searchsorted(live, position))
+        row = int(live.searchsorted(position))
         if row == self.n or live[row] != position:
             raise CacheError(f"no entry at position {position}")
         return row
@@ -239,8 +245,8 @@ class CacheState:
         set to 1.
 
         Makes room for the slot first: an empty cache takes any row shape,
-        and a full one doubles its capacity.  Unless it refuses the shape,
-        a row staged before is stale, since the caller writes the slot."""
+        and a full one doubles its capacity.  A refused shape changes
+        nothing."""
         if row_shape != self.row_shape:
             if self.n:
                 raise CacheError(f"entry shape {row_shape} does not match "
@@ -258,8 +264,7 @@ class CacheState:
     def stage(self, origin: str, score_mass: float) -> StagedRow:
         """Stage the row whose keys and values a model step wrote into the
         free slot (:meth:`slot`): position ``total_appended``, ``origin``,
-        its own ``score_mass``, group mass 1, unprotected.  ``n`` does not
-        change until :func:`append` commits the returned handle."""
+        its own ``score_mass``, group mass 1, unprotected."""
         if origin not in (PREFIX, DECODE):
             raise CacheError(f"unknown origin {origin!r}")
         n, c = self.n, self._columns
@@ -284,31 +289,26 @@ class CacheState:
             grown[:n] = col[:n]
             self._columns[name] = grown
 
-    def _check_row(self, entry: KVEntry) -> None:
-        """Raise :class:`CacheError` unless ``entry``'s key and value have
-        one shape, ``(L, d)`` or ``(d,)``, and it is the shape of the rows
-        already in the cache."""
-        key, value = entry.key.shape, entry.value.shape
-        if key != value:
-            raise CacheError(f"entry at position {entry.position} has key "
-                             f"shape {key} and value shape {value}")
-        if len(key) not in (1, 2):
-            raise CacheError(f"entry shape {key} is neither (L, d) nor (d,)")
-        if self.n and key != self.row_shape:
-            raise CacheError(f"entry shape {key} does not match the cache's "
-                             f"{self.row_shape}")
-
     def _write(self, row: int, entry: KVEntry) -> None:
-        """Store ``entry`` in ``row``, which must exist; the only way a
-        group mass other than 1 enters the cache."""
-        if entry.group_mass != 1.0:
-            self.weighted = True
+        """Store ``entry`` in a live ``row`` or, when ``row`` is ``n``, in the
+        free slot (:meth:`slot`), and record its members.  Refuses, before
+        it writes anything, a group mass other than 1 on a row covering
+        only its own position."""
+        alone = entry.members == (entry.position,)
+        if alone and entry.group_mass != 1.0:
+            raise CacheError(f"entry at position {entry.position} has group "
+                             f"mass {entry.group_mass} but covers only its "
+                             f"own position")
+        if row == self.n:
+            self.slot(entry.key.shape)
         self._kv[0, :, row] = entry.key
         self._kv[1, :, row] = entry.value
         for name, col in self._columns.items():
             col[row] = (entry.origin == DECODE if name == "is_decode"
                         else getattr(entry, name))
-        if entry.members != (entry.position,):
+        if alone:
+            self.members.pop(entry.position, None)
+        else:
             self.members[entry.position] = entry.members
 
     def _remove(self, rows) -> int:
@@ -346,8 +346,9 @@ def append(cache: CacheState, entry: KVEntry | StagedRow) -> CacheState:
 
     A :class:`StagedRow` must be the row staged in ``cache`` now; it is
     committed in place, its bytes already written.  A :class:`KVEntry` is
-    written into the free slot, and its key and value must have the shape
-    of the cache's rows.  A rejected row leaves the cache as it was.
+    written into the free slot; its key must have the shape of the cache's
+    rows, and its group mass must be 1 unless it covers other positions.
+    A rejected row leaves the cache as it was.
     """
     n = cache.n
     staged = isinstance(entry, StagedRow)
@@ -358,7 +359,6 @@ def append(cache: CacheState, entry: KVEntry | StagedRow) -> CacheState:
                              "the row is not the one staged in this cache")
         position = cache._columns["position"][n]
     else:
-        cache._check_row(entry)
         position = entry.position
     if n and position <= cache.position[-1]:
         raise CacheError(f"non-monotone position {position} "
@@ -366,7 +366,6 @@ def append(cache: CacheState, entry: KVEntry | StagedRow) -> CacheState:
     if staged:
         cache._staged = None
     else:
-        cache.slot(entry.key.shape)
         cache._write(n, entry)
     cache.n = n + 1
     cache.total_appended += 1
@@ -436,10 +435,12 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
         )
     if representative.position != targets[0]:
         raise CacheError("representative must sit at the earliest member position")
-    cache._check_row(representative)
-    for p in targets:
-        cache.members.pop(p, None)
+    if representative.key.shape != cache.row_shape:
+        raise CacheError(f"entry shape {representative.key.shape} does not "
+                         f"match the cache's {cache.row_shape}")
     cache._write(rows[0], representative)
+    for p in targets[1:]:
+        cache.members.pop(p, None)
     cache._remove(rows[1:])
     return cache
 
@@ -448,8 +449,8 @@ def check_invariants(cache: CacheState) -> None:
     """Raise :class:`CacheError` naming the first broken structural invariant.
 
     Every buffer has the cache's capacity, at least ``n`` rows, and members
-    are recorded only for live positions; a live group mass other than 1
-    is only in a cache marked ``weighted``; positions strictly increase;
+    are recorded only for live positions; a live row covering only its own
+    position has group mass 1; positions strictly increase;
     every appended token is live, folded into a live entry or evicted
     (``sum(member_count) + evicted_tokens == total_appended``); each
     entry's members strictly increase from its own position, which
@@ -464,17 +465,16 @@ def check_invariants(cache: CacheState) -> None:
     if len(set(rows.values())) != 1 or rows["keys and values"] < n:
         raise CacheError(f"buffers disagree with {n} live rows: rows per "
                          f"buffer {rows}")
-    if not cache.weighted:
-        heavy = (cache._columns["group_mass"][:n] != 1.0).nonzero()[0]
-        if heavy.size:
-            raise CacheError(f"entry at position {cache.position[heavy[0]]} "
-                             f"has group mass other than 1 in a cache not "
-                             f"marked weighted")
     positions = cache.position.tolist()
     stray = sorted(set(cache.members) - set(positions))
     if stray:
         raise CacheError(f"members are recorded for position {stray[0]}, "
                          f"which holds no live entry")
+    heavy = (cache._columns["group_mass"][:n] != 1.0).nonzero()[0].tolist()
+    alone = [positions[r] for r in heavy if positions[r] not in cache.members]
+    if alone:
+        raise CacheError(f"entry at position {alone[0]} has group mass "
+                         f"other than 1 but covers only its own position")
     for a, b in zip(positions, positions[1:]):
         if b <= a:
             raise CacheError(f"position {b} follows {a}")

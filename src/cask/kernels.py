@@ -77,10 +77,6 @@ def band_decompose(vector: np.ndarray) -> np.ndarray:
     return band_view(v)
 
 
-def band_recompose(spectrum: np.ndarray) -> np.ndarray:
-    return spectrum.view(np.float64).copy()
-
-
 def kappa_magnitudes(pi: HorizonDistribution, frequencies: np.ndarray) -> np.ndarray:
     """|kappa(w_f)| at each band frequency."""
     return np.abs(kappa(pi, frequencies))

@@ -21,24 +21,11 @@ entries.  A merged representative attends like a normal entry except that
 its logit gains ``log(group_mass)``, letting consolidated mass keep a
 mass-proportional share of the softmax.
 
-The step reads the cache in place and writes each token's row once.  The
-cache keeps keys and values as ``(L, capacity, d)`` buffers (see
-:mod:`cask.cache`); :func:`forward_step` writes the new token's keys and
-values into the free slot ``n``, layer ``l`` attends over
-``keys[l, :n + 1]`` and ``values[l, :n + 1]`` with the log group masses of
-the same rows, and the step stages the whole row there.  The decode loop
-commits it without copying it, and only then does the policy compress.
+The step reads the cache's buffers in place and stages each token's row
+in the free slot (:func:`forward_step`, :class:`cask.cache.StagedRow`);
+the decode loop commits it, and only then does the policy compress.
 :func:`accumulate_mass` adds the step's layer-mean attention onto the
 ``score_mass`` column in one vector add.
-
-The step scores in place: layer ``l``'s scores are computed into row ``l``
-of the step's attention weights and its softmax overwrites them, so a step
-allocates no temporary per layer.  ``log(group_mass)`` is taken and added
-only in a cache marked ``weighted``, which a fold representative's write
-sets; until then every group mass is 1, and adding log(1) = +0.0 could
-only turn a -0.0 score into +0.0, which the softmax maps to the same bits.
-At ``L = 1`` the layer mean of a column is the column itself, so the
-staged row's score mass and :func:`accumulate_mass` take no reduction.
 
 Layer 0's input is the token's embedding alone, so its query, key and value
 are taken once per token by :class:`ModelParams`; later layers take all three
@@ -50,7 +37,6 @@ the BLAS in use).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -60,19 +46,16 @@ import numpy as np
 
 from .cache import DECODE, PREFIX, CacheState, StagedRow, append
 
-WITNESS_KINDS = (
-    "short-prompt-reasoning",
-    "prompt-heavy-decode-active",
-    "prompt-heavy-prefix-dominant",
-)
-
-METHOD_NONE = "none"
-
+# Each witness kind and the length of its repeated motif.  The order is
+# part of every prompt: a kind's index in WITNESS_KINDS seeds its rng.
 _MOTIF_LEN = {
     "short-prompt-reasoning": 4,
     "prompt-heavy-decode-active": 4,
     "prompt-heavy-prefix-dominant": 8,
 }
+WITNESS_KINDS = tuple(_MOTIF_LEN)
+
+METHOD_NONE = "none"
 
 
 @dataclass
@@ -98,12 +81,6 @@ class ModelParams:
         self.qkv0 = np.array([[h @ w[0] for w in (self.wq, self.wk, self.wv)]
                               for h in self.embedding])
         self.qkv0.setflags(write=False)
-
-    def checksum(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.embedding, self.wq, self.wk, self.wv, self.wo, self.unembed):
-            h.update(np.ascontiguousarray(arr).tobytes())
-        return h.hexdigest()
 
 
 def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
@@ -137,8 +114,7 @@ def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
 @dataclass
 class StepOutput:
     """One forward pass: next-token distribution, the handle of the token's
-    row staged in the cache (prefill and the decode loop commit it with
-    :func:`cask.cache.append`), and per-layer attention weights over the
+    row staged in the cache, and per-layer attention weights over the
     entries present at call time plus the new position (last column)."""
 
     distribution: np.ndarray       # (V,)
@@ -165,21 +141,28 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     ``n`` (:meth:`CacheState.slot`), so each layer attends over
     ``keys[l, :n + 1]``, one C-contiguous operand, without re-stacking the
     cache.  Layer ``l``'s scores are written into row ``l`` of the returned
-    weights and its softmax is taken there.  ``log(group_mass)`` is added
-    only once the cache has held a row of group mass other than 1
-    (:attr:`CacheState.weighted`); before that every log is +0.0, whose
-    add changes no softmax bit.  The row is then staged
-    (:meth:`CacheState.stage`) with position ``total_appended``,
-    ``origin``, its own layer-mean attention as score mass, group mass 1
-    and no protection.  The live rows are only read, and ``n`` does not
-    change.
+    weights and its softmax is taken there, so a step allocates no
+    temporary per layer.
+
+    ``log(group_mass)`` is added only while the cache holds a folded row
+    (``cache.members`` is not empty).  A row covering only its own
+    position has group mass 1 (:func:`cask.cache.append` and
+    :func:`cask.cache.merge_replace` refuse any other), so without folded
+    rows every log would be +0.0, and adding +0.0 can only turn a -0.0
+    score into +0.0, which the softmax maps to the same bits.  At
+    ``L = 1`` the layer mean of the staged column is the column itself.
+
+    The row is then staged (:meth:`CacheState.stage`) with position
+    ``total_appended``, ``origin``, its own layer-mean attention as score
+    mass, group mass 1 and no protection.  The live rows are only read,
+    and ``n`` does not change.
     """
     if not 0 <= token < params.vocab_size:
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
     L, d = params.num_layers, params.model_dim
     n = cache.n
     keys, values, group_mass = cache.slot((L, d))
-    log_mass = np.log(group_mass) if cache.weighted else None
+    log_mass = np.log(group_mass) if cache.members else None
     h = params.embedding[token]
     # Indexed rows: unpacking the (3, d) array would iterate it.
     qkv = params.qkv0[token]

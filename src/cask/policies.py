@@ -299,10 +299,10 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompressOutcome:
     """What one :func:`cask_compress` call did; a fired one is also the
-    cache's record of that consolidation."""
+    cache's record of that consolidation, frozen because forks share it."""
 
     groups_folded: int = 0
     members_folded: int = 0
@@ -348,15 +348,14 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     if budget < len(core):
         cache.core_overflow = True
         return CompressOutcome()
-    outcome = CompressOutcome()
-    groups = form_merge_groups(cache, config)
-    for group in groups:
+    groups_folded = members_folded = evicted = 0
+    for group in form_merge_groups(cache, config):
         if group.mass <= 0.0:
             continue
         rep = fold_group(group, [cache.entry_at(p) for p in group.positions])
         merge_replace(cache, group.positions, rep)
-        outcome.groups_folded += 1
-        outcome.members_folded += len(group)
+        groups_folded += 1
+        members_folded += len(group)
     if cache.n > budget:
         unprotected = (~cache.protected).nonzero()[0]
         if cache.n == budget + 1:
@@ -364,7 +363,8 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         else:
             n_keep = budget - (cache.n - unprotected.size)
             gone = keep_order(cache, unprotected)[n_keep:]
-        outcome.evicted = drop(cache, gone)
+        evicted = drop(cache, gone)
+    outcome = CompressOutcome(groups_folded, members_folded, evicted)
     cache.compression_events.append(outcome)
     # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
     detect_core(cache, config)

@@ -83,14 +83,14 @@ def make_policy(method: str, budget: int | None = None):
 
 @dataclass
 class ReplayRecord:
-    """Per-step teacher-forced log plus the terminal cache."""
+    """Per-step teacher-forced log plus the terminal cache, if any."""
 
     reference: np.ndarray        # (T,) forced tokens
     argmax: np.ndarray           # (T,) candidate argmax per step
     top5_flags: np.ndarray       # (T,) bool, reference inside candidate top-5
     log_probs: np.ndarray        # (T,) floored log p_t(reference)
     distributions: np.ndarray    # (T, V) candidate distributions
-    cache: CacheState
+    cache: CacheState | None
 
     @property
     def T(self) -> int:
@@ -120,7 +120,7 @@ class ReplayRecord:
             top5_flags=rank < min(5, V),
             log_probs=np.log(np.maximum(p, NLL_FLOOR)),
             distributions=distributions,
-            cache=cache if cache is not None else CacheState(budget=1),
+            cache=cache,
         )
 
 
@@ -194,6 +194,9 @@ def first_mismatch(record: ReplayRecord) -> int | None:
 
 
 def summarize(record: ReplayRecord) -> FidelitySummary:
+    if record.cache is None:
+        raise ValueError("the record has no terminal cache, so no saved "
+                         "ratio")
     return FidelitySummary(
         top1=top1_agreement(record),
         top5=top5_coverage(record),

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,65 @@ def test_append_rejects_non_monotone_position():
 ])
 def test_append_rejects_a_malformed_entry(key, value, message):
     # Such an entry used to be accepted; the next forward_step then failed.
-    cache = fill_cache([[1.0, 0.0]])
+    # Now it cannot be built, so no cache ever sees it.
     with pytest.raises(CacheError, match=message):
-        append(cache, KVEntry(key=key, value=value, position=5))
-    assert len(cache) == 1 and cache.total_appended == 1
+        KVEntry(key=key, value=value, position=5)
+
+
+def _staged_row(cache):
+    keys, values, _ = cache.slot(cache.row_shape)
+    keys[:, -1] = 7.0
+    values[:, -1] = 8.0
+    return cache.stage(DECODE, 0.5)
+
+
+@pytest.mark.parametrize("read_back", [
+    lambda cache: cache.entries[1],
+    lambda cache: cache.entry_at(1),
+    lambda cache: _staged_row(cache).entry(),
+], ids=["entries", "entry_at", "staged"])
+def test_rows_read_back_are_read_only(read_back):
+    # A write to a row read back from the cache would go nowhere, so it
+    # raises instead, and the cache keeps its rows.
+    cache = fill_cache([[1.0, 0.0], [0.0, 1.0]])
+    before = _rows_state(cache)
+    row = read_back(cache)
+    for field in dataclasses.fields(row):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, field.name, getattr(row, field.name))
+    for array in (row.key, row.value):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 3.0
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1.0
+    assert _rows_state(cache) == before
+
+
+def _members_cache():
+    """Five rows of score mass 1; the row at 0 is folded over 0 and 1."""
+    cache = fill_cache([[float(i), 0.0] for i in range(6)])
+    merge_replace(cache, [0, 1], rep_for(cache.entries[:2]))
+    return cache
+
+
+@pytest.mark.parametrize("write", [
+    lambda cache: append(cache, make_entry(6, [1.0, 1.0], group_mass=2.0)),
+    lambda cache: merge_replace(cache, [0, 2], KVEntry(
+        key=[1.0, 0.0], value=[1.0, 0.0], position=0, score_mass=3.0,
+        group_mass=3.0)),
+], ids=["append", "merge_replace"])
+def test_a_row_covering_itself_alone_has_group_mass_one(write):
+    # Only folded rows carry mass, so a cache without members needs no
+    # log(group_mass); the refusal comes before anything is written.
+    cache = _members_cache()
+    staged = _staged_row(cache)
+    before = (_rows_state(cache), dict(cache.members))
+    with pytest.raises(CacheError, match="group mass [0-9.]+ but covers "
+                                         "only its own position"):
+        write(cache)
+    assert (_rows_state(cache), dict(cache.members)) == before
+    append(cache, staged)
+    check_invariants(cache)
 
 
 def test_total_appended_survives_compression():
@@ -169,7 +225,7 @@ def test_merge_replace_reduces_count():
 def test_merge_replace_mass_mismatch():
     cache = fill_cache([[1.0, 0.0], [0.0, 1.0]])
     rep = rep_for(cache.entries)
-    rep.group_mass += 0.5
+    rep = dataclasses.replace(rep, group_mass=rep.group_mass + 0.5)
     with pytest.raises(CacheError, match="mass mismatch"):
         merge_replace(cache, [0, 1], rep)
 
@@ -263,12 +319,13 @@ def test_conservation_of_history(ops, seed):
 
 def test_check_invariants_accepts_folds_and_evictions():
     cache = fill_cache([[float(i), 0.0] for i in range(5)], budget=3)
-    rep = make_entry(0, [0.5, 0.0], score_mass=2.0, group_mass=2.0)
-    rep.members = (0, 1)
-    assert not cache.weighted
+    rep = KVEntry(key=[0.5, 0.0], value=[0.5, 0.0], position=0,
+                  score_mass=2.0, group_mass=2.0, members=(0, 1))
+    assert not cache.members
     merge_replace(cache, [0, 1], rep)
-    # The flag says a group mass other than 1 was written; forks keep it.
-    assert cache.weighted and cache.fork().weighted
+    # The recorded members say a group mass other than 1 is live, and the
+    # model step adds log(group_mass); forks keep them.
+    assert cache.members == cache.fork().members == {0: (0, 1)}
     evict(cache, [4])
     check_invariants(cache)
     cache.budget = 2
@@ -287,8 +344,9 @@ def test_check_invariants_accepts_folds_and_evictions():
     ("rows", "buffers disagree with 1000 live rows"),
     ("stray-members", "members are recorded for position 7, which holds "
                       "no live entry"),
-    ("unweighted", "entry at position 1 has group mass other than 1 in a "
-                   "cache not marked weighted"),
+    # A row covering only its own position must be unweighted.
+    ("unweighted", "entry at position 1 has group mass other than 1 but "
+                   "covers only its own position"),
 ])
 def test_check_invariants_names_the_broken_invariant(breakage, message):
     cache = fill_cache([[float(i), 0.0] for i in range(3)], budget=3)
@@ -420,6 +478,10 @@ class CacheMachine(RuleBasedStateMachine):
         if outcome.fired:
             assert self.cache.compression_events[-1] is outcome
             self.fired += 1
+        # Forks share the recorded outcomes, so none can be written.
+        for field in dataclasses.fields(outcome):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(outcome, field.name, 0)
 
     @rule(shrink=st.integers(min_value=0, max_value=6))
     def evict_to(self, shrink):

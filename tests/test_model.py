@@ -38,14 +38,21 @@ from cask.policies import CaskConfig, CompressOutcome, cask_compress
 from cask.replay import make_policy, teacher_forced_replay
 
 
+WEIGHTS = ("embedding", "wq", "wk", "wv", "wo", "unembed")
+
+
 def test_init_model_deterministic():
     a = init_model(7, 32, 16, 1)
     b = init_model(7, 32, 16, 1)
-    assert a.checksum() == b.checksum()
+    for name in WEIGHTS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_init_model_seed_changes_parameters():
-    assert init_model(7, 32, 16, 1).checksum() != init_model(8, 32, 16, 1).checksum()
+    a, b = init_model(7, 32, 16, 1), init_model(8, 32, 16, 1)
+    for name in WEIGHTS:
+        assert not np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_init_model_rejects_odd_dim():
@@ -183,13 +190,21 @@ def test_unfolded_forward_step_matches_per_layer_restack(num_layers, n):
     _check_step_against_restack(num_layers, n, folded=False)
 
 
-def _check_step_against_restack(num_layers, n, folded):
+@pytest.mark.parametrize("num_layers", range(1, 8))
+@pytest.mark.parametrize("n", [9, 70])
+def test_defolded_forward_step_matches_per_layer_restack(num_layers, n):
+    # Every folded row has been dropped, so no member is recorded, every
+    # live group mass is 1 again and the step skips log(group_mass).
+    _check_step_against_restack(num_layers, n, folded=True, defold=True)
+
+
+def _check_step_against_restack(num_layers, n, folded, defold=False):
     params = init_model(5, 32, 16, num_layers)
     rng = np.random.default_rng([num_layers, n, folded])
     cache = CacheState(budget=128)
     for i in range(n):
-        if not folded:
-            members = 1
+        if not folded or defold and i % 2:
+            members = 1             # some rows outlive the folded ones
         elif i == 0:
             members = 2             # members > 1: a merged entry
         else:
@@ -200,7 +215,13 @@ def _check_step_against_restack(num_layers, n, folded):
             position=3 * i, score_mass=float(rng.random()),
             group_mass=1.0 if members == 1 else float(rng.uniform(0.1, 4.0)),
             members=tuple(range(3 * i, 3 * i + members))))
-    assert cache.weighted == (folded and n > 0)
+    # The step takes log(group_mass) exactly while members are recorded.
+    assert bool(cache.members) == (folded and n > 0)
+    if defold:
+        drop(cache, [cache.row_of(p) for p in sorted(cache.members)])
+        assert not cache.members and 0 < cache.n < n
+        assert (cache._columns["group_mass"][:cache.n] == 1.0).all()
+    live_n = cache.n
     for token, origin in ((0, DECODE), (17, PREFIX), (31, DECODE)):
         live = _entry_state(cache.entries)
         new = forward_step(params, cache, token, origin)
@@ -211,7 +232,7 @@ def _check_step_against_restack(num_layers, n, folded):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         # Every column of the staged row, and nothing live, moved.
         assert _row_state(new.staged.entry()) == _row_state(entry)
-        assert cache.n == n and _entry_state(cache.entries) == live
+        assert cache.n == live_n and _entry_state(cache.entries) == live
     # The live positions run to 3n - 3 (or past it, counting members), so
     # from n = 2 on the staged position n is out of order.
     if n < 2:
@@ -221,7 +242,7 @@ def _check_step_against_restack(num_layers, n, folded):
     else:
         with pytest.raises(CacheError, match=f"non-monotone position {n} "):
             append(cache, new.staged)
-        assert cache.n == n and _entry_state(cache.entries) == live
+        assert cache.n == live_n and _entry_state(cache.entries) == live
 
 
 def _misuse_nothing_staged(params, cache):

@@ -1,3 +1,4 @@
+import dataclasses
 
 import numpy as np
 import pytest
@@ -188,21 +189,19 @@ def test_groups_are_disjoint(rng):
 # list of the cache's entries.
 
 def reference_detect_core(entries, config):
+    """The core's positions, and the entries with their protected flags
+    recomputed: set on the core, cleared everywhere else."""
     decode = [e for e in entries if e.origin == DECODE]
     masses = np.array([e.score_mass for e in decode])
-    for e in entries:
-        e.protected = False
-    if not decode:
-        return set()
-    core = {e.position for e in decode[:config.sink_count]}
-    if config.recency_window > 0:
-        core.update(e.position for e in decode[-config.recency_window:])
-    threshold = float(np.quantile(masses, config.anchor_quantile))
-    core.update(e.position for e in decode if e.score_mass > threshold)
-    for e in decode:
-        if e.position in core:
-            e.protected = True
-    return core
+    core = set()
+    if decode:
+        core = {e.position for e in decode[:config.sink_count]}
+        if config.recency_window > 0:
+            core.update(e.position for e in decode[-config.recency_window:])
+        threshold = float(np.quantile(masses, config.anchor_quantile))
+        core.update(e.position for e in decode if e.score_mass > threshold)
+    return core, [dataclasses.replace(e, protected=e.position in core)
+                  for e in entries]
 
 
 def reference_form_merge_groups(entries, config):
@@ -308,8 +307,8 @@ def test_core_and_groups_match_scalar_reference(
                      merge_epsilon=merge_epsilon,
                      temporal_window=temporal_window,
                      max_group_size=max_group_size)
-    twin = cache.entries
-    assert detect_core(cache, cfg) == reference_detect_core(twin, cfg)
+    core, twin = reference_detect_core(cache.entries, cfg)
+    assert detect_core(cache, cfg) == core
     assert cache.protected.tolist() == [e.protected for e in twin]
     groups = form_merge_groups(cache, cfg)
     expected = reference_form_merge_groups(twin, cfg)

@@ -181,6 +181,15 @@ def test_top1_never_exceeds_top5(seed):
     assert top1_agreement(record) <= top5_coverage(record)
 
 
+def test_a_record_without_a_cache_has_no_summary():
+    # A record built from distributions alone keeps no made-up cache, so
+    # summarize names the missing terminal cache, not an empty history.
+    record = ReplayRecord.from_distributions(np.array([[0.9, 0.1]]), [0])
+    assert record.cache is None and top1_agreement(record) == 1.0
+    with pytest.raises(ValueError, match="no terminal cache"):
+        summarize(record)
+
+
 def test_summary_validates_ordering():
     with pytest.raises(ValueError):
         FidelitySummary(top1=0.9, top5=0.5, mean_nll=1.0, first_mismatch=None,
