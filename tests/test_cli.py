@@ -243,3 +243,25 @@ def test_scripts_reject_bad_budgets_as_usage_errors(tmp_path, script, flag,
     assert "usage:" in proc.stderr
     assert detail in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of scripts/regime_probe.py's stdout, taken while each probe cell
+# was a teacher_forced_replay from the reference run's prefill snapshot.
+REGIME_PROBE_DIGESTS = {
+    (): "86a1cf7c036f0dc3a8ea456a28484132721127a7bdfbc04e1260050e7035344b",
+    ("--prefix-fraction", "1.0"):
+        "17acf42a99f76db79dd444f91addd87d79a582f7ee1062a5734e30cad911df15",
+}
+
+
+@pytest.mark.parametrize("args", list(REGIME_PROBE_DIGESTS), ids=repr)
+def test_regime_probe_table_matches_golden_digest(tmp_path, args):
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(cask.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "regime_probe.py"), *args],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() \
+        == REGIME_PROBE_DIGESTS[args]
