@@ -12,9 +12,9 @@ Usage:
 import argparse
 
 from cask.cli import budget_grid
-from cask.model import generate_reference, init_model, make_witness
+from cask.model import decode, generate_reference, init_model, make_witness
 from cask.policies import CaskConfig
-from cask.replay import CaskPolicy, summarize, teacher_forced_replay
+from cask.replay import CaskPolicy, replay_record, summarize
 from cask.twostage import StageConfig, finalize_flags
 
 PROBES = (
@@ -60,9 +60,9 @@ def main() -> int:
             stage = StageConfig(budget=budget,
                                 prefix_fraction=args.prefix_fraction)
             policy = CaskPolicy(budget, CaskConfig(), stage)
-            record = teacher_forced_replay(params, list(witness.prompt),
-                                           ref.tokens, policy,
-                                           snapshot=ref.snapshot)
+            record = replay_record(decode(params, ref.snapshot,
+                                          witness.decode_len, policy,
+                                          forced=ref.tokens))
             flags = finalize_flags(record.cache, stage)
             s = summarize(record)
             print(f"{witness.name:<34} {budget:>6} {s.top1:>6.3f} "

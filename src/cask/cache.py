@@ -28,6 +28,7 @@ the live rows back as read-only copies of it, for tests and debugging.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -78,8 +79,10 @@ class KVEntry:
                              f"nor (d,)")
         if self.origin not in (PREFIX, DECODE):
             raise CacheError(f"unknown origin {self.origin!r}")
-        if self.group_mass <= 0:
-            raise CacheError("group_mass must be positive")
+        if not 0 < self.group_mass < inf:
+            raise CacheError(f"entry at position {self.position} has "
+                             f"group_mass {self.group_mass}; expected "
+                             f"finite > 0")
         # Frozen: set the checked fields in the instance dict directly.
         vars(self).update(key=key, value=value,
                           members=self.members or (self.position,))

@@ -32,9 +32,9 @@ class HorizonDistribution:
             raise ValueError("empty support")
         if np.any(self.support < 0):
             raise ValueError("offsets must be non-negative")
-        if np.any(self.weights < 0):
+        if not np.all(self.weights >= 0):
             raise ValueError("weights must be non-negative")
-        if abs(self.weights.sum() - 1.0) > 1e-12:
+        if not abs(self.weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
 
 

@@ -60,10 +60,6 @@ METHOD_NONE = "none"
 
 @dataclass
 class ModelParams:
-    seed: int
-    vocab_size: int
-    model_dim: int
-    num_layers: int
     embedding: np.ndarray          # (V, d)
     wq: np.ndarray                 # (L, d, d)
     wk: np.ndarray
@@ -72,11 +68,15 @@ class ModelParams:
     unembed: np.ndarray            # (d, V)
     # Derived from the weights above, which are never written: each layer's
     # wq, wk and wv side by side, and layer 0's query, key and value of
-    # every token (the products embedding[t] @ w[0], read-only).
+    # every token (the products embedding[t] @ w[0], read-only).  The sizes
+    # vocab_size (V), model_dim (d) and num_layers (L) are plain attributes
+    # set here once, so the model step reads them without a call.
     wqkv: np.ndarray = field(init=False, repr=False)    # (L, d, 3d)
     qkv0: np.ndarray = field(init=False, repr=False)    # (V, 3, d)
 
     def __post_init__(self):
+        self.vocab_size, self.model_dim = self.embedding.shape
+        self.num_layers = len(self.wq)
         self.wqkv = np.concatenate([self.wq, self.wk, self.wv], axis=2)
         self.qkv0 = np.array([[h @ w[0] for w in (self.wq, self.wk, self.wv)]
                               for h in self.embedding])
@@ -98,10 +98,6 @@ def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
     d = model_dim
     scale = 1.0 / np.sqrt(d)
     return ModelParams(
-        seed=seed,
-        vocab_size=vocab_size,
-        model_dim=d,
-        num_layers=num_layers,
         embedding=rng.standard_normal((vocab_size, d)),
         wq=rng.standard_normal((num_layers, d, d)) * scale,
         wk=rng.standard_normal((num_layers, d, d)) * scale,

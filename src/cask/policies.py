@@ -60,7 +60,7 @@ class CaskConfig:
             raise ValueError("recency_window must be >= 0")
         if not 0.0 <= self.anchor_quantile <= 1.0:
             raise ValueError("anchor_quantile must be in [0, 1]")
-        if self.merge_epsilon < 0:
+        if not self.merge_epsilon >= 0:
             raise ValueError("merge_epsilon must be >= 0")
         if self.temporal_window < 1:
             raise ValueError("temporal_window must be >= 1")
@@ -276,18 +276,16 @@ def fold_group(group: MergeGroup, entries: list[KVEntry]) -> KVEntry:
 
     Key and value are the weight-averaged members (:func:`_weighted_centroid`);
     ``group_mass`` is the left-to-right weight sum; the representative sits
-    at the earliest member position and covers every member position.
+    at the earliest member position and covers every member position.  A
+    one-member group is refused, as :func:`cask.cache.merge_replace` does.
     """
     if len(group) != len(entries):
         raise ValueError("group and entries must align")
+    if len(entries) == 1:
+        raise ValueError("singleton group")
     mass = ltr_sum(group.weights)
     if mass <= 0.0:
         raise ValueError("all-zero weights")
-    if len(entries) == 1:
-        e = entries[0]
-        return KVEntry(key=e.key.copy(), value=e.value.copy(),
-                       position=e.position, origin=DECODE, score_mass=mass,
-                       group_mass=mass, members=e.members)
     return KVEntry(
         key=_weighted_centroid([e.key for e in entries], group.weights),
         value=_weighted_centroid([e.value for e in entries], group.weights),
@@ -314,14 +312,16 @@ class CompressOutcome:
         return self.groups_folded > 0 or self.evicted > 0
 
 
-def keep_order(cache: CacheState, rows: np.ndarray) -> np.ndarray:
-    """``rows`` in keep priority: score mass descending, then recency
-    (higher position).  Positions are unique, so the order is total.
+def lowest(masses: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` lowest ``masses`` (none when ``count <= 0``),
+    the one removal rule of the prefix trim, the baseline and consolidation.
 
-    For ascending ``rows`` the last in this order is the first lowest
-    score mass, ``rows[argmin(score_mass[rows])]``: an eviction of one
-    row takes it without the sort."""
-    return rows[np.lexsort((-cache.position[rows], -cache.score_mass[rows]))]
+    Ties go to the lower index (a stable sort), so over rows in position
+    order an equal mass drops the older row.  One index is the first
+    minimum, ``argmin``, taken without the sort."""
+    if count == 1:
+        return masses.argmin(keepdims=True)
+    return masses.argsort(kind="stable")[:max(count, 0)]
 
 
 def cask_compress(cache: CacheState, config: CaskConfig,
@@ -358,12 +358,8 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         members_folded += len(group)
     if cache.n > budget:
         unprotected = (~cache.protected).nonzero()[0]
-        if cache.n == budget + 1:
-            gone = unprotected[[cache.score_mass[unprotected].argmin()]]
-        else:
-            n_keep = budget - (cache.n - unprotected.size)
-            gone = keep_order(cache, unprotected)[n_keep:]
-        evicted = drop(cache, gone)
+        gone = lowest(cache.score_mass[unprotected], cache.n - budget)
+        evicted = drop(cache, unprotected[gone])
     outcome = CompressOutcome(groups_folded, members_folded, evicted)
     cache.compression_events.append(outcome)
     # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
@@ -372,19 +368,18 @@ def cask_compress(cache: CacheState, config: CaskConfig,
 
 
 def evict_baseline(cache: CacheState, budget: int) -> CacheState:
-    """Keep the ``budget`` highest-score entries, recency breaking ties.
+    """Keep the ``budget`` highest-score entries, recency breaking ties:
+    the rest go by :func:`lowest`.
 
     Protection flags are ignored: the baseline has no core concept.  A
     NaN, infinite or negative score mass raises ``ValueError`` naming its
-    position, since the keep order is undefined on NaN.
+    position, since the order is undefined on NaN.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     _check_score_mass(cache, slice(None))
-    if cache.n == budget + 1:
-        drop(cache, [cache.score_mass.argmin()])
-    elif cache.n > budget:
-        drop(cache, keep_order(cache, np.arange(cache.n))[budget:])
+    if cache.n > budget:
+        drop(cache, lowest(cache.score_mass, cache.n - budget))
     return cache
 
 
@@ -430,7 +425,11 @@ def mass_diagnostics(core: set[int], covered: set[int],
 @dataclass
 class PerturbationReport:
     pairs: np.ndarray            # (n_queries, 2) of (lhs, rhs)
-    fraction_bounded: float
+
+    @property
+    def fraction_bounded(self) -> float:
+        """Share of queries whose lhs is within its rhs."""
+        return float(np.mean(self.pairs[:, 0] <= self.pairs[:, 1]))
 
 
 def perturbation_check(group: MergeGroup, representative: KVEntry,
@@ -458,5 +457,4 @@ def perturbation_check(group: MergeGroup, representative: KVEntry,
         lhs = abs(lhs_sum - representative.group_mass * float(q @ rep_key))
         rhs = kappa_dual_norm(q, pi) * dispersion + abs(delta_m)
         pairs[i] = (lhs, rhs)
-    fraction = float(np.mean(pairs[:, 0] <= pairs[:, 1]))
-    return PerturbationReport(pairs=pairs, fraction_bounded=fraction)
+    return PerturbationReport(pairs=pairs)

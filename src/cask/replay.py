@@ -19,7 +19,6 @@ from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     DecodeRun,
     ModelParams,
     NoCompressionPolicy,
-    PrefillSnapshot,
     decode,
     prefill,
     run_prefill,
@@ -140,24 +139,19 @@ class FidelitySummary:
             raise ValueError("top1 cannot exceed top5")
 
 
-def teacher_forced_replay(params: ModelParams, prompt, reference, policy,
-                          snapshot: PrefillSnapshot | None = None
-                          ) -> ReplayRecord:
-    """Replay the reference continuation under a compression policy,
-    starting from a fork of ``snapshot`` (a prefill of ``prompt``) when one
-    is given."""
+def teacher_forced_replay(params: ModelParams, prompt, reference,
+                          policy) -> ReplayRecord:
+    """Prefill ``prompt`` and replay the reference continuation under a
+    compression policy.  A run from an existing prefill snapshot is
+    ``replay_record(decode(..., forced=reference))``."""
     reference = [int(t) for t in reference]
     if not reference:
         raise ValueError("reference must be nonempty")
     for t in reference:
         if not 0 <= t < params.vocab_size:
             raise ValueError(f"reference token {t} out of vocab")
-    if snapshot is None:
-        snapshot = prefill(params, prompt)
-    elif snapshot.prompt != tuple(prompt):
-        raise ValueError("snapshot was prefilled from another prompt")
-    return replay_record(decode(params, snapshot, len(reference), policy,
-                                forced=reference))
+    return replay_record(decode(params, prefill(params, prompt),
+                                len(reference), policy, forced=reference))
 
 
 def replay_record(run: DecodeRun) -> ReplayRecord:

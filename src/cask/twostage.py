@@ -18,7 +18,7 @@ from .policies import (
     CompressOutcome,
     _check_score_mass,
     cask_compress,
-    keep_order,
+    lowest,
 )
 
 REGIME_DECODE_ACTIVE = "decode-active"
@@ -46,28 +46,43 @@ class StageConfig:
 
 @dataclass
 class RegimeFlags:
+    """A replay's regime flags; whether merging stayed inactive and the
+    regime label follow from the stored fields."""
+
     prefix_budget_exhausted: bool
-    merge_inactive: bool
     core_overflow: bool
     decode_events: int
-    regime_label: str
+
+    @property
+    def merge_inactive(self) -> bool:
+        return self.decode_events == 0
+
+    @property
+    def regime_label(self) -> str:
+        if self.decode_events > 0:
+            return REGIME_DECODE_ACTIVE
+        if self.prefix_budget_exhausted:
+            return REGIME_PREFIX_DOMINANT
+        return REGIME_BOUNDARY
 
 
 def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     """Trim prefix entries to floor(prefix_fraction * budget) once, post-prefill.
 
-    Evicts the lowest-score prefix entries (never below ``min_prefix_keep``)
-    and flags ``prefix_budget_exhausted`` when the remaining decode slack
-    falls short of ``min_decode_slack``.  Returns the flag, which is also
-    stored on the cache.  A NaN, infinite or negative prefix score mass
-    raises ``ValueError`` naming its position before anything is evicted.
+    Evicts the lowest-score prefix entries (:func:`lowest`; never below
+    ``min_prefix_keep``) and flags ``prefix_budget_exhausted`` when the
+    remaining decode slack falls short of ``min_decode_slack``.  Returns
+    the flag, which is also stored on the cache.  A NaN, infinite or
+    negative prefix score mass raises ``ValueError`` naming its position
+    before anything is evicted.
     """
     prefix = (~cache.is_decode).nonzero()[0]
     cap = floor(config.prefix_fraction * config.budget)
     if prefix.size > cap:
         _check_score_mass(cache, prefix)
         target = max(cap, config.min_prefix_keep)
-        evict(cache, cache.position[keep_order(cache, prefix)[target:]])
+        gone = lowest(cache.score_mass[prefix], prefix.size - target)
+        evict(cache, cache.position[prefix[gone]])
     prefix_after = cache.n - int(np.count_nonzero(cache.is_decode))
     exhausted = (config.budget - prefix_after) < config.min_decode_slack
     cache.prefix_budget_exhausted = exhausted
@@ -88,21 +103,12 @@ def stage2_step(cache: CacheState, cask_config: CaskConfig,
 
 def finalize_flags(cache: CacheState,
                    config: StageConfig | None = None) -> RegimeFlags:
-    """Summarize the replay's regime once decoding is finished.
+    """Read the replay's regime flags off its terminal cache.
 
     The flags depend on the cache alone; ``config`` is accepted and unused.
     """
-    events = len(cache.compression_events)
-    if events > 0:
-        label = REGIME_DECODE_ACTIVE
-    elif cache.prefix_budget_exhausted:
-        label = REGIME_PREFIX_DOMINANT
-    else:
-        label = REGIME_BOUNDARY
     return RegimeFlags(
         prefix_budget_exhausted=cache.prefix_budget_exhausted,
-        merge_inactive=(events == 0),
         core_overflow=cache.core_overflow,
-        decode_events=events,
-        regime_label=label,
+        decode_events=len(cache.compression_events),
     )

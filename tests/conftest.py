@@ -25,6 +25,14 @@ def make_entry(position, key, value=None, origin=DECODE, score_mass=1.0,
                    group_mass=group_mass, protected=protected)
 
 
+def keep_order(cache, rows):
+    """``rows`` in keep priority: score mass descending, then recency
+    (higher position).  Positions are unique, so the order is total.  The
+    reference for every score-mass removal (``cask.policies.lowest``): the
+    rows a removal takes are the tail of this order."""
+    return rows[np.lexsort((-cache.position[rows], -cache.score_mass[rows]))]
+
+
 def fill_cache(keys, budget=10_000, origin=DECODE, score_masses=None):
     """Cache with one entry per key, positions 0..n-1."""
     cache = CacheState(budget=budget)

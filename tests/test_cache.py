@@ -64,6 +64,18 @@ def test_append_rejects_a_malformed_entry(key, value, message):
         KVEntry(key=key, value=value, position=5)
 
 
+@pytest.mark.parametrize("group_mass", [float("nan"), float("inf"), 0.0,
+                                        -1.0])
+def test_entry_rejects_a_group_mass_not_finite_and_positive(group_mass):
+    # A folded row of NaN or infinite group mass used to be appended and
+    # pass check_invariants; the next forward_step returned an all-NaN
+    # distribution.
+    with pytest.raises(CacheError, match=r"position 0 has group_mass .*; "
+                                         r"expected finite > 0"):
+        KVEntry(key=np.zeros(4), value=np.zeros(4), position=0,
+                group_mass=group_mass, members=(0, 1))
+
+
 def _staged_row(cache):
     keys, values, _ = cache.slot(cache.row_shape)
     keys[:, -1] = 7.0

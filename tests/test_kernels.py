@@ -78,6 +78,9 @@ def test_horizon_distribution_rejects_bad_weights():
         HorizonDistribution(np.array([0, 1]), np.array([0.7, 0.7]))
     with pytest.raises(ValueError):
         HorizonDistribution(np.array([-1]), np.array([1.0]))
+    # A NaN weight used to pass both weight checks.
+    with pytest.raises(ValueError, match="non-negative"):
+        HorizonDistribution(np.array([0, 1]), np.array([np.nan, 1.0]))
 
 
 # --- band decomposition ---------------------------------------------------

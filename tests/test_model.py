@@ -35,7 +35,7 @@ from cask.model import (
     write_witness_manifest,
 )
 from cask.policies import CaskConfig, CompressOutcome, cask_compress
-from cask.replay import make_policy, teacher_forced_replay
+from cask.replay import make_policy
 
 
 WEIGHTS = ("embedding", "wq", "wk", "wv", "wo", "unembed")
@@ -47,6 +47,15 @@ def test_init_model_deterministic():
     for name in WEIGHTS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(32, 16, 1), (24, 12, 3), (2, 4, 7)])
+def test_model_params_sizes_equal_init_model_arguments(sizes):
+    params = init_model(5, *sizes)
+    assert (params.vocab_size, params.model_dim, params.num_layers) == sizes
+    assert all(type(s) is int for s in (params.vocab_size, params.model_dim,
+                                        params.num_layers))
+    assert "seed" not in vars(params)
 
 
 def test_init_model_seed_changes_parameters():
@@ -557,13 +566,6 @@ def test_reference_run_carries_its_prefill(params):
     assert _cache_state(ref.snapshot.cache) == _cache_state(fresh.cache)
     assert ref.snapshot.distribution.tobytes() == fresh.distribution.tobytes()
     assert ref.cache_sizes.tolist() == [3, 4, 5, 6, 7]
-
-
-def test_replay_rejects_snapshot_of_another_prompt(params):
-    snap = prefill(params, [1, 2, 3])
-    with pytest.raises(ValueError, match="another prompt"):
-        teacher_forced_replay(params, [1, 2, 4], [1, 2, 3, 4],
-                              make_policy("none"), snapshot=snap)
     with pytest.raises(ValueError, match="nonempty"):
         prefill(params, [])
 

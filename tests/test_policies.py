@@ -34,13 +34,13 @@ from cask.policies import (
     evict_baseline,
     fold_group,
     form_merge_groups,
-    keep_order,
     linear_quantile,
+    lowest,
     mass_diagnostics,
     perturbation_check,
 )
 from cask.twostage import StageConfig, stage1_prefix_evict
-from conftest import fill_cache, make_entry
+from conftest import fill_cache, keep_order, make_entry
 
 PI = truncated_geometric(4)
 
@@ -107,6 +107,17 @@ def test_detect_core_matches_brute_force(rng):
 def test_detect_core_empty_cache_raises():
     with pytest.raises(ValueError):
         detect_core(CacheState(budget=4), CaskConfig())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("merge_epsilon", float("nan")), ("merge_epsilon", -0.1),
+    ("anchor_quantile", float("nan")),
+])
+def test_cask_config_rejects_bad_values(field, value):
+    # A NaN merge_epsilon used to be accepted: every `distance <= nan` is
+    # False, so consolidation silently became pure eviction.
+    with pytest.raises(ValueError, match=field):
+        CaskConfig(**{field: value})
 
 
 # --- form_merge_groups -------------------------------------------------------
@@ -446,6 +457,13 @@ def test_fold_matches_independent_weighted_mean(rng):
         assert np.allclose(rep.value, expected_val, atol=1e-12)
 
 
+def test_fold_rejects_a_singleton_group():
+    # form_merge_groups never yields one, and merge_replace refuses it too.
+    group = MergeGroup(positions=(3,), weights=(0.7,), mass=0.7)
+    with pytest.raises(ValueError, match="singleton group"):
+        fold_group(group, [make_entry(3, [1.0, 0.0], score_mass=0.7)])
+
+
 def test_fold_rejects_all_zero_weights():
     entries = [make_entry(0, [1.0, 0.0]), make_entry(1, [0.0, 1.0])]
     group = MergeGroup(positions=(0, 1), weights=(0.0, 0.0), mass=0.0)
@@ -711,6 +729,18 @@ def test_keep_order_equals_sorted_on_finite_masses(masses, gaps, data):
         == [e.position for e in expected]
 
 
+@given(masses=st.lists(MASS, max_size=40), data=st.data())
+@settings(max_examples=200)
+def test_lowest_equals_sorted(masses, data):
+    # The count lowest by (mass, index): ties and signed zeros (equal) go
+    # to the lower index, one row by argmin, none for a count <= 0.
+    count = data.draw(st.integers(-1, len(masses)))
+    expected = sorted(range(len(masses)),
+                      key=lambda i: (masses[i], i))[:max(count, 0)]
+    assert lowest(np.array(masses, dtype=np.float64), count).tolist() \
+        == expected
+
+
 TIED_MASS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 3.0)
 
 
@@ -730,6 +760,32 @@ def test_evict_baseline_drops_the_tail_of_keep_order(masses, gaps, data):
     gone = cache.position[keep_order(cache, np.arange(n))[budget:]].tolist()
     evict_baseline(cache, budget)
     assert cache.position.tolist() == sorted(set(positions) - set(gone))
+    assert cache.evicted_tokens == len(gone)
+
+
+@given(masses=st.lists(TIED_MASS, min_size=1, max_size=30),
+       decode=st.lists(st.booleans(), min_size=30, max_size=30),
+       data=st.data())
+@settings(max_examples=100)
+def test_stage1_drops_the_tail_of_keep_order(masses, decode, data):
+    # The prefix trim's twin of the baseline test: the prefix rows that
+    # leave are the tail of keep_order over the prefix rows, whether one
+    # row (argmin) or several (the sort) go; decode rows stay.
+    n = len(masses)
+    decode = [False, *decode[1:n]]
+    cache = CacheState(budget=10_000)
+    for i, m in enumerate(masses):
+        append(cache, make_entry(i, [1.0, 0.0],
+                                 origin=DECODE if decode[i] else PREFIX,
+                                 score_mass=m))
+    prefix = (~cache.is_decode).nonzero()[0]
+    keep = data.draw(st.sampled_from([max(1, prefix.size - 1),
+                                      *range(1, prefix.size + 1)]))
+    config = StageConfig(budget=keep, prefix_fraction=1.0,
+                         min_decode_slack=0, min_prefix_keep=0)
+    gone = cache.position[keep_order(cache, prefix)[keep:]].tolist()
+    stage1_prefix_evict(cache, config)
+    assert cache.position.tolist() == sorted(set(range(n)) - set(gone))
     assert cache.evicted_tokens == len(gone)
 
 
@@ -831,14 +887,6 @@ def test_perturbation_identical_members_zero_lhs(rng):
     assert report.fraction_bounded == 1.0
 
 
-def test_perturbation_single_member_zero_lhs(rng):
-    key = rng.standard_normal(8)
-    group = MergeGroup(positions=(0,), weights=(0.7,), mass=0.7, keys=(key,))
-    rep = fold_group(group, [make_entry(0, key, score_mass=0.7)])
-    report = perturbation_check(group, rep, rng.standard_normal((8, 8)), PI)
-    assert np.all(report.pairs[:, 0] == 0.0)
-
-
 def test_perturbation_bound_holds_on_random_groups(rng):
     hits = []
     for _ in range(200):
@@ -858,7 +906,8 @@ def test_perturbation_bound_holds_on_random_groups(rng):
 
 def test_perturbation_empty_queries_rejected(rng):
     key = rng.standard_normal(8)
-    group = MergeGroup(positions=(0,), weights=(1.0,), mass=1.0, keys=(key,))
-    rep = fold_group(group, [make_entry(0, key)])
+    group = MergeGroup(positions=(0, 1), weights=(1.0, 1.0), mass=2.0,
+                       keys=(key, key))
+    rep = fold_group(group, [make_entry(0, key), make_entry(1, key)])
     with pytest.raises(ValueError):
         perturbation_check(group, rep, np.empty((0, 8)), PI)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cask.cache import check_invariants, drop
 from cask.model import decode, generate_reference, init_model, make_witness
-from cask.policies import keep_order
 from cask.replay import (
     FidelitySummary,
     ReplayRecord,
@@ -21,6 +20,7 @@ from cask.replay import (
     top1_agreement,
     top5_coverage,
 )
+from conftest import keep_order
 
 # sha256 of the acceptance suite's replay rows (see
 # test_acceptance_suite_rows_match_golden_digest), one json.dumps line each,
@@ -343,7 +343,7 @@ def test_cache_invariants_hold_after_every_append(params, method, budget):
                                  witness.decode_len)
         policy = CheckedPolicy(make_policy(method, budget))
         record = teacher_forced_replay(params, list(witness.prompt), ref.tokens,
-                                       policy, snapshot=ref.snapshot)
+                                       policy)
         assert policy.checks == witness.decode_len
         folded |= policy.max_members > 1
         overflowed |= record.cache.core_overflow
