@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import CacheState
+from .cache import CacheState, at_least
 from .model import ModelParams, decode, prefill
 
 EMBED_WIDTH = 256
@@ -23,8 +23,7 @@ def bridge_run(params: ModelParams, prompt, length: int, policy
                ) -> tuple[list[int], CacheState]:
     """Greedy decode where every emitted token passes through the policy;
     returns the emitted tokens and the terminal cache."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    at_least("length", length, 1)
     run = decode(params, prefill(params, prompt), length, policy)
     return run.tokens, run.cache
 

@@ -27,6 +27,7 @@ the live rows back as read-only copies of it, for tests and debugging.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -147,8 +148,7 @@ class CacheState:
     """
 
     def __init__(self, budget: int):
-        if budget < 1:
-            raise CacheError("budget must be positive")
+        at_least("budget", budget, 1)
         self.budget = budget
         self.total_appended = 0
         self.evicted_tokens = 0
@@ -414,6 +414,17 @@ def ltr_sum(values) -> float:
     return total
 
 
+def at_least(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (one that
+    ``operator.index`` takes: NaN and 1.5 fail) of at least ``minimum``."""
+    try:
+        if operator.index(value) >= minimum:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 def merge_replace(cache: CacheState, group_positions: Sequence[int],
                   representative: KVEntry) -> CacheState:
     """Replace a group of entries with one representative.
@@ -452,15 +463,16 @@ def check_invariants(cache: CacheState) -> None:
     """Raise :class:`CacheError` naming the first broken structural invariant.
 
     Every buffer has the cache's capacity, at least ``n`` rows, and members
-    are recorded only for live positions; a live row covering only its own
-    position has group mass 1; positions strictly increase;
+    are recorded only for live positions; positions strictly increase;
     every appended token is live, folded into a live entry or evicted
-    (``sum(member_count) + evicted_tokens == total_appended``); each
-    entry's members strictly increase from its own position, which
-    :meth:`CacheState.row_of` lookups of group positions rely on; no
-    original position is covered by two entries; and the cache holds at
-    most ``budget`` entries unless core overflow was signalled.  Meant for
-    tests and debugging, not for the decode loop.
+    (``sum(member_count) + evicted_tokens == total_appended``); each live
+    row's group mass is finite and > 0, 1 if it covers only its own
+    position, and its score mass finite and >= 0; its members strictly
+    increase from its own position, which :meth:`CacheState.row_of`
+    lookups of group positions rely on; no original position is covered
+    by two entries; and the cache holds at most ``budget`` entries unless
+    core overflow was signalled.  Meant for tests and debugging, not for
+    the decode loop.
     """
     n = cache.n
     rows = {"keys and values": cache._kv.shape[2],
@@ -473,11 +485,6 @@ def check_invariants(cache: CacheState) -> None:
     if stray:
         raise CacheError(f"members are recorded for position {stray[0]}, "
                          f"which holds no live entry")
-    heavy = (cache._columns["group_mass"][:n] != 1.0).nonzero()[0].tolist()
-    alone = [positions[r] for r in heavy if positions[r] not in cache.members]
-    if alone:
-        raise CacheError(f"entry at position {alone[0]} has group mass "
-                         f"other than 1 but covers only its own position")
     for a, b in zip(positions, positions[1:]):
         if b <= a:
             raise CacheError(f"position {b} follows {a}")
@@ -487,7 +494,14 @@ def check_invariants(cache: CacheState) -> None:
             f"{live} live members + {cache.evicted_tokens} evicted tokens != "
             f"{cache.total_appended} appended")
     covered: set[int] = set()
-    for p in positions:
+    group_mass = cache._columns["group_mass"][:n].tolist()
+    for p, g, s in zip(positions, group_mass, cache.score_mass.tolist()):
+        if not (0 < g < inf and 0 <= s < inf):
+            raise CacheError(f"entry at position {p} has group mass {g} and "
+                             f"score mass {s}; expected finite, > 0 and >= 0")
+        if g != 1.0 and p not in cache.members:
+            raise CacheError(f"entry at position {p} has group mass other "
+                             f"than 1 but covers only its own position")
         m = cache.members.get(p, (p,))
         if m[0] != p or any(b <= a for a, b in zip(m, m[1:])):
             raise CacheError(f"entry at position {p} has members {m}; they "

@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import DECODE, PREFIX, CacheState, StagedRow, append
+from .cache import DECODE, PREFIX, CacheState, StagedRow, append, at_least
 
 # Each witness kind and the length of its repeated motif.  The order is
 # part of every prompt: a kind's index in WITNESS_KINDS seeds its rng.
@@ -86,14 +86,11 @@ class ModelParams:
 def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
                num_layers: int = 1) -> ModelParams:
     """Build deterministic parameters; equal inputs give equal parameters."""
-    if vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
+    at_least("vocab_size", vocab_size, 2)
     if model_dim % 2 != 0:
         raise ValueError("model_dim must be even")
-    if model_dim < 4:
-        raise ValueError("model_dim must be >= 4")
-    if num_layers < 1:
-        raise ValueError("num_layers must be >= 1")
+    at_least("model_dim", model_dim, 4)
+    at_least("num_layers", num_layers, 1)
     rng = np.random.default_rng(seed)
     d = model_dim
     scale = 1.0 / np.sqrt(d)
@@ -311,10 +308,15 @@ def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
     ``after_prefill`` runs first.  It feeds ``forced`` (teacher forcing) or
     else the greedy argmax; a forced run keeps the fork its greedy run
     continues from (:func:`greedy_branch`).  ``forced`` needs a token for
-    each step, and tokens past ``steps`` are not fed.
+    each step, each checked as an ``int`` in the vocabulary before the
+    first step runs; tokens past ``steps`` are neither fed nor checked.
     """
     if forced is not None and len(forced) < steps:
         raise ValueError(f"forced has {len(forced)} tokens for {steps} steps")
+    forced = None if forced is None else [int(t) for t in forced[:steps]]
+    for t, tok in enumerate(forced or ()):
+        if not 0 <= tok < params.vocab_size:
+            raise ValueError(f"forced token {tok} at step {t} out of vocab")
     budget = policy.budget
     if budget is None:
         budget = len(snapshot.prompt) + steps + 1
@@ -354,8 +356,7 @@ def generate_reference(params: ModelParams, prompt: list[int],
     Its snapshot is the prefill that the sweep's cells fork, and its
     terminal cache is never written after this call.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    at_least("length", length, 1)
     return decode(params, prefill(params, prompt), length,
                   NoCompressionPolicy())
 
@@ -387,12 +388,9 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
     """
     if kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
-    if vocab_size < 2:
-        raise ValueError("vocab_size must be >= 2")
-    if prefix_len < 0:
-        raise ValueError("prefix_len must be >= 0")
-    if decode_len < 1:
-        raise ValueError("decode_len must be >= 1")
+    at_least("vocab_size", vocab_size, 2)
+    at_least("prefix_len", prefix_len, 0)
+    at_least("decode_len", decode_len, 1)
     if not 0.0 <= redundancy <= 1.0:
         raise ValueError("redundancy must be in [0, 1]")
     rng = np.random.default_rng([seed, WITNESS_KINDS.index(kind)])

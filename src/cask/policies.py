@@ -21,6 +21,7 @@ from .cache import (
     DECODE,
     CacheState,
     KVEntry,
+    at_least,
     drop,
     ltr_sum,
     merge_replace,
@@ -54,20 +55,15 @@ class CaskConfig:
     horizon: int = 4
 
     def __post_init__(self):
-        if self.sink_count < 0:
-            raise ValueError("sink_count must be >= 0")
-        if self.recency_window < 0:
-            raise ValueError("recency_window must be >= 0")
+        at_least("sink_count", self.sink_count, 0)
+        at_least("recency_window", self.recency_window, 0)
         if not 0.0 <= self.anchor_quantile <= 1.0:
             raise ValueError("anchor_quantile must be in [0, 1]")
         if not self.merge_epsilon >= 0:
             raise ValueError("merge_epsilon must be >= 0")
-        if self.temporal_window < 1:
-            raise ValueError("temporal_window must be >= 1")
-        if self.max_group_size < 2:
-            raise ValueError("max_group_size must be >= 2")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        at_least("temporal_window", self.temporal_window, 1)
+        at_least("max_group_size", self.max_group_size, 2)
+        at_least("horizon", self.horizon, 0)
 
     @cached_property
     def pi(self) -> HorizonDistribution:
@@ -375,8 +371,7 @@ def evict_baseline(cache: CacheState, budget: int) -> CacheState:
     NaN, infinite or negative score mass raises ``ValueError`` naming its
     position, since the order is undefined on NaN.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    at_least("budget", budget, 1)
     _check_score_mass(cache, slice(None))
     if cache.n > budget:
         drop(cache, lowest(cache.score_mass, cache.n - budget))
@@ -404,8 +399,7 @@ def mass_diagnostics(core: set[int], covered: set[int],
     ``ValueError`` naming its position, since it has no place in the
     ranking and would make both ratios NaN.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    at_least("k", k, 1)
     for p, s in oracle_scores.items():
         if not 0.0 <= s < inf:
             raise ValueError(f"oracle score at position {p} is {s}; "

@@ -141,15 +141,12 @@ class FidelitySummary:
 
 def teacher_forced_replay(params: ModelParams, prompt, reference,
                           policy) -> ReplayRecord:
-    """Prefill ``prompt`` and replay the reference continuation under a
-    compression policy.  A run from an existing prefill snapshot is
+    """Prefill ``prompt`` and replay the nonempty reference continuation
+    under a compression policy; :func:`decode` checks its tokens.  A run
+    from an existing prefill snapshot is
     ``replay_record(decode(..., forced=reference))``."""
-    reference = [int(t) for t in reference]
-    if not reference:
+    if not len(reference):
         raise ValueError("reference must be nonempty")
-    for t in reference:
-        if not 0 <= t < params.vocab_size:
-            raise ValueError(f"reference token {t} out of vocab")
     return replay_record(decode(params, prefill(params, prompt),
                                 len(reference), policy, forced=reference))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bridge import sem_sim, seq_ratio, task_metric
-from .cache import covered_positions, terminal_saved_ratio
+from .cache import at_least, covered_positions, terminal_saved_ratio
 from .model import (
     Witness,
     decode,
@@ -75,8 +75,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}")
-        if any(b < 1 for b in self.budgets):
-            raise ValueError(f"budgets must be >= 1, got {self.budgets}")
+        for b in self.budgets:
+            at_least("budgets", b, 1)
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):
             raise ValueError("budget grid must be strictly increasing")
 

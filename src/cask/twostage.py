@@ -12,7 +12,7 @@ from math import floor
 
 import numpy as np
 
-from .cache import CacheState, evict
+from .cache import CacheState, at_least, evict
 from .policies import (
     CaskConfig,
     CompressOutcome,
@@ -34,14 +34,11 @@ class StageConfig:
     min_prefix_keep: int = 4
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        at_least("budget", self.budget, 1)
         if not 0.0 < self.prefix_fraction <= 1.0:
             raise ValueError("prefix_fraction must be in (0, 1]")
-        if self.min_decode_slack < 0:
-            raise ValueError("min_decode_slack must be >= 0")
-        if self.min_prefix_keep < 0:
-            raise ValueError("min_prefix_keep must be >= 0")
+        at_least("min_decode_slack", self.min_decode_slack, 0)
+        at_least("min_prefix_keep", self.min_prefix_keep, 0)
 
 
 @dataclass

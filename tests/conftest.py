@@ -25,6 +25,11 @@ def make_entry(position, key, value=None, origin=DECODE, score_mass=1.0,
                    group_mass=group_mass, protected=protected)
 
 
+def bad_integers(minimum):
+    """Values an integer setting of at least ``minimum`` must refuse."""
+    return (float("nan"), 1.5, minimum - 1)
+
+
 def keep_order(cache, rows):
     """``rows`` in keep priority: score mass descending, then recency
     (higher position).  Positions are unique, so the order is total.  The

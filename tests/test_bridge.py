@@ -16,6 +16,7 @@ from cask.bridge import (
 )
 from cask.model import generate_reference, make_witness
 from cask.replay import make_policy
+from conftest import bad_integers
 
 tokens = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=12)
 
@@ -148,6 +149,12 @@ def test_free_run_unbounded_budget_equals_reference(params):
     out = bridge_run(params, list(w.prompt), w.decode_len,
                      make_policy("cask", total))[0]
     assert out == ref.tokens
+
+
+@pytest.mark.parametrize("length", bad_integers(1))
+def test_bridge_run_rejects_a_bad_length(params, length):
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        bridge_run(params, [1, 2], length, make_policy("none"))
 
 
 def test_bridge_run_reports_cache(params):

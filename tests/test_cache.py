@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from cask.cache import (
     CacheState,
     KVEntry,
     append,
+    at_least,
     check_invariants,
     covered_positions,
     drop,
@@ -35,7 +37,26 @@ from cask.policies import (
     fold_group,
     form_merge_groups,
 )
-from conftest import fill_cache, make_entry
+from conftest import bad_integers, fill_cache, make_entry
+
+
+@pytest.mark.parametrize("budget", bad_integers(1))
+def test_cache_budget_is_an_integer_of_at_least_one(budget):
+    # A fork under a NaN budget used to be accepted, and a decode on it
+    # never evicted.
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        CacheState(budget)
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        CacheState(budget=10).fork(budget)
+
+
+def test_at_least_takes_what_operator_index_takes():
+    for value in (3, np.int64(3), np.uint8(4)):
+        at_least("count", value, 3)
+    for value in (2, 3.0, np.float64(4.0), "3", None):
+        message = f"^count must be >= 3, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            at_least("count", value, 3)
 
 
 def test_append_counts():
@@ -359,6 +380,14 @@ def test_check_invariants_accepts_folds_and_evictions():
     # A row covering only its own position must be unweighted.
     ("unweighted", "entry at position 1 has group mass other than 1 but "
                    "covers only its own position"),
+    # Masses written into the columns of a folded row: a group mass must be
+    # finite and > 0, a score mass finite and >= 0.
+    *[(f"group_mass={bad}", f"entry at position 0 has group mass {bad} and "
+                            f"score mass 2.0; expected finite")
+      for bad in (float("nan"), float("inf"), 0.0, -1.0)],
+    *[(f"score_mass={bad}", f"entry at position 0 has group mass 2.0 and "
+                            f"score mass {bad}; expected finite")
+      for bad in (float("nan"), float("inf"), -1.0)],
 ])
 def test_check_invariants_names_the_broken_invariant(breakage, message):
     cache = fill_cache([[float(i), 0.0] for i in range(3)], budget=3)
@@ -380,6 +409,13 @@ def test_check_invariants_names_the_broken_invariant(breakage, message):
         cache.members[7] = (7, 8)
     elif breakage == "unweighted":
         cache._columns["group_mass"][1] = 2.0
+    elif "=" in breakage:
+        column, bad = breakage.split("=")
+        merge_replace(cache, [0, 1],
+                      KVEntry(key=[0.5, 0.0], value=[0.5, 0.0], position=0,
+                              score_mass=2.0, group_mass=2.0, members=(0, 1)))
+        check_invariants(cache)
+        cache._columns[column][0] = float(bad)
     else:
         cache.budget = 2
     with pytest.raises(CacheError, match=message):

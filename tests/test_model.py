@@ -36,6 +36,7 @@ from cask.model import (
 )
 from cask.policies import CaskConfig, CompressOutcome, cask_compress
 from cask.replay import make_policy
+from conftest import bad_integers
 
 
 WEIGHTS = ("embedding", "wq", "wk", "wv", "wo", "unembed")
@@ -74,6 +75,20 @@ def test_init_model_rejects_tiny_vocab_and_dim():
         init_model(7, 1, 16, 1)
     with pytest.raises(ValueError):
         init_model(7, 32, 2, 1)
+    # Each size refuses NaN, a fraction and one below its minimum.  The
+    # width's parity is checked first, so a NaN, fractional or odd width is
+    # refused as odd, and an even one (2, or 16.0) meets the integer rule.
+    for name, minimum in (("vocab_size", 2), ("num_layers", 1)):
+        for value in bad_integers(minimum):
+            sizes = {"vocab_size": 32, "num_layers": 1, name: value}
+            with pytest.raises(ValueError,
+                               match=f"{name} must be >= {minimum}"):
+                init_model(7, model_dim=16, **sizes)
+    for width in (*bad_integers(4), 2, 16.0):
+        message = ("model_dim must be even" if width % 2
+                   else "model_dim must be >= 4")
+        with pytest.raises(ValueError, match=message):
+            init_model(7, 32, width, 1)
 
 
 def test_forward_step_empty_cache(params):
@@ -398,8 +413,9 @@ def test_distribution_and_weights_normalized(seed):
 
 
 def test_generate_reference_rejects_zero_length(params):
-    with pytest.raises(ValueError):
-        generate_reference(params, [1, 2], 0)
+    for length in bad_integers(1):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            generate_reference(params, [1, 2], length)
 
 
 def test_generate_reference_deterministic(params):
@@ -482,6 +498,25 @@ def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
         greedy_branch(params, run, make_policy(method, 16)) for run in runs)
     assert tokens_a == tokens_b
     assert _cache_state(cache_a) == _cache_state(cache_b)
+
+
+def test_decode_checks_every_forced_token_before_the_first_step(params,
+                                                                monkeypatch):
+    ref = generate_reference(params, [1, 2, 3], 48)
+    forced = list(ref.tokens)
+    forced[40] = params.vocab_size
+    steps = []
+    monkeypatch.setattr("cask.model.forward_step",
+                        lambda *args, **kwargs: steps.append(args)
+                        or forward_step(*args, **kwargs))
+    with pytest.raises(ValueError, match=f"forced token {params.vocab_size} "
+                                         f"at step 40 out of vocab"):
+        decode(params, ref.snapshot, 48, make_policy("none"), forced=forced)
+    assert steps == []
+    # A bad token past the step count is not fed, so it is not checked.
+    assert decode(params, ref.snapshot, 40, make_policy("none"),
+                  forced=forced).tokens == ref.tokens[:40]
+    assert len(steps) == 40
 
 
 def test_decode_rejects_a_forced_sequence_shorter_than_steps(params,
@@ -591,6 +626,13 @@ def test_make_witness_validates_ranges():
         make_witness(kind, 0, 10, 0, 0.5)
     with pytest.raises(ValueError):
         make_witness(kind, 0, 10, 5, 1.5)
+    for name, minimum in (("vocab_size", 2), ("prefix_len", 0),
+                          ("decode_len", 1)):
+        for value in bad_integers(minimum):
+            sizes = {"prefix_len": 10, "decode_len": 5, name: value}
+            with pytest.raises(ValueError,
+                               match=f"{name} must be >= {minimum}"):
+                make_witness(kind, 0, redundancy=0.5, **sizes)
 
 
 def test_make_witness_deterministic():

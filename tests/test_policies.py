@@ -40,7 +40,7 @@ from cask.policies import (
     perturbation_check,
 )
 from cask.twostage import StageConfig, stage1_prefix_evict
-from conftest import fill_cache, keep_order, make_entry
+from conftest import bad_integers, fill_cache, keep_order, make_entry
 
 PI = truncated_geometric(4)
 
@@ -109,14 +109,23 @@ def test_detect_core_empty_cache_raises():
         detect_core(CacheState(budget=4), CaskConfig())
 
 
+# The integer fields and their minimums.
+CASK_INTEGERS = {"sink_count": 0, "recency_window": 0, "temporal_window": 1,
+                 "max_group_size": 2, "horizon": 0}
+
+
 @pytest.mark.parametrize("field, value", [
     ("merge_epsilon", float("nan")), ("merge_epsilon", -0.1),
     ("anchor_quantile", float("nan")),
-])
+] + [(field, value) for field, minimum in CASK_INTEGERS.items()
+     for value in bad_integers(minimum)])
 def test_cask_config_rejects_bad_values(field, value):
     # A NaN merge_epsilon used to be accepted: every `distance <= nan` is
-    # False, so consolidation silently became pure eviction.
-    with pytest.raises(ValueError, match=field):
+    # False, so consolidation silently became pure eviction.  A NaN or
+    # fractional integer field used to fail mid-replay, if at all.
+    message = (f"{field} must be >= {CASK_INTEGERS[field]}"
+               if field in CASK_INTEGERS else field)
+    with pytest.raises(ValueError, match=message):
         CaskConfig(**{field: value})
 
 
@@ -667,6 +676,15 @@ def test_evict_baseline_matches_sort_truncate_oracle(seed, budget):
     assert [e.position for e in cache.entries] == sorted(expected)
 
 
+@pytest.mark.parametrize("budget", bad_integers(1))
+def test_evict_baseline_rejects_a_bad_budget(budget):
+    # A NaN budget used to pass: `cache.n > nan` is False, so nothing left.
+    cache = fill_cache([[float(i), 0.0] for i in range(5)])
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        evict_baseline(cache, budget)
+    assert cache.position.tolist() == list(range(5))
+
+
 @pytest.mark.parametrize("budget", [4, 40])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
                                  -0.5])
@@ -851,8 +869,9 @@ def test_k_beyond_population_clamps():
 
 
 def test_k_must_be_positive():
-    with pytest.raises(ValueError):
-        mass_diagnostics(set(), set(), {0: 1.0}, k=0)
+    for k in bad_integers(1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            mass_diagnostics(set(), set(), {0: 1.0}, k=k)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),

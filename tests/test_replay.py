@@ -245,6 +245,46 @@ def test_replay_rejects_empty_reference(params):
         teacher_forced_replay(params, [1, 2], [], make_policy("none"))
 
 
+@pytest.mark.parametrize("method", ["cask", "evict"])
+def test_a_nan_budget_is_refused_before_any_step(params, method):
+    # Both used to get past every budget check: evict then replayed without
+    # evicting anything, and cask failed on a budget mismatch.
+    ref = generate_reference(params, [1, 2, 3], 8)
+    with pytest.raises(ValueError, match="budget must be >= 1, got nan"):
+        decode(params, ref.snapshot, 8, make_policy(method, float("nan")),
+               forced=ref.tokens)
+
+
+def _cache_bytes(cache):
+    """Everything a policy could change in ``cache``, as comparable values."""
+    n = cache.n
+    return ({name: col[:n].tobytes() for name, col in cache._columns.items()},
+            cache._kv[:, :, :n].tobytes(), dict(cache.members), cache.budget,
+            cache.total_appended, cache.evicted_tokens,
+            cache.prefix_budget_exhausted, cache.core_overflow,
+            list(cache.compression_events))
+
+
+@pytest.mark.parametrize("method", ["cask", "evict"])
+@pytest.mark.parametrize("slack", [0, 8])
+def test_after_append_changes_nothing_within_budget(params, method, slack):
+    # A policy acts on a decode step only once the append puts the cache
+    # over its budget.  Stage 1's trim in after_prefill can act under
+    # budget and is not covered here.  The cache is a cask run's terminal
+    # cache, with folded rows, protected rows and compression events.
+    witness = make_witness("prompt-heavy-decode-active", 0, 32, 256, 0.8)
+    ref = generate_reference(params, list(witness.prompt), witness.decode_len)
+    run = decode(params, ref.snapshot, witness.decode_len,
+                 make_policy("cask", 64), forced=ref.tokens)
+    budget = run.cache.n + slack
+    cache = run.cache.fork(budget)
+    assert cache.members and cache.compression_events
+    assert cache.protected.any() and not cache.protected.all()
+    before = _cache_bytes(cache)
+    make_policy(method, budget).after_append(cache)
+    assert _cache_bytes(cache) == before
+
+
 def test_make_policy_rejects_unknown_method():
     with pytest.raises(ValueError):
         make_policy("magic", 8)

@@ -71,7 +71,8 @@ def test_spec_rejects_non_increasing_budgets(tmp_path):
         small_spec(tmp_path, budgets=(20, 12))
 
 
-@pytest.mark.parametrize("budgets", [(0, 8), (-1,), (0,)])
+@pytest.mark.parametrize("budgets", [(0, 8), (-1,), (0,), (float("nan"),),
+                                     (1.5, 8)])
 def test_spec_rejects_budgets_below_one(tmp_path, budgets):
     with pytest.raises(ValueError, match="budgets must be >= 1"):
         small_spec(tmp_path, budgets=budgets)

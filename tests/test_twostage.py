@@ -11,7 +11,7 @@ from cask.twostage import (
     stage1_prefix_evict,
     stage2_step,
 )
-from conftest import make_entry
+from conftest import bad_integers, make_entry
 
 
 def prefix_cache(n, budget=10_000, rng=None):
@@ -30,6 +30,13 @@ def test_stage_config_validation():
         StageConfig(budget=10, prefix_fraction=0.0)
     with pytest.raises(ValueError):
         StageConfig(budget=10, min_decode_slack=-1)
+    # Each integer field refuses NaN and fractions too.
+    for field, minimum in (("budget", 1), ("min_decode_slack", 0),
+                           ("min_prefix_keep", 0)):
+        for value in bad_integers(minimum):
+            with pytest.raises(ValueError,
+                               match=f"{field} must be >= {minimum}"):
+                StageConfig(**{"budget": 10, field: value})
 
 
 def test_stage1_short_prefix_untouched():
