@@ -149,15 +149,17 @@ class QPInstance:
     weights: np.ndarray
 
     def __post_init__(self):
-        self.design = np.asarray(self.design, dtype=np.float64)
-        self.target = np.asarray(self.target, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.design.ndim != 2:
-            raise ValueError("design must be a matrix")
+        for name in ("design", "target", "weights"):
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, value)
+        if self.design.ndim != 2 or self.design.shape[1] == 0:
+            raise ValueError("design must be a matrix of at least one column")
         m = self.design.shape[0]
         if self.target.shape != (m,) or self.weights.shape != (m,):
             raise ValueError("target/weights must match design rows")
-        if np.any(self.weights < 0):
+        if not np.all(self.weights >= 0):
             raise ValueError("weights must be non-negative")
 
     def objective(self, pi: np.ndarray) -> float:
@@ -198,40 +200,25 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _lipschitz_estimate(instance: QPInstance) -> float:
-    """Largest eigenvalue of 2 A^T W A by 60 steps of power iteration."""
-    n = instance.design.shape[1]
-    wa = instance.weights[:, None] * instance.design
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(60):
-        y = 2.0 * instance.design.T @ (wa @ x)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        lam = norm
-    return lam
-
-
 def solve_horizon_qp(instance: QPInstance, max_iters: int = 20000,
                      tol: float = 1e-9) -> QPSolution:
-    """Projected gradient on the simplex with a 1/L step.
+    """Projected gradient on the simplex with a 1/L step, L being the
+    exact largest eigenvalue of the Hessian 2 A^T W A.
 
     The convergence certificate is the fixed-point residual
     ``||pi - P(pi - (1/L) grad)||_2``; raises :class:`QPConvergenceError`
     when it stays above ``tol`` after ``max_iters`` iterations.
     """
-    n = instance.design.shape[1]
-    lam = _lipschitz_estimate(instance)
-    if lam == 0.0:
-        # Objective is constant in pi; any simplex point is optimal.
-        pi = np.full(n, 1.0 / n)
-        return QPSolution(pi=pi, iterations=0, residual=0.0,
-                          objectives=[instance.objective(pi)])
-    step = 1.0 / (lam * (1.0 + 1e-9))
+    a = instance.design
+    lam = np.linalg.eigvalsh(2.0 * a.T @ (instance.weights[:, None] * a))[-1]
+    n = a.shape[1]
     pi = np.full(n, 1.0 / n)
     objectives = [instance.objective(pi)]
+    if lam <= 0.0:
+        # Objective is constant in pi; any simplex point is optimal.
+        return QPSolution(pi=pi, iterations=0, residual=0.0,
+                          objectives=objectives)
+    step = 1.0 / (lam * (1.0 + 1e-9))
     residual = np.inf
     for it in range(1, max_iters + 1):
         nxt = project_to_simplex(pi - step * instance.gradient(pi))

@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -218,7 +219,7 @@ def run_prefill(params: ModelParams, cache: CacheState, prompt) -> np.ndarray:
     next-token distribution in hand."""
     dist = None
     for tok in prompt:
-        out = forward_step(params, cache, int(tok), origin=PREFIX)
+        out = forward_step(params, cache, tok, origin=PREFIX)
         accumulate_mass(cache, out)
         append(cache, out.staged)
         dist = out.distribution
@@ -239,12 +240,15 @@ class PrefillSnapshot:
 
 def prefill(params: ModelParams, prompt) -> PrefillSnapshot:
     """Prefill ``prompt`` under full KV and keep the result for forking."""
+    for t, tok in enumerate(prompt):
+        if not (hasattr(tok, "__index__") and 0 <= tok < params.vocab_size):
+            raise ValueError(f"prompt token {tok} at step {t} out of vocab")
+    prompt = list(map(operator.index, prompt))
     cache = CacheState(budget=max(1, len(prompt)))
     dist = run_prefill(params, cache, prompt)
     if dist is None:
         raise ValueError("prompt must be nonempty")
-    return PrefillSnapshot(prompt=tuple(int(t) for t in prompt),
-                           cache=cache, distribution=dist)
+    return PrefillSnapshot(tuple(prompt), cache, dist)
 
 
 @dataclass
@@ -308,15 +312,17 @@ def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
     ``after_prefill`` runs first.  It feeds ``forced`` (teacher forcing) or
     else the greedy argmax; a forced run keeps the fork its greedy run
     continues from (:func:`greedy_branch`).  ``forced`` needs a token for
-    each step, each checked as an ``int`` in the vocabulary before the
-    first step runs; tokens past ``steps`` are neither fed nor checked.
+    each step, each an integer in the vocabulary; those and ``steps`` are
+    checked before the first step runs.  Tokens past ``steps`` are unread.
     """
+    at_least("steps", steps, 0)
     if forced is not None and len(forced) < steps:
         raise ValueError(f"forced has {len(forced)} tokens for {steps} steps")
-    forced = None if forced is None else [int(t) for t in forced[:steps]]
-    for t, tok in enumerate(forced or ()):
-        if not 0 <= tok < params.vocab_size:
+    for t, tok in enumerate(() if forced is None else forced[:steps]):
+        if not (hasattr(tok, "__index__") and 0 <= tok < params.vocab_size):
             raise ValueError(f"forced token {tok} at step {t} out of vocab")
+    if forced is not None:
+        forced = list(map(operator.index, forced[:steps]))
     budget = policy.budget
     if budget is None:
         budget = len(snapshot.prompt) + steps + 1

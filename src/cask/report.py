@@ -75,6 +75,12 @@ class SweepSpec:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise ValueError(f"unknown method {m!r}")
+        # Rows key on Witness.name, which is made of the kind and seed alone.
+        keys = [(w.kind, w.seed) for w in self.witnesses]
+        for what, items in (("witness", keys), ("method", self.methods)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ValueError(f"{what} {item!r} listed twice")
         for b in self.budgets:
             at_least("budgets", b, 1)
         if any(b2 <= b1 for b1, b2 in zip(self.budgets, self.budgets[1:])):

@@ -129,6 +129,22 @@ def test_sweep_rejects_manifest_with_another_prompt(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("repeat, message", [
+    (["--witness", "{w}"],
+     "witness ('prompt-heavy-decode-active', 1) listed twice"),
+    (["--method", "cask"], "method 'cask' listed twice"),
+])
+def test_sweep_rejects_a_repeated_witness_or_method_before_writing(
+        tmp_path, repeat, message):
+    path = gen_witness(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        main(["sweep", "--witness", str(path), "--method", "cask",
+              "--budget-grid", "16", "--out", str(out)]
+             + [arg.format(w=path) for arg in repeat])
+    assert not out.exists()
+
+
 def test_cli_rejects_bad_method(tmp_path):
     path = gen_witness(tmp_path)
     with pytest.raises(SystemExit):

@@ -288,6 +288,46 @@ def test_qp_objective_monotone_and_beats_monte_carlo(rng):
     assert inst.objective(sol.pi) <= best + 1e-12
 
 
+def test_qp_centred_row_reaches_the_vertex():
+    # The row sums to zero, so the Hessian maps the uniform start to zero;
+    # the objective is not constant all the same.
+    inst = QPInstance([[1.0, -1.0]], [1.0], [1.0])
+    sol = solve_horizon_qp(inst)
+    assert np.max(np.abs(sol.pi - [1.0, 0.0])) <= 1e-9
+    assert inst.objective(sol.pi) <= 1e-12
+    assert sol.iterations > 0
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_qp_centred_rows_beat_monte_carlo(case):
+    rng = np.random.default_rng(case)
+    m, n = int(rng.integers(1, 6)), int(rng.integers(2, 7))
+    if case < 4:
+        # Integer rows whose sums are exactly zero.
+        design = rng.integers(-3, 4, size=(m, n)).astype(np.float64)
+        design[:, -1] -= design.sum(axis=1)
+    else:
+        design = rng.standard_normal((m, n))
+        design -= design.mean(axis=1, keepdims=True)
+    inst = QPInstance(design, rng.standard_normal(m),
+                      rng.uniform(0.1, 2.0, m))
+    sol = solve_horizon_qp(inst)
+    assert np.all(np.diff(sol.objectives) <= 1e-12)
+    samples = rng.dirichlet(np.ones(n), size=10_000)
+    best = min(inst.objective(s) for s in samples)
+    assert inst.objective(sol.pi) <= best + 1e-12
+
+
+def test_qp_zero_weights_return_the_uniform_point():
+    # The objective is constant, so the uniform start is returned as is.
+    inst = QPInstance([[1.0, -1.0, 2.0], [0.5, 3.0, 1.0]], [1.0, 2.0],
+                      [0.0, 0.0])
+    sol = solve_horizon_qp(inst)
+    assert np.array_equal(sol.pi, np.full(3, 1.0 / 3.0))
+    assert (sol.iterations, sol.residual) == (0, 0.0)
+    assert sol.objectives == [0.0]
+
+
 def test_qp_reports_residual_on_non_convergence(rng):
     inst = QPInstance(rng.standard_normal((8, 6)), rng.standard_normal(8),
                       np.ones(8))
@@ -301,3 +341,17 @@ def test_qp_instance_validates_shapes():
         QPInstance(np.eye(3), np.zeros(2), np.ones(3))
     with pytest.raises(ValueError):
         QPInstance(np.eye(3), np.zeros(3), -np.ones(3))
+    # No offsets, so no simplex to solve over.
+    with pytest.raises(ValueError, match="at least one column"):
+        QPInstance(np.zeros((1, 0)), [1.0], [1.0])
+
+
+@pytest.mark.parametrize("field", ["design", "target", "weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qp_instance_refuses_non_finite_input(field, bad):
+    # NaN < 0 is False, so each check must be one that NaN fails.
+    arrays = {"design": np.eye(2), "target": np.zeros(2),
+              "weights": np.ones(2)}
+    arrays[field][1] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        QPInstance(**arrays)

@@ -512,11 +512,30 @@ def test_decode_checks_every_forced_token_before_the_first_step(params,
     with pytest.raises(ValueError, match=f"forced token {params.vocab_size} "
                                          f"at step 40 out of vocab"):
         decode(params, ref.snapshot, 48, make_policy("none"), forced=forced)
+    # A fractional token is refused, not truncated, and a step count that
+    # is not an integer >= 0 is refused before the tokens are read.
+    for steps_in, forced_in, message in (
+            (4, [1.7, 2.2, 3.9, 0.5], "forced token 1.7 at step 0 out of vocab"),
+            (2, np.array([1.0, 2.0]), "forced token 1.0 at step 0 out of vocab"),
+            (48, forced[:3] + [3.0] + forced[4:], "forced token 3.0 at step 3"),
+            (48, forced[:5] + [-1] + forced[6:], "forced token -1 at step 5"),
+            (48, forced[:7] + ["7"] + forced[8:], "forced token 7 at step 7"),
+            (2.0, None, "steps must be >= 0, got 2.0"),
+            (-1, forced, "steps must be >= 0, got -1"),
+            (float("nan"), forced, "steps must be >= 0, got nan")):
+        for policy in (make_policy("none"), make_policy("cask", 16),
+                       make_policy("evict", 16)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                decode(params, ref.snapshot, steps_in, policy,
+                       forced=forced_in)
     assert steps == []
     # A bad token past the step count is not fed, so it is not checked.
     assert decode(params, ref.snapshot, 40, make_policy("none"),
                   forced=forced).tokens == ref.tokens[:40]
     assert len(steps) == 40
+    run = decode(params, ref.snapshot, 40, make_policy("none"),
+                 forced=np.array(forced))
+    assert run.tokens == ref.tokens[:40] and type(run.tokens[0]) is int
 
 
 def test_decode_rejects_a_forced_sequence_shorter_than_steps(params,
@@ -594,15 +613,29 @@ def test_greedy_branch_equals_independent_bridge_run():
     assert overflowed
 
 
-def test_reference_run_carries_its_prefill(params):
+def test_reference_run_carries_its_prefill(params, monkeypatch):
     ref = generate_reference(params, [1, 2, 3], 5)
-    fresh = prefill(params, [1, 2, 3])
+    fresh = prefill(params, np.array([1, 2, 3]))
+    assert fresh.prompt == (1, 2, 3) and type(fresh.prompt[0]) is int
     assert ref.snapshot.prompt == (1, 2, 3)
     assert _cache_state(ref.snapshot.cache) == _cache_state(fresh.cache)
     assert ref.snapshot.distribution.tobytes() == fresh.distribution.tobytes()
     assert ref.cache_sizes.tolist() == [3, 4, 5, 6, 7]
     with pytest.raises(ValueError, match="nonempty"):
         prefill(params, [])
+    # Every prompt token is checked before the first step: a fractional
+    # one is refused, not truncated.
+    steps = []
+    monkeypatch.setattr("cask.model.forward_step",
+                        lambda *args, **kwargs: steps.append(args))
+    for prompt, message in (([0, 1.7, 3.2], "prompt token 1.7 at step 1"),
+                            ([1, 2, np.float64(3.0)], "prompt token 3.0 at"),
+                            ([1, params.vocab_size],
+                             f"prompt token {params.vocab_size} at step 1"),
+                            ([1, 2, -1], "prompt token -1 at step 2")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            prefill(params, prompt)
+    assert steps == []
 
 
 def test_make_witness_rejects_unknown_kind():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 
 import pytest
 
@@ -83,6 +84,26 @@ def test_spec_rejects_unknown_method(tmp_path):
         small_spec(tmp_path, methods=("cask", "magic"))
 
 
+@pytest.mark.parametrize("change, message", [
+    # Rows key on the witness name, kind and seed alone: the same-budget
+    # tables would pair two geometries' rows under one name.
+    ({"witnesses": [WSPEC, dataclasses.replace(WSPEC, prefix_len=32)]},
+     "witness ('prompt-heavy-decode-active', 1) listed twice"),
+    # A witness listed twice would count its tokens twice in the audits.
+    ({"witnesses": [WSPEC, WSPEC]},
+     "witness ('prompt-heavy-decode-active', 1) listed twice"),
+    ({"methods": ["cask", "evict", "cask"]}, "method 'cask' listed twice"),
+])
+def test_spec_rejects_a_witness_or_method_listed_twice(tmp_path, change,
+                                                        message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(small_spec(tmp_path), **change)
+    # Another seed or another kind is another witness.
+    other = [WSPEC, dataclasses.replace(WSPEC, seed=2),
+             dataclasses.replace(WSPEC, kind="short-prompt-reasoning")]
+    dataclasses.replace(small_spec(tmp_path), witnesses=other)
+
+
 def test_spec_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
         SweepSpec(witnesses=[], methods=["cask"], budgets=[8],
@@ -95,7 +116,7 @@ def test_spec_rejects_empty(tmp_path):
     ({"witnesses": [dataclasses.replace(WSPEC, kind="essay")]},
      "unknown witness kind"),
     # A bad later witness must not leave the first witness's rows behind.
-    ({"witnesses": [WSPEC, dataclasses.replace(WSPEC, decode_len=0)]},
+    ({"witnesses": [WSPEC, dataclasses.replace(WSPEC, seed=2, decode_len=0)]},
      "decode_len must be >= 1"),
 ])
 def test_sweep_writes_nothing_for_a_spec_it_cannot_run(tmp_path, change,
