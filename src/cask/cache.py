@@ -214,7 +214,7 @@ class CacheState:
 
     def entry_at(self, position: int) -> KVEntry:
         """A read-only copy of the row at ``position``."""
-        return self._entry(self.row_of(position))
+        return self._entry(self.row_of([position])[0])
 
     def _entry(self, row: int) -> KVEntry:
         """A read-only copy of ``row``, live or staged; a staged row covers
@@ -233,13 +233,16 @@ class CacheState:
             protected=bool(c["protected"][row]),
             members=members.get(position, (position,)))
 
-    def row_of(self, position: int) -> int:
-        """The row holding ``position``; :class:`CacheError` when none does."""
-        live = self.position
-        row = int(live.searchsorted(position))
-        if row == self.n or live[row] != position:
-            raise CacheError(f"no entry at position {position}")
-        return row
+    def row_of(self, positions: Sequence[int]) -> np.ndarray:
+        """The rows holding ``positions``, by one binary search over them
+        all; :class:`CacheError` names the first position no row holds."""
+        wanted, live = np.asarray(positions), self.position
+        rows = live.searchsorted(wanted)
+        found = live.take(rows, mode="clip") if self.n else np.nan
+        missing = wanted[wanted != found]
+        if missing.size:
+            raise CacheError(f"no entry at position {missing[0]}")
+        return rows
 
     def slot(self, row_shape: tuple[int, ...]
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -437,7 +440,7 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
     targets = sorted(set(group_positions))
     if len(targets) < 2:
         raise CacheError("singleton group")
-    rows = np.array([cache.row_of(p) for p in targets])
+    rows = cache.row_of(targets)
     hit = rows[cache.protected[rows]]
     if hit.size:
         raise CacheError(f"protected member at position {cache.position[hit[0]]}")

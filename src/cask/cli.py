@@ -122,8 +122,11 @@ def _cmd_cell(args, params: ModelParams) -> int:
 def _cmd_sweep(args, _params: ModelParams) -> int:
     # main built the model to check the flags; run_sweep builds its own.
     witnesses = [_read_witness(path, args.vocab_size) for path in args.witness]
-    spec = _sweep_spec(args, witnesses, args.method, args.budget_grid,
-                       args.out)
+    try:
+        spec = _sweep_spec(args, witnesses, args.method, args.budget_grid,
+                           args.out)
+    except ValueError as e:  # SweepSpec refuses only what the flags say
+        args.usage_error(str(e))
     rows = run_sweep(spec)
     print(f"wrote {len(rows)} rows to {Path(args.out) / 'rows.jsonl'}")
     return 0
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated increasing budgets, e.g. 32,48,64")
     p.add_argument("--out", required=True)
     _add_model_flags(p)
-    p.set_defaults(fn=_cmd_sweep, build=_model_params)
+    p.set_defaults(fn=_cmd_sweep, build=_model_params, usage_error=p.error)
 
     p = sub.add_parser("report", help="derive tables from a rows.jsonl stream")
     p.add_argument("--rows", required=True)

@@ -151,7 +151,7 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     mass, group mass 1 and no protection.  The live rows are only read,
     and ``n`` does not change.
     """
-    if not 0 <= token < params.vocab_size:
+    if not (hasattr(token, "__index__") and 0 <= token < params.vocab_size):
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
     L, d = params.num_layers, params.model_dim
     n = cache.n

@@ -120,12 +120,30 @@ def _check_score_mass(cache: CacheState, rows) -> None:
     """Raise ``ValueError`` naming the first of ``rows`` (any index of the
     live rows) whose score mass is NaN, infinite or negative."""
     masses = cache.score_mass[rows]
-    if not masses.size or (masses.min() >= 0.0 and masses.max() < inf):
+    if not masses.size or (np.minimum.reduce(masses) >= 0.0
+                            and np.maximum.reduce(masses) < inf):
         return
     first = int(np.argmin((masses >= 0.0) & (masses < inf)))
     raise ValueError(f"entry at position {cache.position[rows][first]} "
                      f"has score_mass {float(masses[first])}; expected "
                      f"finite >= 0")
+
+
+def _mark_core(cache: CacheState, config: CaskConfig) -> np.ndarray:
+    """Protect and return :func:`detect_core`'s rows; masses unchecked."""
+    decode = cache.is_decode.nonzero()[0]
+    cache.protected[:] = False
+    if not decode.size:
+        return decode
+    masses = cache.score_mass[decode]
+    core = masses > linear_quantile(sorted(masses.tolist()),
+                                    config.anchor_quantile)
+    core[:config.sink_count] = True
+    if config.recency_window > 0:
+        core[-config.recency_window:] = True
+    rows = decode[core]
+    cache.protected[rows] = True
+    return rows
 
 
 def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
@@ -135,26 +153,13 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     decode entries + decode entries whose accumulated score mass is strictly
     above the ``anchor_quantile`` quantile of decode score mass.  Flags are
     recomputed from scratch on every call.  A NaN, infinite or negative
-    decode score mass raises ``ValueError`` naming its position, since it
-    would turn the quantile into NaN and silently drop every anchor.
+    decode score mass raises ``ValueError`` naming its position before any
+    flag is written: it would make the quantile NaN and drop every anchor.
     """
     if not cache.n:
         raise ValueError("cache is empty")
-    decode = cache.is_decode.nonzero()[0]
-    _check_score_mass(cache, decode)
-    protected = cache.protected
-    protected[:] = False
-    if not decode.size:
-        return set()
-    masses = cache.score_mass[decode]
-    core = masses > linear_quantile(sorted(masses.tolist()),
-                                    config.anchor_quantile)
-    core[:config.sink_count] = True
-    if config.recency_window > 0:
-        core[-config.recency_window:] = True
-    rows = decode[core]
-    protected[rows] = True
-    return set(cache.position[rows].tolist())
+    _check_score_mass(cache, cache.is_decode)
+    return set(cache.position[_mark_core(cache, config)].tolist())
 
 
 def _weighted_centroid(keys: Sequence[np.ndarray],
@@ -203,10 +208,10 @@ def form_merge_groups(cache: CacheState,
     distance to every seed's centroid.  A seed with no free, in-window
     candidate within ``merge_epsilon`` in its row of that table forms no
     group and costs no further work; any other admits the first one.  From
-    then on the centroid changes only when a member is admitted, so the
-    distances of all remaining in-window candidates to it are taken in one
-    batched call.  Admitting the first one within ``merge_epsilon`` is the
-    choice a one-by-one scan makes.
+    then on the centroid changes only when a member is admitted, by one
+    term of its running sums, and the distances of all remaining in-window
+    candidates to it are taken in one batched call.  Admitting the first
+    one within ``merge_epsilon`` is the choice a one-by-one scan makes.
     """
     candidates = (cache.is_decode & ~cache.protected).nonzero()[0]
     c = candidates.size
@@ -244,11 +249,13 @@ def form_merge_groups(cache: CacheState,
             members = [i, j]
             keys = [stacked[i], stacked[j]]
             weights = [masses[i], masses[j]]
+            acc = weights[0] * keys[0] + weights[1] * keys[1]
+            total = 0.0 + weights[0] + weights[1]
             end = bisect_right(positions, positions[i] + window)
             pool = j + 1 + free[j + 1:end].nonzero()[0]
             while pool.size and len(members) < config.max_group_size:
-                centroid = band_view(_weighted_centroid(keys, weights))
-                near = (d_kappa_batch(spectra[pool], centroid, mags)
+                centroid = acc / total if total else np.mean(keys, axis=0)
+                near = (d_kappa_batch(spectra[pool], band_view(centroid), mags)
                         <= config.merge_epsilon).nonzero()[0]
                 if not near.size:
                     break
@@ -256,6 +263,8 @@ def form_merge_groups(cache: CacheState,
                 members.append(j)
                 keys.append(stacked[j])
                 weights.append(masses[j])
+                acc += masses[j] * stacked[j]
+                total += masses[j]
                 pool = pool[near[0] + 1:]
             free[members] = False
             groups.append(MergeGroup(
@@ -333,22 +342,22 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     ``cache.compression_events``.  Terminal protected flags are recomputed
     on the final state.
 
-    The eviction ranks prefix rows too, so a cache over budget with a NaN,
-    infinite or negative score mass on any row raises ``ValueError`` naming
-    its position, and is left untouched.
+    Every row's score mass is checked once, first (the eviction ranks prefix
+    rows too): a NaN, infinite or negative one raises ``ValueError`` naming
+    its position, and the cache is left untouched.
     """
     if cache.n <= budget:
         return CompressOutcome()
     _check_score_mass(cache, slice(None))
-    core = detect_core(cache, config)
-    if budget < len(core):
+    if budget < len(_mark_core(cache, config)):
         cache.core_overflow = True
         return CompressOutcome()
     groups_folded = members_folded = evicted = 0
     for group in form_merge_groups(cache, config):
         if group.mass <= 0.0:
             continue
-        rep = fold_group(group, [cache.entry_at(p) for p in group.positions])
+        rows = cache.row_of(group.positions)
+        rep = fold_group(group, [cache._entry(row) for row in rows])
         merge_replace(cache, group.positions, rep)
         groups_folded += 1
         members_folded += len(group)
@@ -358,8 +367,8 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         evicted = drop(cache, unprotected[gone])
     outcome = CompressOutcome(groups_folded, members_folded, evicted)
     cache.compression_events.append(outcome)
-    # Not redundant: sets the terminal protected flags replay_row's rho_core reads.
-    detect_core(cache, config)
+    # The terminal flags rho_core reads; a fold's mass is finite and > 0.
+    _mark_core(cache, config)
     return outcome
 
 

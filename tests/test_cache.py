@@ -278,6 +278,33 @@ def test_merge_replace_rejects_protected_member():
         merge_replace(cache, [0, 1], rep)
 
 
+@pytest.mark.parametrize("group, missing", [
+    ([0, 2, 4], 0), ([2, 3, 4], 3), ([4, 6, 9], 9), ([3, 5, 6], 3),
+    ([6, 4, 1], 1),
+], ids=["before-first", "between", "past-last", "first-of-two", "unsorted"])
+def test_merge_replace_refuses_a_missing_position(group, missing):
+    # One binary search finds every member's row; a position between two
+    # rows, before the first or past the last is named as before.
+    cache = CacheState(budget=8)
+    for p in (2, 4, 6):
+        append(cache, make_entry(p, [float(p), 1.0]))
+    rep = rep_for(cache.entries[:2])
+    message = f"no entry at position {missing}"
+    with pytest.raises(CacheError, match=f"^{message}$"):
+        merge_replace(cache, group, rep)
+    assert cache.position.tolist() == [2, 4, 6] and cache.members == {}
+    with pytest.raises(CacheError, match=f"^{message}$"):
+        cache.entry_at(missing)
+    assert cache.row_of([6, 2, 4]).tolist() == [2, 0, 1]
+
+
+def test_row_of_an_empty_cache():
+    cache = CacheState(budget=8)
+    assert cache.row_of([]).tolist() == []
+    with pytest.raises(CacheError, match="^no entry at position 0$"):
+        cache.row_of([0])
+
+
 def test_merge_all_scratch_with_four_protected():
     # 10 entries, 4 protected: merging the 6 unprotected leaves 5
     cache = CacheState(budget=16)

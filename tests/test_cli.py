@@ -133,16 +133,26 @@ def test_sweep_rejects_manifest_with_another_prompt(tmp_path):
     (["--witness", "{w}"],
      "witness ('prompt-heavy-decode-active', 1) listed twice"),
     (["--method", "cask"], "method 'cask' listed twice"),
+    (["--witness", "{longer}"],
+     "witness ('prompt-heavy-decode-active', 1) listed twice"),
+    (["--method", "none", "--method", "evict", "--method", "none"],
+     "method 'none' listed twice"),
 ])
 def test_sweep_rejects_a_repeated_witness_or_method_before_writing(
-        tmp_path, repeat, message):
+        tmp_path, capsys, repeat, message):
+    # SweepSpec's refusal used to escape as a traceback (exit 1).  The
+    # third case is one (kind, seed) at another geometry, in its own file.
     path = gen_witness(tmp_path)
+    longer = gen_witness(tmp_path, name="longer.json", decode=20)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(SystemExit) as exc:
         main(["sweep", "--witness", str(path), "--method", "cask",
               "--budget-grid", "16", "--out", str(out)]
-             + [arg.format(w=path) for arg in repeat])
-    assert not out.exists()
+             + [arg.format(w=path, longer=longer) for arg in repeat])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: cask sweep" in err and message in err
+    assert sorted(tmp_path.iterdir()) == sorted([path, longer])
 
 
 def test_cli_rejects_bad_method(tmp_path):

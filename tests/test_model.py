@@ -117,6 +117,21 @@ def test_forward_step_rejects_out_of_vocab(params):
         forward_step(params, CacheState(budget=4), 99)
 
 
+@pytest.mark.parametrize("token", [1.7, 2.0, np.float64(2.0), "3", None],
+                         ids=repr)
+def test_forward_step_refuses_a_token_that_is_not_an_integer(params, token):
+    # These used to fail inside numpy's indexing with an IndexError (or a
+    # TypeError from the range comparison).
+    cache = CacheState(budget=4)
+    append(cache, forward_step(params, cache, 1).staged)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"token {token} out of vocab (V=")):
+        forward_step(params, cache, token)
+    assert cache.n == 1 and cache._staged is None
+    assert np.array_equal(forward_step(params, cache, np.int64(2)).distribution,
+                          forward_step(params, cache, 2).distribution)
+
+
 def test_forward_step_rejects_dimension_mismatch(params):
     for dims in ((32, 8, 1),                    # model_dim mismatch
                  (32, 16, 2)):                  # layer-count mismatch
@@ -242,7 +257,7 @@ def _check_step_against_restack(num_layers, n, folded, defold=False):
     # The step takes log(group_mass) exactly while members are recorded.
     assert bool(cache.members) == (folded and n > 0)
     if defold:
-        drop(cache, [cache.row_of(p) for p in sorted(cache.members)])
+        drop(cache, cache.row_of(sorted(cache.members)))
         assert not cache.members and 0 < cache.n < n
         assert (cache._columns["group_mass"][:cache.n] == 1.0).all()
     live_n = cache.n

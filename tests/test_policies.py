@@ -387,6 +387,41 @@ def test_distance_table_entries_equal_scalar_d_kappa(monkeypatch, n,
         assert max(out.size for *_, out in tables) < len(decode) ** 2 // 2
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_running_centroid_equals_weighted_centroid(monkeypatch, seed):
+    # form_merge_groups keeps the centroid's weighted sum and weight sum as
+    # running totals, one term per admitted member.  Every centroid it
+    # measures against must be _weighted_centroid of the members so far,
+    # bit for bit, for groups of 2 to 16 members; zero-mass members are
+    # common, and seed 0's group is all zero, which takes the mean branch.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 18))
+    masses = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+    masses[rng.random(n) < 0.3] = 0.0
+    if seed == 0:
+        masses[:] = 0.0
+    keys = rng.standard_normal((n, 2, 8))
+    cache = CacheState(budget=10_000)
+    for i in range(n):
+        append(cache, make_entry(i, keys[i], score_mass=float(masses[i])))
+    centroids = []
+
+    def recording(coefficients, reference, magnitudes):
+        if reference.ndim == 1:
+            centroids.append(reference.view(np.float64).copy())
+        return d_kappa_batch(coefficients, reference, magnitudes)
+
+    monkeypatch.setattr(policies, "d_kappa_batch", recording)
+    cfg = scratch_config(merge_epsilon=np.inf, max_group_size=17)
+    groups = form_merge_groups(cache, cfg)
+    assert [g.positions for g in groups] == [tuple(range(n))]
+    stacked = [e.geometry_key() for e in cache.entries]
+    assert len(centroids) == n - 2
+    for m, centroid in enumerate(centroids, start=2):
+        assert same_bits(centroid,
+                         _weighted_centroid(stacked[:m], masses[:m].tolist()))
+
+
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
 def test_memoized_kappa_magnitudes_are_exact_and_read_only(d):
     mags = _kappa_magnitudes(CaskConfig(), d)
@@ -637,6 +672,50 @@ def test_compress_records_single_event(rng):
     outcome = cask_compress(cache, CaskConfig(merge_epsilon=0.0), budget=14)
     assert outcome.fired
     assert cache.compression_events == [outcome]
+
+
+@pytest.mark.parametrize("origin", [PREFIX, DECODE])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+def test_compress_checks_every_mass_once_before_writing(origin, bad):
+    # cask_compress checks all rows once and then marks the core without
+    # re-checking: a bad mass on a prefix or a decode row is named, the
+    # first of two, and the cache (already compressed once) is untouched.
+    cfg = CaskConfig(sink_count=1, recency_window=3, merge_epsilon=1e9)
+    cache = CacheState(budget=10_000)
+    for i in range(24):
+        append(cache, make_entry(i, [float(i % 3), 1.0], origin=DECODE,
+                                 score_mass=1.0 + i % 5))
+    assert cask_compress(cache, cfg, 12).groups_folded
+    for i in range(24, 40):
+        append(cache, make_entry(
+            i, [float(i % 3), 1.0],
+            origin=origin if i in (30, 33) else DECODE,
+            score_mass=bad if i in (30, 33) else 1.0 + i % 5))
+    before = (cache.n, cache.protected.tobytes(), cache.score_mass.tobytes(),
+              dict(cache.members), list(cache.compression_events))
+    with pytest.raises(ValueError, match=r"^entry at position 30 has "
+                                         r"score_mass"):
+        cask_compress(cache, cfg, 12)
+    assert (cache.n, cache.protected.tobytes(), cache.score_mass.tobytes(),
+            dict(cache.members), list(cache.compression_events)) == before
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_terminal_flags_equal_a_fresh_detect_core(seed):
+    # The terminal marking skips detect_core's check; the flags it leaves
+    # are the ones a checked detect_core sets on the final state.
+    rng = np.random.default_rng(seed)
+    cache = run_cache(rng, n_decode=int(rng.integers(16, 40)))
+    cfg = CaskConfig(sink_count=int(rng.integers(0, 3)),
+                     recency_window=int(rng.integers(0, 6)),
+                     anchor_quantile=float(rng.choice([0.5, 0.9, 1.0])),
+                     merge_epsilon=0.5)
+    budget = len(detect_core(cache, cfg)) + int(rng.integers(1, 4))
+    assert cask_compress(cache, cfg, budget).groups_folded and cache.members
+    terminal = cache.protected.copy()
+    core = detect_core(cache, cfg)
+    assert (cache.protected == terminal).all()
+    assert set(cache.position[terminal].tolist()) == core
 
 
 # --- evict_baseline --------------------------------------------------------------
