@@ -55,19 +55,19 @@ def seq_ratio(candidate: Sequence[int], reference: Sequence[int]) -> float:
     return lcs_length(candidate, reference) / max(len(candidate), len(reference))
 
 
-def _bigram_bucket(a: int, b: int, seed: int, width: int) -> int:
-    x = ((a + 1) * 2654435761 ^ (b + 1) * 40503 ^ seed * 97) & 0xFFFFFFFF
+def _bigram_bucket(a: int, b: int) -> int:
+    x = ((a + 1) * 2654435761 ^ (b + 1) * 40503 ^ EMBED_SEED * 97) & 0xFFFFFFFF
     x ^= x >> 16
     x = (x * 0x45D9F3B) & 0xFFFFFFFF
     x ^= x >> 16
-    return x % width
+    return x % EMBED_WIDTH
 
 
 def embed(tokens: Sequence[int]) -> np.ndarray:
     """L2-normalized hashed token-bigram count vector (deterministic)."""
     counts = np.zeros(EMBED_WIDTH)
     for a, b in zip(tokens, tokens[1:]):
-        counts[_bigram_bucket(int(a), int(b), EMBED_SEED, EMBED_WIDTH)] += 1.0
+        counts[_bigram_bucket(int(a), int(b))] += 1.0
     norm = np.linalg.norm(counts)
     return counts / norm if norm > 0 else counts
 

@@ -390,13 +390,9 @@ def drop(cache: CacheState, rows) -> int:
 
 
 def evict(cache: CacheState, positions: Iterable[int]) -> CacheState:
-    """Remove the entries at ``positions``; protected entries are off-limits."""
-    wanted = np.fromiter(positions, dtype=np.int64)
-    live = cache.position
-    rows = np.searchsorted(live, wanted)
-    found = rows < cache.n
-    rows, wanted = rows[found], wanted[found]
-    rows = rows[live[rows] == wanted]
+    """Remove the entries at ``positions``.  A position no row holds
+    (:meth:`CacheState.row_of`) or a protected one is refused first."""
+    rows = cache.row_of(np.fromiter(positions, dtype=np.int64))
     hit = rows[cache.protected[rows]]
     if hit.size:
         raise CacheError(f"protected entry at position "

@@ -70,15 +70,21 @@ def _read_witness(path, vocab_size: int) -> Witness:
     return w
 
 
-def _budget(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"budget {text!r} is not an integer") from None
-    if budget < 1:
-        raise argparse.ArgumentTypeError(f"budget {budget} must be >= 1")
-    return budget
+def count(name: str):
+    """argparse type of an integer ``name`` of at least 1 (else exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} {text!r} is not an integer") from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{name} {value} must be >= 1")
+        return value
+    return parse
+
+
+_budget = count("budget")
 
 
 def budget_grid(text: str) -> list[int]:
@@ -91,18 +97,6 @@ def budget_grid(text: str) -> list[int]:
     return budgets
 
 
-def _sweep_spec(args, witnesses: list[Witness], methods: list[str],
-                budgets: list[int], out_dir: str) -> SweepSpec:
-    return SweepSpec(
-        witnesses=[WitnessSpec(kind=w.kind, seed=w.seed,
-                               prefix_len=w.prefix_len,
-                               decode_len=w.decode_len,
-                               redundancy=w.redundancy) for w in witnesses],
-        methods=methods, budgets=budgets, out_dir=out_dir, seed=args.seed,
-        vocab_size=args.vocab_size, model_dim=args.model_dim,
-        num_layers=args.num_layers)
-
-
 def _cmd_gen_witness(args, witness: Witness) -> int:
     path = write_witness_manifest(witness, args.out)
     print(f"wrote witness manifest {path}")
@@ -111,9 +105,8 @@ def _cmd_gen_witness(args, witness: Witness) -> int:
 
 def _cmd_cell(args, params: ModelParams) -> int:
     witness = _read_witness(args.witness, args.vocab_size)
-    spec = _sweep_spec(args, [witness], [args.method], [args.budget], "")
     ref = generate_reference(params, list(witness.prompt), witness.decode_len)
-    row = _run_cell(spec, params, witness, ref, args.method,
+    row = _run_cell(args.seed, params, witness, ref, args.method,
                     args.budget)[args.row]
     print(json.dumps(row, indent=2))
     return 0
@@ -123,8 +116,13 @@ def _cmd_sweep(args, _params: ModelParams) -> int:
     # main built the model to check the flags; run_sweep builds its own.
     witnesses = [_read_witness(path, args.vocab_size) for path in args.witness]
     try:
-        spec = _sweep_spec(args, witnesses, args.method, args.budget_grid,
-                           args.out)
+        spec = SweepSpec(
+            witnesses=[WitnessSpec(w.kind, w.seed, w.prefix_len,
+                                   w.decode_len, w.redundancy)
+                       for w in witnesses],
+            methods=args.method, budgets=args.budget_grid, out_dir=args.out,
+            seed=args.seed, vocab_size=args.vocab_size,
+            model_dim=args.model_dim, num_layers=args.num_layers)
     except ValueError as e:  # SweepSpec refuses only what the flags say
         args.usage_error(str(e))
     rows = run_sweep(spec)

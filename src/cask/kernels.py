@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cache import at_least
+
 FREQ_BASE = 10000.0
 KAPPA_DUAL_EPS = 1e-6
 
@@ -41,8 +43,7 @@ class HorizonDistribution:
 def truncated_geometric(horizon: int) -> HorizonDistribution:
     """Default offset distribution: geometric with rate 1/2 over
     0..horizon, renormalized."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    at_least("horizon", horizon, 0)
     support = np.arange(horizon + 1)
     w = 0.5 ** support.astype(np.float64)
     return HorizonDistribution(support, w / w.sum())

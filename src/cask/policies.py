@@ -247,31 +247,27 @@ def form_merge_groups(cache: CacheState,
                 continue
             j = lo + int(partners[0])
             members = [i, j]
-            keys = [stacked[i], stacked[j]]
-            weights = [masses[i], masses[j]]
-            acc = weights[0] * keys[0] + weights[1] * keys[1]
-            total = 0.0 + weights[0] + weights[1]
+            acc = masses[i] * stacked[i] + masses[j] * stacked[j]
+            total = 0.0 + masses[i] + masses[j]
             end = bisect_right(positions, positions[i] + window)
             pool = j + 1 + free[j + 1:end].nonzero()[0]
             while pool.size and len(members) < config.max_group_size:
-                centroid = acc / total if total else np.mean(keys, axis=0)
+                centroid = acc / total if total else stacked[members].mean(0)
                 near = (d_kappa_batch(spectra[pool], band_view(centroid), mags)
                         <= config.merge_epsilon).nonzero()[0]
                 if not near.size:
                     break
                 j = int(pool[near[0]])
                 members.append(j)
-                keys.append(stacked[j])
-                weights.append(masses[j])
                 acc += masses[j] * stacked[j]
                 total += masses[j]
                 pool = pool[near[0] + 1:]
             free[members] = False
             groups.append(MergeGroup(
                 positions=tuple(positions[j] for j in members),
-                weights=tuple(weights),
-                mass=ltr_sum(weights),
-                keys=tuple(keys),
+                weights=tuple(masses[j] for j in members),
+                mass=total,
+                keys=tuple(stacked[j] for j in members),
             ))
     return groups
 

@@ -119,18 +119,18 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                                      witness.decode_len)
             for method in spec.methods:
                 for budget in spec.budgets:
-                    for row in _run_cell(spec, params, witness, ref, method,
-                                         budget):
+                    for row in _run_cell(spec.seed, params, witness, ref,
+                                         method, budget):
                         rows.append(row)
                         stream.write(json.dumps(row) + "\n")
     return rows
 
 
-def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
+def _run_cell(seed: int, params, witness: Witness, ref, method: str,
               budget: int) -> list[dict]:
-    """One sweep cell: its replay row, then its bridge row, both built from
-    one decode tree.  The teacher-forced replay of ``ref`` forks ``ref``'s
-    prefill, and the free greedy run forks the replay at its first
+    """One sweep cell of model ``seed``: its replay row, then its bridge row,
+    both from one decode tree.  The teacher-forced replay of ``ref`` forks
+    ``ref``'s prefill; the free greedy run forks the replay at its first
     mismatch (``model.greedy_branch``).  A full-KV (``none``) cell is the
     reference itself (bit for bit, acceptance c01), so it is not rerun.
     perfbench's tracer labels cells by binding these parameter names."""
@@ -140,13 +140,13 @@ def _run_cell(spec: SweepSpec, params, witness: Witness, ref, method: str,
     else:
         run = decode(params, ref.snapshot, witness.decode_len, policy,
                      forced=ref.tokens)
-    return [replay_row(spec, witness, ref, method, budget,
+    return [replay_row(seed, witness, ref, method, budget,
                        replay_record(run)),
-            bridge_row(spec, witness, ref, method, budget,
+            bridge_row(seed, witness, ref, method, budget,
                        *greedy_branch(params, run, policy))]
 
 
-def _cell_row(kind: str, spec: SweepSpec, witness: Witness, method: str,
+def _cell_row(kind: str, seed: int, witness: Witness, method: str,
               budget: int, cache) -> dict:
     """A ``ROW_FIELDS`` row of kind ``kind`` holding what both kinds read:
     the cell, and the regime and savings of the run's terminal ``cache``."""
@@ -162,21 +162,21 @@ def _cell_row(kind: str, spec: SweepSpec, witness: Witness, method: str,
         "decode_events": flags.decode_events,
         "prefix_budget_exhausted": flags.prefix_budget_exhausted,
         "merge_inactive": flags.merge_inactive,
-        "seed": spec.seed,
+        "seed": seed,
     })
     return row
 
 
-def replay_row(spec: SweepSpec, witness: Witness, ref, method: str,
+def replay_row(seed: int, witness: Witness, ref, method: str,
                budget: int, record: ReplayRecord) -> dict:
-    """The teacher-forced replay ``record`` of ``ref`` under one (method,
-    budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``."""
+    """Model ``seed``'s teacher-forced replay ``record`` of ``ref`` in one
+    (method, budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``."""
     summary = summarize(record)
     cache = record.cache
     core = set(cache.position[cache.protected].tolist())
     diag = mass_diagnostics(core, covered_positions(cache), ref.oracle_scores,
                             k=budget)
-    row = _cell_row("replay", spec, witness, method, budget, cache)
+    row = _cell_row("replay", seed, witness, method, budget, cache)
     row.update({
         "top1": summary.top1,
         "top5": summary.top5,
@@ -191,13 +191,13 @@ def replay_row(spec: SweepSpec, witness: Witness, ref, method: str,
     return row
 
 
-def bridge_row(spec: SweepSpec, witness: Witness, ref, method: str,
+def bridge_row(seed: int, witness: Witness, ref, method: str,
                budget: int, candidate: list[int], cache) -> dict:
     """The free greedy run of one (method, budget) cell, its emitted
     ``candidate`` tokens and terminal ``cache``, scored against ``ref``
     (the witness's ``decode_len``-token reference), as one ``ROW_FIELDS``
     row of kind ``bridge``."""
-    row = _cell_row("bridge", spec, witness, method, budget, cache)
+    row = _cell_row("bridge", seed, witness, method, budget, cache)
     row.update({
         "seq_ratio": seq_ratio(candidate, ref.tokens),
         "sem_sim": sem_sim(candidate, ref.tokens),

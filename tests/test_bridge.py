@@ -93,7 +93,7 @@ def test_sem_sim_matches_count_vector_oracle(rng):
     def counts(seq):
         vec = {}
         for x, y in zip(seq, seq[1:]):
-            k = _bigram_bucket(int(x), int(y), 17, 256)
+            k = _bigram_bucket(int(x), int(y))
             vec[k] = vec.get(k, 0) + 1
         return vec
     ca, cb = counts(a), counts(b)

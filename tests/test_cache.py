@@ -198,6 +198,34 @@ def test_evict_records_no_event():
     assert cache.compression_events == []
 
 
+@pytest.mark.parametrize("positions, missing", [
+    ([0], 0), ([3], 3), ([9], 9), ([8], 8), ([2, 5, 6], 5), ([7, 4], 7),
+], ids=["before-first", "between", "past-last", "folded-member",
+        "among-present", "first-of-two"])
+def test_evict_refuses_an_absent_position(positions, missing):
+    # The refusal comes before any row is removed, even the present ones.
+    cache = CacheState(budget=8)
+    for p in (2, 4, 6, 8):
+        append(cache, make_entry(p, [float(p), 1.0]))
+    merge_replace(cache, [6, 8], rep_for(cache.entries[2:]))
+    evict(cache, [4])
+    before = (cache.n, cache.position.tolist(), dict(cache.members),
+              cache.evicted_tokens)
+    with pytest.raises(CacheError, match=f"^no entry at position {missing}$"):
+        evict(cache, positions)
+    assert (cache.n, cache.position.tolist(), dict(cache.members),
+            cache.evicted_tokens) == before == (2, [2, 6], {6: (6, 8)}, 1)
+    check_invariants(cache)
+
+
+def test_evict_on_an_empty_cache_refuses_every_position():
+    cache = CacheState(budget=8)
+    evict(cache, [])
+    with pytest.raises(CacheError, match="^no entry at position 0$"):
+        evict(cache, [0])
+    assert (cache.n, cache.members, cache.evicted_tokens) == (0, {}, 0)
+
+
 @pytest.mark.parametrize("num_layers", [1, 3])
 @pytest.mark.parametrize("rows", [[0], [3], [7], [5], [1, 5]],
                          ids=["first", "middle", "last", "folded", "two"])

@@ -73,6 +73,15 @@ def test_truncated_geometric_normalized():
     assert pi.weights[1] == pytest.approx(pi.weights[0] / 2)
 
 
+@pytest.mark.parametrize("horizon", [1.5, float("nan"), -1])
+def test_truncated_geometric_rejects_a_bad_horizon(horizon):
+    # A direct call goes through the integer-setting rule CaskConfig uses;
+    # 1.5 used to give the support of horizon 2.
+    with pytest.raises(ValueError,
+                       match=rf"^horizon must be >= 0, got {horizon!r}$"):
+        truncated_geometric(horizon)
+
+
 def test_horizon_distribution_rejects_bad_weights():
     with pytest.raises(ValueError):
         HorizonDistribution(np.array([0, 1]), np.array([0.7, 0.7]))

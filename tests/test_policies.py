@@ -420,6 +420,14 @@ def test_running_centroid_equals_weighted_centroid(monkeypatch, seed):
     for m, centroid in enumerate(centroids, start=2):
         assert same_bits(centroid,
                          _weighted_centroid(stacked[:m], masses[:m].tolist()))
+    # The group's mass is the running weight sum, and its keys are read
+    # from the stacked candidates: each must still equal what it stands for.
+    for g in groups:
+        assert g.weights == tuple(masses[list(g.positions)].tolist())
+        assert g.mass == ltr_sum(g.weights)
+        assert len(g.keys) == len(g.positions)
+        for key, p in zip(g.keys, g.positions):
+            assert same_bits(key, stacked[p])
 
 
 @pytest.mark.parametrize("d", [4, 8, 16, 64])

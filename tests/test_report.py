@@ -268,7 +268,7 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
             == (tmp_path / "independent" / "rows.jsonl").read_bytes())
 
 
-def _independent_cell(spec, params, witness, ref, method, budget):
+def _independent_cell(seed, params, witness, ref, method, budget):
     """A sweep cell as two runs of its own: a teacher-forced replay and a
     bridge run, each prefilling the prompt (``none`` cells included)."""
     prompt = list(witness.prompt)
@@ -276,8 +276,8 @@ def _independent_cell(spec, params, witness, ref, method, budget):
                                    make_policy(method, budget))
     tokens, cache = bridge_run(params, prompt, witness.decode_len,
                                make_policy(method, budget))
-    return [report.replay_row(spec, witness, ref, method, budget, record),
-            report.bridge_row(spec, witness, ref, method, budget, tokens,
+    return [report.replay_row(seed, witness, ref, method, budget, record),
+            report.bridge_row(seed, witness, ref, method, budget, tokens,
                               cache)]
 
 
