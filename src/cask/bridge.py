@@ -29,22 +29,21 @@ def bridge_run(params: ModelParams, prompt, length: int, policy
 
 
 def lcs_length(a: Sequence[int], b: Sequence[int]) -> int:
-    """Longest common subsequence length by row-wise dynamic programming;
-    equal sequences are their own longest common subsequence."""
+    """Longest common subsequence length, bit-parallel (Hyyrö 2004) over
+    one int mask per symbol of ``b``; equal sequences are their own."""
     if not a or not b:
         return 0
     if a == b:
         return len(a)
-    b_arr = np.asarray(b, dtype=np.int64)
-    prev = np.zeros(len(b) + 1, dtype=np.int64)
+    masks: dict[int, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = np.empty_like(prev)
-        cur[0] = 0
-        match = prev[:-1] + (b_arr == x)
-        np.maximum(match, prev[1:], out=cur[1:])
-        np.maximum.accumulate(cur, out=cur)
-        prev = cur
-    return int(prev[-1])
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def seq_ratio(candidate: Sequence[int], reference: Sequence[int]) -> float:
@@ -55,7 +54,9 @@ def seq_ratio(candidate: Sequence[int], reference: Sequence[int]) -> float:
     return lcs_length(candidate, reference) / max(len(candidate), len(reference))
 
 
-def _bigram_bucket(a: int, b: int) -> int:
+def _bigram_bucket(a, b):
+    """Bucket of bigram ``(a, b)``, for ints or int64 arrays element-wise:
+    token ids below 2**31 keep every product inside 64 bits."""
     x = ((a + 1) * 2654435761 ^ (b + 1) * 40503 ^ EMBED_SEED * 97) & 0xFFFFFFFF
     x ^= x >> 16
     x = (x * 0x45D9F3B) & 0xFFFFFFFF
@@ -65,9 +66,9 @@ def _bigram_bucket(a: int, b: int) -> int:
 
 def embed(tokens: Sequence[int]) -> np.ndarray:
     """L2-normalized hashed token-bigram count vector (deterministic)."""
-    counts = np.zeros(EMBED_WIDTH)
-    for a, b in zip(tokens, tokens[1:]):
-        counts[_bigram_bucket(int(a), int(b))] += 1.0
+    ids = np.asarray(tokens, dtype=np.int64)
+    counts = np.bincount(_bigram_bucket(ids[:-1], ids[1:]),
+                         minlength=EMBED_WIDTH).astype(np.float64)
     norm = np.linalg.norm(counts)
     return counts / norm if norm > 0 else counts
 

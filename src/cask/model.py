@@ -7,12 +7,15 @@ A sweep prefills each witness once: the reference run and every
 since their caches and next-token distributions are identical until the
 policy's ``after_prefill``.
 
-Each cell is then one decode tree.  Its teacher-forced replay and its free
-greedy (bridge) run feed the same tokens, and so hold the same cache, up to
-the first step whose argmax differs from the forced token.  :func:`decode`
-runs the forced branch and forks the cache just before that step's token is
-fed; :func:`greedy_branch` finishes the greedy run on the fork.  A run that
-never mismatches is its own greedy run.
+Each cell is then one decode tree with two fork points.  A cell whose
+``after_prefill`` removes no row holds the reference's cache until its
+budget is first exceeded, and starts there (:func:`decode`'s ``trunk``).
+Its teacher-forced replay and its free greedy (bridge) run feed the same
+tokens, and so hold the same cache, up to the first step whose argmax
+differs from the forced token.  :func:`decode` runs the forced branch and
+forks the cache just before that step's token is fed; :func:`greedy_branch`
+finishes the greedy run on the fork.  A run that never mismatches is its own
+greedy run.
 
 The model is a seeded, single-layer-by-default attention stack over token
 embeddings with no positional encoding, so identical tokens produce identical
@@ -258,7 +261,8 @@ class DecodeRun:
     each step and the terminal cache.  ``fork`` is ``(t, cache)`` for a
     forced run whose argmax first differs from the forced token at step
     ``t``, ``cache`` being its state just before that token was fed; it is
-    None for a run that never mismatched (or was not forced)."""
+    None for a run that never mismatched (or was not forced).  ``kept`` is
+    a reference run's forks for later cells (:func:`generate_reference`)."""
 
     snapshot: PrefillSnapshot
     tokens: list[int]
@@ -266,6 +270,7 @@ class DecodeRun:
     cache_sizes: np.ndarray        # (T,)
     cache: CacheState
     fork: tuple[int, CacheState] | None
+    kept: dict[int, CacheState] = field(default_factory=dict)
 
     @property
     def oracle_scores(self) -> dict[int, float]:
@@ -276,18 +281,24 @@ class DecodeRun:
 
 
 def _run_steps(params: ModelParams, policy, cache: CacheState,
-               dist: np.ndarray, tokens: list[int], steps: int, forced=None):
+               dist: np.ndarray, tokens: list[int], steps: int, forced=None,
+               keep=None):
     """Feed tokens into ``cache`` from step ``len(tokens)`` to step
-    ``steps``, ``dist`` being the distribution in hand.  Each step records
+    ``steps``, ``dist`` being the distribution in hand.  Each step ``t``
+    forks the cache under budget ``keep[t]`` if ``keep`` has ``t``, records
     the distribution and the live cache size, then feeds ``forced[t]`` or
     else the greedy argmax (ties go to the lowest id), appends its row and
     lets the policy compress.  Returns the ``(steps, V)`` distributions and
-    ``(steps,)`` sizes (rows before ``len(tokens)`` are left unset) and the
-    ``DecodeRun.fork`` of a forced run."""
+    ``(steps,)`` sizes (rows before ``len(tokens)`` are left unset), the
+    ``DecodeRun.fork`` of a forced run and the ``DecodeRun.kept`` forks."""
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)
     fork = None
+    keep = keep or {}
+    kept = {}
     for t in range(len(tokens), steps):
+        if t in keep:
+            kept[t] = cache.fork(keep[t])
         dists[t] = dist
         sizes[t] = cache.n
         tok = int(dist.argmax())
@@ -301,11 +312,11 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
         append(cache, out.staged)
         policy.after_append(cache)
         dist = out.distribution
-    return dists, sizes, fork
+    return dists, sizes, fork, kept
 
 
 def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
-           policy, forced=None) -> DecodeRun:
+           policy, forced=None, trunk: DecodeRun | None = None) -> DecodeRun:
     """Decode ``steps`` tokens after ``snapshot``'s prompt through ``policy``.
 
     The run starts from a fork of ``snapshot``, on which the policy's
@@ -314,6 +325,15 @@ def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
     continues from (:func:`greedy_branch`).  ``forced`` needs a token for
     each step, each an integer in the vocabulary; those and ``steps`` are
     checked before the first step runs.  Tokens past ``steps`` are unread.
+
+    ``trunk`` is the :func:`generate_reference` run of ``snapshot`` over
+    ``steps`` tokens; ``forced``, if given, is its tokens.  If
+    ``after_prefill`` removed no row, the run repeats the trunk's steps
+    (a policy changes nothing within budget) up to step
+    ``t = min(budget - len(prompt) + 1, steps)``.  Given the trunk's cache
+    there, the run takes the trunk's steps before ``t`` and continues on a
+    fork of that cache with its own ``prefix_budget_exhausted`` flag,
+    calling ``after_append`` once for step ``t - 1``.
     """
     at_least("steps", steps, 0)
     if forced is not None and len(forced) < steps:
@@ -326,12 +346,29 @@ def decode(params: ModelParams, snapshot: PrefillSnapshot, steps: int,
     budget = policy.budget
     if budget is None:
         budget = len(snapshot.prompt) + steps + 1
+    if trunk is not None and (trunk.snapshot is not snapshot or len(
+            trunk.tokens) != steps or forced not in (None, trunk.tokens)):
+        raise ValueError("trunk must be the reference run of this snapshot "
+                         f"over {steps} steps, forced or not")
     cache = snapshot.cache.fork(budget)
     policy.after_prefill(cache)
     tokens: list[int] = []
-    dists, sizes, fork = _run_steps(params, policy, cache,
-                                    snapshot.distribution, tokens, steps,
-                                    forced)
+    dist = snapshot.distribution
+    t = min(budget - len(snapshot.prompt) + 1, steps)
+    shared = None
+    if trunk is not None and cache.n == len(snapshot.prompt) and t > 0:
+        shared = trunk.cache if t == steps else trunk.kept.get(t)
+    if shared is not None:
+        flag = cache.prefix_budget_exhausted
+        cache = shared.fork(budget)
+        cache.prefix_budget_exhausted = flag
+        policy.after_append(cache)
+        tokens = trunk.tokens[:t]
+        dist = trunk.distributions[t] if t < steps else dist
+    dists, sizes, fork, _ = _run_steps(params, policy, cache, dist, tokens,
+                                       steps, forced)
+    if shared is not None:
+        dists[:t], sizes[:t] = trunk.distributions[:t], trunk.cache_sizes[:t]
     return DecodeRun(snapshot, tokens, dists, sizes, cache, fork)
 
 
@@ -356,15 +393,25 @@ def greedy_branch(params: ModelParams, run: DecodeRun,
 
 
 def generate_reference(params: ModelParams, prompt: list[int],
-                       length: int) -> DecodeRun:
+                       length: int, budgets=()) -> DecodeRun:
     """Greedy argmax continuation under full KV; ties go to the lowest id.
 
-    Its snapshot is the prefill that the sweep's cells fork, and its
-    terminal cache is never written after this call.
+    Its snapshot is the prefill that the sweep's cells fork.  For each of
+    ``budgets`` first exceeded by a step before the last, it keeps the cache
+    at the top of the next step ``t``, forked under that budget, as
+    ``kept[t]`` (:func:`decode`'s ``trunk``).  Its terminal cache and kept
+    forks are never written after this call.
     """
     at_least("length", length, 1)
-    return decode(params, prefill(params, prompt), length,
-                  NoCompressionPolicy())
+    snapshot = prefill(params, prompt)
+    n = len(snapshot.prompt)
+    keep = {b - n + 1: b for b in budgets if 0 < b - n + 1 < length}
+    cache = snapshot.cache.fork(n + length + 1)
+    tokens: list[int] = []
+    dists, sizes, _, kept = _run_steps(params, NoCompressionPolicy(), cache,
+                                       snapshot.distribution, tokens, length,
+                                       keep=keep)
+    return DecodeRun(snapshot, tokens, dists, sizes, cache, None, kept)
 
 
 @dataclass

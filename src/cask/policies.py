@@ -405,19 +405,22 @@ def mass_diagnostics(core: set[int], covered: set[int],
     ranking and would make both ratios NaN.
     """
     at_least("k", k, 1)
-    for p, s in oracle_scores.items():
-        if not 0.0 <= s < inf:
-            raise ValueError(f"oracle score at position {p} is {s}; "
-                             f"expected finite >= 0")
-    ranked = sorted(oracle_scores, key=lambda p: (-oracle_scores[p], -p))
-    topk = ranked[:k]
-    denom = ltr_sum(oracle_scores[p] for p in topk)
+    count = len(oracle_scores)
+    positions = np.fromiter(oracle_scores, np.int64, count)
+    scores = np.fromiter(oracle_scores.values(), np.float64, count)
+    if count and not (np.minimum.reduce(scores) >= 0.0
+                      and np.maximum.reduce(scores) < inf):
+        p = int(positions[np.argmin((scores >= 0.0) & (scores < inf))])
+        raise ValueError(f"oracle score at position {p} is "
+                         f"{oracle_scores[p]}; expected finite >= 0")
+    topk = np.lexsort((-positions, -scores))[:k]
+    top = list(zip(positions[topk].tolist(), scores[topk].tolist()))
+    denom = ltr_sum(s for _, s in top)
     if denom == 0.0:
         rho_core = rho_rep = 0.0
     else:
-        rho_core = ltr_sum(oracle_scores[p] for p in topk if p in core) / denom
-        rho_rep = ltr_sum(oracle_scores[p] for p in topk
-                          if p in covered) / denom
+        rho_core = ltr_sum(s for p, s in top if p in core) / denom
+        rho_rep = ltr_sum(s for p, s in top if p in covered) / denom
     return MassDiagnostics(rho_core=rho_core, rho_rep=rho_rep)
 
 

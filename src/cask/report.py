@@ -98,8 +98,8 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run every (witness, method, budget) cell and stream rows to disk.
 
     Each witness is prefilled once, by its reference run; every cell forks
-    that prefill, and its bridge run forks its replay at the first
-    mismatch.  Emits one replay row and one bridge row per cell into
+    that prefill (or the reference where its budget is first exceeded), and
+    its bridge run forks its replay at the first mismatch.  Emits one replay row and one bridge row per cell into
     ``<out_dir>/rows.jsonl`` plus a provenance manifest; fully reproducible
     from the sweep spec and its seed.  The model and the witnesses are
     built first, so a spec they reject writes nothing.
@@ -116,7 +116,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     with open(out_dir / "rows.jsonl", "w") as stream:
         for witness in witnesses:
             ref = generate_reference(params, list(witness.prompt),
-                                     witness.decode_len)
+                                     witness.decode_len, spec.budgets)
             for method in spec.methods:
                 for budget in spec.budgets:
                     for row in _run_cell(spec.seed, params, witness, ref,
@@ -130,16 +130,17 @@ def _run_cell(seed: int, params, witness: Witness, ref, method: str,
               budget: int) -> list[dict]:
     """One sweep cell of model ``seed``: its replay row, then its bridge row,
     both from one decode tree.  The teacher-forced replay of ``ref`` forks
-    ``ref``'s prefill; the free greedy run forks the replay at its first
-    mismatch (``model.greedy_branch``).  A full-KV (``none``) cell is the
-    reference itself (bit for bit, acceptance c01), so it is not rerun.
-    perfbench's tracer labels cells by binding these parameter names."""
+    ``ref``'s prefill or later cache (``model.decode``'s ``trunk``); the
+    free greedy run forks the replay at its first mismatch
+    (``model.greedy_branch``).  A full-KV (``none``) cell is the reference
+    itself (bit for bit, acceptance c01), so it is not rerun.  perfbench's
+    tracer labels cells by binding these parameter names."""
     policy = make_policy(method, budget)
     if method == METHOD_NONE:
         run = ref
     else:
         run = decode(params, ref.snapshot, witness.decode_len, policy,
-                     forced=ref.tokens)
+                     forced=ref.tokens, trunk=ref)
     return [replay_row(seed, witness, ref, method, budget,
                        replay_record(run)),
             bridge_row(seed, witness, ref, method, budget,

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cask.bridge import (
@@ -17,6 +17,7 @@ from cask.bridge import (
 from cask.model import generate_reference, make_witness
 from cask.replay import make_policy
 from conftest import bad_integers
+from reference import bridge as reference_bridge
 
 tokens = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=12)
 
@@ -56,6 +57,28 @@ def test_seq_ratio_empty_warns_and_returns_zero():
 @given(tokens, tokens)
 def test_lcs_matches_memoized_oracle(a, b):
     assert lcs_length(tuple(a), tuple(b)) == lcs_oracle(tuple(a), tuple(b))
+
+
+long_tokens = st.lists(st.integers(min_value=0, max_value=7), max_size=600)
+
+
+@given(long_tokens, long_tokens, st.booleans(), st.sampled_from(
+    ["plain", "equal", "disjoint"]))
+@example([], [], False, "plain")
+@example(list(range(64)), list(range(65)), True, "plain")
+@example([1] * 600, [1] * 600, True, "equal")
+@settings(max_examples=120, deadline=None)
+def test_lcs_equals_the_reference_dynamic_program(a, b, as_numpy, shape):
+    # Masks cross the 64-bit word boundary from len(b) = 65 on.
+    if shape == "equal":
+        b = list(a)
+    elif shape == "disjoint":
+        b = [t + 8 for t in b]
+    expected = reference_bridge.lcs_length(a, b)
+    if as_numpy:
+        a = [np.int64(t) for t in a]
+        b = [np.int32(t) for t in b]
+    assert lcs_length(a, b) == expected
 
 
 @given(tokens, tokens)
@@ -101,6 +124,15 @@ def test_sem_sim_matches_count_vector_oracle(rng):
     na = sum(v * v for v in ca.values()) ** 0.5
     nb = sum(v * v for v in cb.values()) ** 0.5
     assert sem_sim(a, b) == pytest.approx(dot / (na * nb), abs=1e-12)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 64, 513])
+def test_embed_equals_the_reference_bit_for_bit(rng, length):
+    for vocab in (2, 32, 2**31 - 1):
+        tokens = rng.integers(0, vocab, size=length)
+        for seq in (tokens.tolist(), tokens):
+            assert (embed(seq).tobytes()
+                    == reference_bridge.embed(seq).tobytes())
 
 
 def test_sem_sim_single_token_zero_embedding_warns():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import cask
 import cask.cli  # noqa: F401  (binds every cask module, as perfbench does)
-from cask.model import decode, generate_reference, init_model
+from cask.model import decode, generate_reference, init_model, prefill
 from cask.replay import make_policy
 from cask.report import SweepSpec, WitnessSpec, run_sweep
 
@@ -58,7 +58,9 @@ def test_every_fed_token_takes_one_step_one_mass_add_and_one_append(
     # speedup.  Fed tokens, counted from the spec and the rows: each
     # reference prefills its prompt and decodes T steps, each cell but
     # `none` (the reference itself) replays T steps, and its bridge run
-    # decodes the T - t steps after its fork at step t.
+    # decodes the T - t steps after its fork at step t.  A cell whose
+    # after_prefill removes nothing takes its first budget - P + 1 replay
+    # steps from the reference (P prompt tokens, budget - P + 1 <= T here).
     spec = SweepSpec(
         witnesses=[WitnessSpec(kind, 1, 16, 24, 0.7) for kind in
                    ("prompt-heavy-decode-active", "short-prompt-reasoning")],
@@ -68,17 +70,22 @@ def test_every_fed_token_takes_one_step_one_mass_add_and_one_append(
         rows = run_sweep(spec)
     calls = dict(zip(traced.names, traced.calls))
 
-    fed = 0
+    params = init_model(spec.seed)
+    fed = shared = 0
     for wspec in spec.witnesses:
         witness = wspec.materialize(spec.vocab_size)
-        T = witness.decode_len
-        fed += len(witness.prompt) + T
+        T, P = witness.decode_len, len(witness.prompt)
+        fed += P + T
         for r in rows:
             if (r["witness"] == witness.name and r["kind"] == "replay"
                     and r["method"] != "none"):
                 mismatch = r["first_mismatch"]
                 fed += T + (0 if mismatch is None else T - (mismatch - 1))
-    assert fed > 0
-    assert calls["model.forward_step"] == fed
-    assert calls["model.accumulate_mass"] == fed
-    assert calls["cache.append"] == fed
+                cache = prefill(params, witness.prompt).cache.fork(r["budget"])
+                make_policy(r["method"], r["budget"]).after_prefill(cache)
+                if cache.n == P:
+                    shared += r["budget"] - P + 1
+    assert fed > 0 and shared > 0
+    assert calls["model.forward_step"] == fed - shared
+    assert calls["model.accumulate_mass"] == fed - shared
+    assert calls["cache.append"] == fed - shared

@@ -41,6 +41,7 @@ from cask.policies import (
 )
 from cask.twostage import StageConfig, stage1_prefix_evict
 from conftest import bad_integers, fill_cache, keep_order, make_entry
+from reference import policies as reference_policies
 
 PI = truncated_geometric(4)
 
@@ -966,6 +967,31 @@ def test_k_must_be_positive():
 def test_mass_diagnostics_rejects_a_bad_oracle_score(bad):
     with pytest.raises(ValueError, match=r"oracle score at position 1 is "):
         mass_diagnostics(set(), {0}, {0: 1.0, 1: bad, 2: 0.5}, k=2)
+
+
+def test_mass_diagnostics_names_the_first_bad_score_in_dict_order():
+    scores = {5: 1.0, 3: float("nan"), 1: -1.0, 0: 2.0}
+    with pytest.raises(ValueError, match=r"oracle score at position 3 is nan"):
+        mass_diagnostics(set(), {0}, scores, k=2)
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100)
+def test_mass_diagnostics_equals_the_reference(seed):
+    # Few distinct scores, zeros among them, so ties are common: position
+    # descending breaks them.  k runs past the population, where it clamps.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    values = rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(0, 2)], size=n)
+    positions = rng.permutation(3 * n)[:n].tolist()
+    scores = dict(zip(positions, values.tolist()))
+    core = {p for p in positions if rng.random() < 0.3}
+    covered = core | {p for p in positions if rng.random() < 0.5}
+    for k in (1, max(n // 2, 1), n + 1, n + 7):
+        ours = mass_diagnostics(core, covered, scores, k)
+        theirs = reference_policies.mass_diagnostics(core, covered, scores, k)
+        assert (ours.rho_core, ours.rho_rep) == (theirs.rho_core,
+                                                 theirs.rho_rep)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

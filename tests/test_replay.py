@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cask import model
 from cask.cache import check_invariants, drop
-from cask.model import decode, generate_reference, init_model, make_witness
+from cask.model import (
+    decode,
+    generate_reference,
+    init_model,
+    make_witness,
+    prefill,
+)
 from cask.replay import (
     FidelitySummary,
     ReplayRecord,
@@ -300,6 +307,67 @@ def _run_state(run):
     return (run.tokens, run.distributions.tobytes(), run.cache_sizes.tolist(),
             rows, cache.total_appended, cache.evicted_tokens,
             cache.compression_events)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_a_run_started_on_the_trunk_equals_a_run_from_the_prefill(
+        params, monkeypatch, forced):
+    # P = 33, T = 24.  Budgets below P, at P, inside the run, first exceeded
+    # by the last step (P + T - 1) and never exceeded.  Stage 1 trims the
+    # prompt up to budget 40 (cap 30 < 33) but not at 48, where it flags
+    # too little decode slack (15 < 16).
+    witness = make_witness("prompt-heavy-decode-active", 0, 32, 24, 0.8)
+    budgets = (20, 33, 40, 48, 56, 70)
+    ref = generate_reference(params, list(witness.prompt), witness.decode_len,
+                             budgets)
+    assert sorted(ref.kept) == [1, 8, 16]
+    for t, cache in ref.kept.items():
+        assert cache.n == cache.budget + 1 == 33 + t
+    steps = []
+    forward_step = model.forward_step
+    monkeypatch.setattr(model, "forward_step",
+                        lambda *a, **k: steps.append(1) or forward_step(*a, **k))
+    skipped = {}
+    for method in ("none", "evict", "cask"):
+        for budget in budgets:
+            runs, counts = [], []
+            for trunk in (None, ref):
+                steps.clear()
+                runs.append(decode(params, ref.snapshot, witness.decode_len,
+                                   make_policy(method, budget),
+                                   forced=ref.tokens if forced else None,
+                                   trunk=trunk))
+                counts.append(len(steps))
+            a, b = runs
+            assert _run_state(a) == _run_state(b)
+            assert _cache_bytes(a.cache) == _cache_bytes(b.cache)
+            assert (a.fork is None) == (b.fork is None)
+            if a.fork is not None:
+                assert a.fork[0] == b.fork[0]
+                assert _cache_bytes(a.fork[1]) == _cache_bytes(b.fork[1])
+            if counts[0] != counts[1]:
+                skipped[method, budget] = counts[0] - counts[1]
+    # min(budget - P + 1, T) steps where after_prefill removed nothing.
+    assert skipped == {**{("none", b): 24 for b in budgets},
+                       ("evict", 33): 1, ("evict", 40): 8, ("evict", 48): 16,
+                       ("evict", 56): 24, ("evict", 70): 24,
+                       ("cask", 48): 16, ("cask", 56): 24, ("cask", 70): 24}
+    assert ref.kept[16].prefix_budget_exhausted is False
+    assert decode(params, ref.snapshot, 24, make_policy("cask", 48),
+                  trunk=ref).cache.prefix_budget_exhausted
+
+
+def test_decode_refuses_a_trunk_it_cannot_follow(params):
+    ref = generate_reference(params, [1, 2, 3], 8, budgets=[5])
+    policy = make_policy("evict", 5)
+    with pytest.raises(ValueError, match="trunk"):
+        decode(params, prefill(params, [1, 2, 3]), 8, policy, trunk=ref)
+    with pytest.raises(ValueError, match="trunk"):
+        decode(params, ref.snapshot, 7, policy, trunk=ref)
+    forced = list(ref.tokens)
+    forced[-1] = (forced[-1] + 1) % params.vocab_size
+    with pytest.raises(ValueError, match="forced or not"):
+        decode(params, ref.snapshot, 8, policy, forced=forced, trunk=ref)
 
 
 @pytest.mark.parametrize("forced", [False, True])

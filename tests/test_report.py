@@ -220,17 +220,19 @@ def _record_runs(monkeypatch, share: bool) -> list:
     """Log (method, snapshot) per cell decode.
 
     With ``share=False`` every decode prefills a snapshot of its own instead
-    of forking the reference's, and ``none`` cells are decoded as well: the
+    of forking the reference's, runs every step itself instead of starting
+    on the reference's cache, and ``none`` cells are decoded as well: the
     per-cell computation the shared sweep must reproduce.
     """
     log = []
     decode = report.decode
 
-    def logged(params, snapshot, steps, policy, forced):
+    def logged(params, snapshot, steps, policy, forced, trunk):
         if not share:
-            snapshot = model.prefill(params, snapshot.prompt)
+            snapshot, trunk = model.prefill(params, snapshot.prompt), None
         log.append((policy.method, snapshot))
-        return decode(params, snapshot, steps, policy, forced=forced)
+        return decode(params, snapshot, steps, policy, forced=forced,
+                      trunk=trunk)
 
     monkeypatch.setattr(report, "decode", logged)
     if not share:
@@ -306,6 +308,53 @@ def test_decode_tree_rows_equal_independent_runs(tmp_path, monkeypatch,
     assert tree == independent
     assert ((tmp_path / "tree" / "rows.jsonl").read_bytes()
             == (tmp_path / "independent" / "rows.jsonl").read_bytes())
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_cells_started_on_the_reference_equal_independent_runs(
+        tmp_path, monkeypatch, num_layers):
+    # P = 25 prompt tokens, T = 64.  At budget 36 stage 1 trims nothing
+    # (cap floor(0.75 * 36) = 27 >= 25) but flags prefix_budget_exhausted
+    # (slack 11 < 16), so the flag must carry onto the reference's cache.
+    # Budget 88 = P + T - 1 is first exceeded by the last step and 100
+    # never: both start on the reference's terminal cache.
+    spec = SweepSpec(
+        witnesses=[WitnessSpec("prompt-heavy-decode-active", s, 24, 64, 0.7)
+                   for s in range(3)],
+        methods=["cask", "evict"], budgets=[24, 36, 88, 100],
+        out_dir=str(tmp_path / "shared"), seed=0, num_layers=num_layers)
+    steps = []
+    forward_step = model.forward_step
+    monkeypatch.setattr(model, "forward_step",
+                        lambda *a, **k: steps.append(1) or forward_step(*a, **k))
+    shared = run_sweep(spec)
+    shared_steps = len(steps)
+    flagged = [r for r in shared if r["budget"] == 36 and r["method"] == "cask"]
+    assert len(flagged) == 6
+    assert all(r["prefix_budget_exhausted"] for r in flagged)
+
+    # The same cells, each replaying every step from the prefill.
+    decode = report.decode
+    monkeypatch.setattr(report, "decode", lambda *a, trunk, **k: decode(*a, **k))
+    spec.out_dir = str(tmp_path / "unshared")
+    steps.clear()
+    assert run_sweep(spec) == shared
+    unshared_steps = len(steps)
+    params = model.init_model(spec.seed, num_layers=num_layers)
+    skipped = 0
+    for wspec in spec.witnesses:
+        prompt = wspec.materialize(spec.vocab_size).prompt
+        for method, budget in itertools.product(spec.methods, spec.budgets):
+            cache = model.prefill(params, prompt).cache.fork(budget)
+            make_policy(method, budget).after_prefill(cache)
+            if cache.n == len(prompt):
+                skipped += min(budget - len(prompt) + 1, wspec.decode_len)
+    assert skipped == 3 * (2 * (12 + 64 + 64))
+    assert unshared_steps - shared_steps == skipped
+
+    spec.out_dir = str(tmp_path / "independent")
+    monkeypatch.setattr(report, "_run_cell", _independent_cell)
+    assert run_sweep(spec) == shared
 
 
 def test_sweep_none_rows_are_identity(tmp_path):
