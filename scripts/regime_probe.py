@@ -55,14 +55,14 @@ def main() -> int:
     for kind, geometry in PROBES:
         witness = make_witness(kind, args.seed, **geometry)
         ref = generate_reference(params, list(witness.prompt),
-                                 witness.decode_len)
+                                 witness.decode_len, args.budgets)
         for budget in args.budgets:
             stage = StageConfig(budget=budget,
                                 prefix_fraction=args.prefix_fraction)
             policy = CaskPolicy(budget, CaskConfig(), stage)
             record = replay_record(decode(params, ref.snapshot,
                                           witness.decode_len, policy,
-                                          forced=ref.tokens))
+                                          forced=ref.tokens, trunk=ref))
             flags = finalize_flags(record.cache, stage)
             s = summarize(record)
             print(f"{witness.name:<34} {budget:>6} {s.top1:>6.3f} "

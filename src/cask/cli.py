@@ -105,7 +105,8 @@ def _cmd_gen_witness(args, witness: Witness) -> int:
 
 def _cmd_cell(args, params: ModelParams) -> int:
     witness = _read_witness(args.witness, args.vocab_size)
-    ref = generate_reference(params, list(witness.prompt), witness.decode_len)
+    ref = generate_reference(params, list(witness.prompt),
+                             witness.decode_len, [args.budget])
     row = _run_cell(args.seed, params, witness, ref, args.method,
                     args.budget)[args.row]
     print(json.dumps(row, indent=2))

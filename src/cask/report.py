@@ -97,12 +97,12 @@ class SweepSpec:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run every (witness, method, budget) cell and stream rows to disk.
 
-    Each witness is prefilled once, by its reference run; every cell forks
-    that prefill (or the reference where its budget is first exceeded), and
-    its bridge run forks its replay at the first mismatch.  Emits one replay row and one bridge row per cell into
-    ``<out_dir>/rows.jsonl`` plus a provenance manifest; fully reproducible
-    from the sweep spec and its seed.  The model and the witnesses are
-    built first, so a spec they reject writes nothing.
+    Each witness is prefilled once, by its reference run; every cell forks that
+    prefill (or the reference where its budget is first exceeded), and its
+    bridge run forks its replay at the first mismatch.  Emits one replay row
+    and one bridge row per cell into ``<out_dir>/rows.jsonl`` plus a provenance
+    manifest; fully reproducible from the sweep spec and its seed.  The model
+    and the witnesses are built first, so a spec they reject writes nothing.
     """
     params = init_model(spec.seed, spec.vocab_size, spec.model_dim,
                         spec.num_layers)
@@ -150,7 +150,7 @@ def _run_cell(seed: int, params, witness: Witness, ref, method: str,
 def _cell_row(kind: str, seed: int, witness: Witness, method: str,
               budget: int, cache) -> dict:
     """A ``ROW_FIELDS`` row of kind ``kind`` holding what both kinds read:
-    the cell, and the regime and savings of the run's terminal ``cache``."""
+    the cell, and the regime of the run's terminal ``cache``."""
     flags = finalize_flags(cache)
     row = dict.fromkeys(ROW_FIELDS)
     row.update({
@@ -159,7 +159,6 @@ def _cell_row(kind: str, seed: int, witness: Witness, method: str,
         "regime_label": flags.regime_label,
         "method": method,
         "budget": budget,
-        "saved_ratio": terminal_saved_ratio(cache),
         "decode_events": flags.decode_events,
         "prefix_budget_exhausted": flags.prefix_budget_exhausted,
         "merge_inactive": flags.merge_inactive,
@@ -171,24 +170,14 @@ def _cell_row(kind: str, seed: int, witness: Witness, method: str,
 def replay_row(seed: int, witness: Witness, ref, method: str,
                budget: int, record: ReplayRecord) -> dict:
     """Model ``seed``'s teacher-forced replay ``record`` of ``ref`` in one
-    (method, budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``."""
-    summary = summarize(record)
+    (method, budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``:
+    the fields of its ``FidelitySummary`` and ``MassDiagnostics``."""
     cache = record.cache
     core = set(cache.position[cache.protected].tolist())
-    diag = mass_diagnostics(core, covered_positions(cache), ref.oracle_scores,
-                            k=budget)
     row = _cell_row("replay", seed, witness, method, budget, cache)
-    row.update({
-        "top1": summary.top1,
-        "top5": summary.top5,
-        "mean_nll": summary.mean_nll,
-        "first_mismatch": summary.first_mismatch,
-        "rho_core": diag.rho_core,
-        "rho_rep": diag.rho_rep,
-        "T": summary.T,
-        "top1_matches": summary.top1_matches,
-        "top5_matches": summary.top5_matches,
-    })
+    row.update(vars(summarize(record)))
+    row.update(vars(mass_diagnostics(core, covered_positions(cache),
+                                     ref.oracle_scores, k=budget)))
     return row
 
 
@@ -200,6 +189,7 @@ def bridge_row(seed: int, witness: Witness, ref, method: str,
     row of kind ``bridge``."""
     row = _cell_row("bridge", seed, witness, method, budget, cache)
     row.update({
+        "saved_ratio": terminal_saved_ratio(cache),
         "seq_ratio": seq_ratio(candidate, ref.tokens),
         "sem_sim": sem_sim(candidate, ref.tokens),
         "task_metric": task_metric(candidate, ref.tokens),

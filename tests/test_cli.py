@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cask
+from cask import model
 from cask.cli import main
 from cask.report import ROW_FIELDS, load_rows
 
@@ -66,6 +67,32 @@ def test_replay_and_bridge_print_the_sweep_rows(tmp_path, capsys):
                        "--budget", "16"])
             assert rc == 0
             assert json.loads(capsys.readouterr().out) == swept[(kind, method)]
+
+
+@pytest.mark.parametrize("method", ["cask", "evict"])
+def test_replay_and_bridge_start_where_the_sweep_cell_does(
+        tmp_path, capsys, monkeypatch, method):
+    # The README witness (P24, so a 25-token prompt, and T64) at budget 48:
+    # 25 prefill steps, 64 reference steps, and the cell's steps from
+    # t = 48 - 25 + 1 = 24 on, since stage 1 trims nothing there.
+    path = gen_witness(tmp_path, seed=3, prefix=24, decode=64)
+    steps = []
+    forward_step = model.forward_step
+    monkeypatch.setattr(model, "forward_step",
+                        lambda *a, **k: steps.append(1) or forward_step(*a, **k))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--witness", str(path), "--method", method,
+                 "--budget-grid", "48", "--out", str(out)]) == 0
+    assert len(steps) == 25 + 64 + (64 - 24)
+    replay, bridge = load_rows(out / "rows.jsonl")
+    assert replay["first_mismatch"] is None  # so the bridge run adds none
+    capsys.readouterr()
+    for kind, row in (("replay", replay), ("bridge", bridge)):
+        steps.clear()
+        assert main([kind, "--witness", str(path), "--method", method,
+                     "--budget", "48"]) == 0
+        assert len(steps) == 25 + 64 + (64 - 24)
+        assert json.loads(capsys.readouterr().out) == row
 
 
 def test_bridge_command_prints_row(tmp_path, capsys):

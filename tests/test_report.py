@@ -6,8 +6,9 @@ import re
 
 import pytest
 
-from cask import model, policies, report
+from cask import model, policies, replay, report
 from cask.bridge import bridge_run
+from cask.cache import terminal_saved_ratio
 from cask.cli import main
 from cask.report import (
     ROW_FIELDS,
@@ -19,7 +20,12 @@ from cask.report import (
     load_rows,
     run_sweep,
 )
-from cask.replay import make_policy, teacher_forced_replay
+from cask.replay import (
+    FidelitySummary,
+    make_policy,
+    replay_record,
+    teacher_forced_replay,
+)
 
 # sha256 of rows.jsonl from the canonical frontier sweep
 # (scripts/frontier_sweep.py defaults).
@@ -355,6 +361,37 @@ def test_cells_started_on_the_reference_equal_independent_runs(
     spec.out_dir = str(tmp_path / "independent")
     monkeypatch.setattr(report, "_run_cell", _independent_cell)
     assert run_sweep(spec) == shared
+
+
+@pytest.mark.parametrize("method, budget", [
+    ("cask", 12), ("cask", 20), ("evict", 12), ("evict", 20), ("none", 20)])
+def test_rows_are_written_from_their_records(monkeypatch, method, budget):
+    # replay_row copies every FidelitySummary and MassDiagnostics field, so
+    # a new field there would add a row key unless ROW_FIELDS names it.
+    for record in (FidelitySummary, policies.MassDiagnostics):
+        assert {f.name for f in dataclasses.fields(record)} <= set(ROW_FIELDS)
+    params = model.init_model(0, 32, 16, 1)
+    witness = WSPEC.materialize(32)
+    ref = model.generate_reference(params, list(witness.prompt),
+                                   witness.decode_len, [budget])
+    policy = make_policy(method, budget)
+    run = model.decode(params, ref.snapshot, witness.decode_len, policy,
+                       forced=ref.tokens, trunk=ref)
+    tokens, terminal = model.greedy_branch(params, run, policy)
+    ratios = []
+    for module in (replay, report):
+        monkeypatch.setattr(module, "terminal_saved_ratio",
+                            lambda c: ratios.append(c)
+                            or terminal_saved_ratio(c))
+    rows = [report.replay_row(0, witness, ref, method, budget,
+                              replay_record(run)),
+            report.bridge_row(0, witness, ref, method, budget, tokens,
+                              terminal)]
+    assert [id(c) for c in ratios] == [id(run.cache), id(terminal)]
+    for row, kind, c in zip(rows, ("replay", "bridge"), ratios):
+        assert tuple(row) == ROW_FIELDS
+        assert row["kind"] == kind
+        assert row["saved_ratio"] == terminal_saved_ratio(c)
 
 
 def test_sweep_none_rows_are_identity(tmp_path):
