@@ -22,8 +22,8 @@ from .model import (
     read_witness_manifest,
     write_witness_manifest,
 )
+from .replay import METHODS
 from .report import (
-    VALID_METHODS,
     SweepSpec,
     WitnessSpec,
     _run_cell,
@@ -121,7 +121,7 @@ def _cmd_sweep(args, _params: ModelParams) -> int:
             witnesses=[WitnessSpec(w.kind, w.seed, w.prefix_len,
                                    w.decode_len, w.redundancy)
                        for w in witnesses],
-            methods=args.method, budgets=args.budget_grid, out_dir=args.out,
+            methods=args.methods, budgets=args.budget_grid, out_dir=args.out,
             seed=args.seed, vocab_size=args.vocab_size,
             model_dim=args.model_dim, num_layers=args.num_layers)
     except ValueError as e:  # SweepSpec refuses only what the flags say
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     for row, name in enumerate(("replay", "bridge")):
         p = sub.add_parser(name, help=f"print the {name} row of one cell")
         p.add_argument("--witness", required=True, help="witness manifest path")
-        p.add_argument("--method", choices=VALID_METHODS, required=True)
+        p.add_argument("--method", choices=METHODS, required=True)
         p.add_argument("--budget", type=_budget, required=True)
         _add_model_flags(p)
         p.set_defaults(fn=_cmd_cell, build=_model_params, row=row)
@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="append", required=True,
                    help="witness manifest path (repeatable)")
     p.add_argument("--method", action="append", required=True,
-                   choices=VALID_METHODS)
+                   choices=METHODS, dest="methods")
     p.add_argument("--budget-grid", type=budget_grid, required=True,
                    help="comma-separated increasing budgets, e.g. 32,48,64")
     p.add_argument("--out", required=True)

@@ -59,8 +59,6 @@ _MOTIF_LEN = {
 }
 WITNESS_KINDS = tuple(_MOTIF_LEN)
 
-METHOD_NONE = "none"
-
 
 @dataclass
 class ModelParams:
@@ -207,7 +205,6 @@ class NoCompressionPolicy:
     prefill (``after_prefill``) and after each decode token's row is
     appended (``after_append``).  It never appends rows itself."""
 
-    method = METHOD_NONE
     budget: int | None = None
 
     def after_prefill(self, cache: CacheState) -> None:

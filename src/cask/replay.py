@@ -15,7 +15,6 @@ import numpy as np
 
 from .cache import CacheState, terminal_saved_ratio
 from .model import (  # noqa: F401  (run_prefill is part of the replay API)
-    METHOD_NONE,
     DecodeRun,
     ModelParams,
     NoCompressionPolicy,
@@ -30,12 +29,11 @@ NLL_FLOOR = 1e-12
 
 METHOD_CASK = "cask"
 METHOD_EVICT = "evict"
+METHOD_NONE = "none"
 
 
 class EvictionPolicy:
     """Score-mass eviction baseline: trim to budget whenever it overflows."""
-
-    method = METHOD_EVICT
 
     def __init__(self, budget: int):
         self.budget = budget
@@ -43,15 +41,11 @@ class EvictionPolicy:
     def after_prefill(self, cache: CacheState) -> None:
         evict_baseline(cache, self.budget)
 
-    def after_append(self, cache: CacheState) -> None:
-        if cache.n > self.budget:
-            evict_baseline(cache, self.budget)
+    after_append = after_prefill
 
 
 class CaskPolicy:
     """Two-stage pipeline: stage-1 prefix eviction, stage-2 consolidation."""
-
-    method = METHOD_CASK
 
     def __init__(self, budget: int, cask_config: CaskConfig | None = None,
                  stage_config: StageConfig | None = None):
@@ -68,16 +62,22 @@ class CaskPolicy:
         stage2_step(cache, self.cask_config, self.stage_config)
 
 
+# Every method by name, in order: its policy factory, called with the
+# budget.  A policy whose budget is None never compresses (``decode``).
+METHODS = {
+    METHOD_CASK: CaskPolicy,
+    METHOD_EVICT: EvictionPolicy,
+    METHOD_NONE: lambda budget: NoCompressionPolicy(),
+}
+
+
 def make_policy(method: str, budget: int | None = None):
-    if method == METHOD_NONE:
-        return NoCompressionPolicy()
-    if budget is None:
+    """``method``'s policy at ``budget``; only ``none`` runs without one."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if budget is None and method != METHOD_NONE:
         raise ValueError(f"method {method!r} needs a budget")
-    if method == METHOD_EVICT:
-        return EvictionPolicy(budget)
-    if method == METHOD_CASK:
-        return CaskPolicy(budget)
-    raise ValueError(f"unknown method {method!r}")
+    return METHODS[method](budget)
 
 
 @dataclass

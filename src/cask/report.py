@@ -26,7 +26,7 @@ from .policies import CaskConfig, mass_diagnostics
 from .replay import (
     METHOD_CASK,
     METHOD_EVICT,
-    METHOD_NONE,
+    METHODS,
     ReplayRecord,
     make_policy,
     replay_record,
@@ -41,8 +41,6 @@ ROW_FIELDS = (
     "seq_ratio", "sem_sim", "task_metric", "T", "top1_matches",
     "top5_matches", "seed",
 )
-
-VALID_METHODS = (METHOD_CASK, METHOD_EVICT, METHOD_NONE)
 
 
 @dataclass
@@ -73,7 +71,7 @@ class SweepSpec:
         if not self.witnesses or not self.methods or not self.budgets:
             raise ValueError("witnesses, methods, budgets must be nonempty")
         for m in self.methods:
-            if m not in VALID_METHODS:
+            if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}")
         # Rows key on Witness.name, which is made of the kind and seed alone.
         keys = [(w.kind, w.seed) for w in self.witnesses]
@@ -132,11 +130,12 @@ def _run_cell(seed: int, params, witness: Witness, ref, method: str,
     both from one decode tree.  The teacher-forced replay of ``ref`` forks
     ``ref``'s prefill or later cache (``model.decode``'s ``trunk``); the
     free greedy run forks the replay at its first mismatch
-    (``model.greedy_branch``).  A full-KV (``none``) cell is the reference
-    itself (bit for bit, acceptance c01), so it is not rerun.  perfbench's
-    tracer labels cells by binding these parameter names."""
+    (``model.greedy_branch``).  A cell whose policy has no budget (``none``)
+    is the reference itself (bit for bit, acceptance c01), so it is not
+    rerun.  perfbench's tracer labels cells by binding these parameter
+    names."""
     policy = make_policy(method, budget)
-    if method == METHOD_NONE:
+    if policy.budget is None:
         run = ref
     else:
         run = decode(params, ref.snapshot, witness.decode_len, policy,

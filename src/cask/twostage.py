@@ -69,7 +69,8 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
     Evicts the lowest-score prefix entries (:func:`lowest`; never below
     ``min_prefix_keep``) and flags ``prefix_budget_exhausted`` when the
     remaining decode slack falls short of ``min_decode_slack``.  Returns
-    the flag, which is also stored on the cache.  A NaN, infinite or
+    the flag, which is also stored on the cache; a cache left over a budget
+    below ``min_prefix_keep`` sets ``core_overflow``.  A NaN, infinite or
     negative prefix score mass raises ``ValueError`` naming its position
     before anything is evicted.
     """
@@ -80,6 +81,7 @@ def stage1_prefix_evict(cache: CacheState, config: StageConfig) -> bool:
         target = max(cap, config.min_prefix_keep)
         gone = lowest(cache.score_mass[prefix], prefix.size - target)
         evict(cache, cache.position[prefix[gone]])
+        cache.core_overflow |= cache.n > config.budget
     prefix_after = cache.n - int(np.count_nonzero(cache.is_decode))
     exhausted = (config.budget - prefix_after) < config.min_decode_slack
     cache.prefix_budget_exhausted = exhausted

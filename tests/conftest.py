@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cask.cache import DECODE, CacheState, KVEntry, append
+from cask.cache import DECODE, CacheState, KVEntry, append, check_invariants
 from cask.model import init_model
 
 
@@ -45,3 +45,24 @@ def fill_cache(keys, budget=10_000, origin=DECODE, score_masses=None):
         mass = 1.0 if score_masses is None else score_masses[i]
         append(cache, make_entry(i, key, origin=origin, score_mass=mass))
     return cache
+
+
+class CheckedPolicy:
+    """A policy that checks the cache invariants after each of its steps."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.budget = policy.budget
+        self.checks = 0
+        self.max_members = 1
+
+    def after_prefill(self, cache):
+        self.policy.after_prefill(cache)
+        check_invariants(cache)
+
+    def after_append(self, cache):
+        self.policy.after_append(cache)
+        check_invariants(cache)
+        self.checks += 1
+        self.max_members = max(self.max_members,
+                               *(e.member_count for e in cache.entries))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,7 +11,8 @@ import pytest
 
 import cask
 from cask import model
-from cask.cli import main
+from cask.cli import build_parser, main
+from cask.replay import METHODS
 from cask.report import ROW_FIELDS, load_rows
 
 # sha256 of the manifest of the README's `cask gen-witness --seed 3 ...`,
@@ -187,6 +189,16 @@ def test_cli_rejects_bad_method(tmp_path):
     with pytest.raises(SystemExit):
         main(["replay", "--witness", str(path), "--method", "zap",
               "--budget", "16"])
+
+
+def test_method_choices_are_the_methods_table():
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name in ("replay", "bridge", "sweep"):
+        (method,) = [a for a in commands.choices[name]._actions
+                     if "--method" in a.option_strings]
+        assert tuple(method.choices) == tuple(METHODS) \
+            == ("cask", "evict", "none")
 
 
 def test_replay_rejects_malformed_manifest(tmp_path):

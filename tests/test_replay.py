@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cask import model
-from cask.cache import check_invariants, drop
+from cask.cache import drop
 from cask.model import (
+    WITNESS_KINDS,
     decode,
     generate_reference,
+    greedy_branch,
     init_model,
     make_witness,
     prefill,
@@ -27,7 +29,7 @@ from cask.replay import (
     top1_agreement,
     top5_coverage,
 )
-from conftest import keep_order
+from conftest import CheckedPolicy, keep_order
 
 # sha256 of the acceptance suite's replay rows (see
 # test_acceptance_suite_rows_match_golden_digest), one json.dumps line each,
@@ -293,10 +295,11 @@ def test_after_append_changes_nothing_within_budget(params, method, slack):
 
 
 def test_make_policy_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        make_policy("magic", 8)
-    with pytest.raises(ValueError):
-        make_policy("cask")  # needs a budget
+    for budget in (8, None):
+        with pytest.raises(ValueError, match="unknown method 'magic'"):
+            make_policy("magic", budget)
+    with pytest.raises(ValueError, match="method 'cask' needs a budget"):
+        make_policy("cask")
 
 
 def _run_state(run):
@@ -417,28 +420,6 @@ def test_multi_layer_pipeline_end_to_end():
     assert record.cache.compression_events
 
 
-class CheckedPolicy:
-    """A policy that checks the cache invariants after each of its steps."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.method = policy.method
-        self.budget = policy.budget
-        self.checks = 0
-        self.max_members = 1
-
-    def after_prefill(self, cache):
-        self.policy.after_prefill(cache)
-        check_invariants(cache)
-
-    def after_append(self, cache):
-        self.policy.after_append(cache)
-        check_invariants(cache)
-        self.checks += 1
-        self.max_members = max(self.max_members,
-                               *(e.member_count for e in cache.entries))
-
-
 @pytest.mark.parametrize("method", ["cask", "evict"])
 @pytest.mark.parametrize("budget", [8, 32, 64])
 def test_cache_invariants_hold_after_every_append(params, method, budget):
@@ -457,6 +438,55 @@ def test_cache_invariants_hold_after_every_append(params, method, budget):
         overflowed |= record.cache.core_overflow
     assert folded == (method == "cask" and budget == 64)
     assert overflowed == (method == "cask" and budget == 8)
+
+
+def _sweep_cell_equals_its_own_run(params, ref, method, budget):
+    """Decode one cell of reference run ``ref`` on the sweep's path (the
+    teacher-forced replay started on ``ref``, then its greedy branch) with
+    the cache invariants checked after every policy step, and again as a
+    run of its own from the prefill; the two must agree in every byte."""
+    runs = []
+    for trunk in (ref, None):
+        policy = make_policy(method, budget)
+        if trunk is not None:
+            policy = CheckedPolicy(policy)
+        run = decode(params, ref.snapshot, len(ref.tokens), policy,
+                     forced=ref.tokens, trunk=trunk)
+        tokens, cache = greedy_branch(params, run, policy)
+        runs.append((_run_state(run), _cache_bytes(run.cache),
+                     run.fork and run.fork[0], tokens, _cache_bytes(cache)))
+    assert runs[0] == runs[1]
+
+
+_PARAMS_BY_LAYERS = {L: init_model(0, 32, 16, L) for L in (1, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(WITNESS_KINDS), prefix_len=st.integers(0, 40),
+       decode_len=st.integers(1, 40),
+       redundancy=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       num_layers=st.sampled_from([1, 2]),
+       method=st.sampled_from(["cask", "evict"]), data=st.data())
+def test_a_sweep_cell_keeps_the_invariants_and_equals_its_own_run(
+        kind, prefix_len, decode_len, redundancy, num_layers, method, data):
+    # Budgets run from 1, below every core, to past the full history.
+    budget = data.draw(st.integers(1, prefix_len + decode_len + 3))
+    params = _PARAMS_BY_LAYERS[num_layers]
+    witness = make_witness(kind, 0, prefix_len, decode_len, redundancy)
+    ref = generate_reference(params, list(witness.prompt), decode_len,
+                             [budget])
+    _sweep_cell_equals_its_own_run(params, ref, method, budget)
+
+
+@pytest.mark.parametrize("method", ["cask", "evict"])
+def test_frontier_cells_keep_the_invariants_and_equal_their_own_runs(
+        params, method):
+    budgets = (24, 32, 48)
+    for seed in range(10):
+        witness = make_witness("prompt-heavy-decode-active", seed, 24, 64, 0.7)
+        ref = generate_reference(params, list(witness.prompt), 64, budgets)
+        for budget in budgets:
+            _sweep_cell_equals_its_own_run(params, ref, method, budget)
 
 
 def test_acceptance_suite_rows_match_golden_digest():

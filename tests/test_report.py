@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import re
+import types
 
 import pytest
 
@@ -222,16 +223,26 @@ def test_fold_heavy_sweep_rows_match_golden_digest(tmp_path, monkeypatch):
     assert digest.hexdigest() == FOLD_HEAVY_DIGEST
 
 
-def _record_runs(monkeypatch, share: bool) -> list:
+def _record_runs(monkeypatch, share: bool, history: int) -> list:
     """Log (method, snapshot) per cell decode.
 
     With ``share=False`` every decode prefills a snapshot of its own instead
     of forking the reference's, runs every step itself instead of starting
-    on the reference's cache, and ``none`` cells are decoded as well: the
-    per-cell computation the shared sweep must reproduce.
+    on the reference's cache, and ``none`` cells are decoded as well, under
+    a budget of ``history`` that none of their runs fills: the per-cell
+    computation the shared sweep must reproduce.
     """
     log = []
-    decode = report.decode
+    decode, make_policy = report.decode, report.make_policy
+
+    def named(method, budget):
+        policy = make_policy(method, budget)
+        if not share and policy.budget is None:
+            policy.budget = history
+        return types.SimpleNamespace(
+            method=method, budget=policy.budget,
+            after_prefill=policy.after_prefill,
+            after_append=policy.after_append)
 
     def logged(params, snapshot, steps, policy, forced, trunk):
         if not share:
@@ -240,9 +251,8 @@ def _record_runs(monkeypatch, share: bool) -> list:
         return decode(params, snapshot, steps, policy, forced=forced,
                       trunk=trunk)
 
+    monkeypatch.setattr(report, "make_policy", named)
     monkeypatch.setattr(report, "decode", logged)
-    if not share:
-        monkeypatch.setattr(report, "METHOD_NONE", "no such method")
     return log
 
 
@@ -255,8 +265,9 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
     run_prefill = model.run_prefill
     monkeypatch.setattr(model, "run_prefill",
                         lambda *a: prefills.append(1) or run_prefill(*a))
+    history = max(w.prefix_len + w.decode_len for w in spec.witnesses) + 2
     with monkeypatch.context() as m:
-        shared_log = _record_runs(m, share=True)
+        shared_log = _record_runs(m, share=True, history=history)
         shared = run_sweep(spec)
     assert len(prefills) == len(spec.witnesses)
     assert {method for method, _ in shared_log} == {"cask", "evict"}
@@ -266,7 +277,7 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
 
     spec.out_dir = str(tmp_path / "independent")
     with monkeypatch.context() as m:
-        independent_log = _record_runs(m, share=False)
+        independent_log = _record_runs(m, share=False, history=history)
         independent = run_sweep(spec)
     assert len({id(snap) for _, snap in independent_log}) \
         == len(independent_log)
@@ -392,6 +403,18 @@ def test_rows_are_written_from_their_records(monkeypatch, method, budget):
         assert tuple(row) == ROW_FIELDS
         assert row["kind"] == kind
         assert row["saved_ratio"] == terminal_saved_ratio(c)
+
+
+def test_a_method_added_to_the_table_runs_through_the_sweep(tmp_path,
+                                                          monkeypatch):
+    # METHODS is the one list of methods: a name added there is a method
+    # of SweepSpec and run_sweep, here eviction under a second name.
+    monkeypatch.setitem(replay.METHODS, "evict-again", replay.EvictionPolicy)
+    rows = run_sweep(small_spec(tmp_path, methods=("evict", "evict-again")))
+    evict = [r for r in rows if r["method"] == "evict"]
+    again = [r for r in rows if r["method"] == "evict-again"]
+    assert len(again) == len(evict) == 4
+    assert [{**r, "method": "evict"} for r in again] == evict
 
 
 def test_sweep_none_rows_are_identity(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from cask.cache import DECODE, PREFIX, CacheState, append
+from cask.cache import DECODE, PREFIX, CacheState, append, check_invariants
 from cask.policies import CaskConfig, CompressOutcome
 from cask.twostage import (
     REGIME_BOUNDARY,
@@ -46,6 +46,18 @@ def test_stage1_short_prefix_untouched():
     assert not exhausted
     assert len(cache.entries) == 10
     assert cache.compression_events == []
+
+
+@pytest.mark.parametrize("budget", [1, 3, 4])
+def test_stage1_signals_a_prefix_floor_over_the_budget(budget):
+    # min_prefix_keep = 4 prefix rows stay even under a smaller budget; the
+    # cache then holds more rows than its budget, which only core overflow
+    # allows.
+    cache = prefix_cache(10, budget=budget)
+    stage1_prefix_evict(cache, StageConfig(budget=budget, min_prefix_keep=4))
+    assert cache.n == 4
+    assert cache.core_overflow == (budget < 4)
+    check_invariants(cache)
 
 
 def test_stage1_trims_to_fraction_and_flags_slack():
