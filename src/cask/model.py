@@ -269,13 +269,6 @@ class DecodeRun:
     fork: tuple[int, CacheState] | None
     kept: dict[int, CacheState] = field(default_factory=dict)
 
-    @property
-    def oracle_scores(self) -> dict[int, float]:
-        """Accumulated attention mass per position of the terminal cache;
-        a full-KV run's are the oracle score source."""
-        cache = self.cache
-        return dict(zip(cache.position.tolist(), cache.score_mass.tolist()))
-
 
 def _run_steps(params: ModelParams, policy, cache: CacheState,
                dist: np.ndarray, tokens: list[int], steps: int, forced=None,

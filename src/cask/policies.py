@@ -22,6 +22,7 @@ from .cache import (
     CacheState,
     KVEntry,
     at_least,
+    covered_positions,
     drop,
     ltr_sum,
     merge_replace,
@@ -391,37 +392,32 @@ class MassDiagnostics:
     rho_rep: float
 
 
-def mass_diagnostics(core: set[int], covered: set[int],
-                     oracle_scores: dict[int, float], k: int
+def mass_diagnostics(cache: CacheState, reference: CacheState, k: int
                      ) -> MassDiagnostics:
-    """Oracle mass coverage ratios over the top-k scored positions.
+    """Shares of the ``reference`` run's top-k score mass that ``cache``
+    holds: in its protected core (``rho_core``), and anywhere it covers, a
+    folded member counting as held by its representative (``rho_rep``).
 
-    ``covered`` is every position the cache still holds, a folded member
-    counting as held by its representative (``covered_positions(cache)``);
-    it includes the live ``core``.  Top-k selection orders by score
-    descending then position descending; ``k`` beyond the population clamps
-    to the population size.  A NaN, infinite or negative score raises
-    ``ValueError`` naming its position, since it has no place in the
-    ranking and would make both ratios NaN.
+    ``reference`` is a full-KV run's terminal cache, the oracle score
+    source.  Top-k selection orders by score descending then position
+    descending; ``k`` beyond the population clamps to the population size.
+    A NaN, infinite or negative reference score mass raises ``ValueError``
+    naming its position, since it has no place in the ranking and would
+    make both ratios NaN.
     """
     at_least("k", k, 1)
-    count = len(oracle_scores)
-    positions = np.fromiter(oracle_scores, np.int64, count)
-    scores = np.fromiter(oracle_scores.values(), np.float64, count)
-    if count and not (np.minimum.reduce(scores) >= 0.0
-                      and np.maximum.reduce(scores) < inf):
-        p = int(positions[np.argmin((scores >= 0.0) & (scores < inf))])
-        raise ValueError(f"oracle score at position {p} is "
-                         f"{oracle_scores[p]}; expected finite >= 0")
-    topk = np.lexsort((-positions, -scores))[:k]
-    top = list(zip(positions[topk].tolist(), scores[topk].tolist()))
-    denom = ltr_sum(s for _, s in top)
+    _check_score_mass(reference, slice(None))
+    topk = np.lexsort((-reference.position, -reference.score_mass))[:k]
+    top = reference.position[topk].tolist()
+    masses = reference.score_mass[topk].tolist()
+    denom = ltr_sum(masses)
     if denom == 0.0:
-        rho_core = rho_rep = 0.0
-    else:
-        rho_core = ltr_sum(s for p, s in top if p in core) / denom
-        rho_rep = ltr_sum(s for p, s in top if p in covered) / denom
-    return MassDiagnostics(rho_core=rho_core, rho_rep=rho_rep)
+        return MassDiagnostics(rho_core=0.0, rho_rep=0.0)
+    core = set(cache.position[cache.protected].tolist())
+    covered = covered_positions(cache)
+    return MassDiagnostics(
+        rho_core=ltr_sum(m for p, m in zip(top, masses) if p in core) / denom,
+        rho_rep=ltr_sum(m for p, m in zip(top, masses) if p in covered) / denom)
 
 
 @dataclass

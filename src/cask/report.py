@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bridge import sem_sim, seq_ratio, task_metric
-from .cache import at_least, covered_positions, terminal_saved_ratio
+from .cache import at_least, terminal_saved_ratio
 from .model import (
     Witness,
     decode,
@@ -134,59 +134,48 @@ def _run_cell(seed: int, params, witness: Witness, ref, method: str,
     is the reference itself (bit for bit, acceptance c01), so it is not
     rerun.  perfbench's tracer labels cells by binding these parameter
     names."""
+    cell = {"witness": witness.name, "method": method, "budget": budget,
+            "seed": seed}
     policy = make_policy(method, budget)
     if policy.budget is None:
         run = ref
     else:
         run = decode(params, ref.snapshot, witness.decode_len, policy,
                      forced=ref.tokens, trunk=ref)
-    return [replay_row(seed, witness, ref, method, budget,
-                       replay_record(run)),
-            bridge_row(seed, witness, ref, method, budget,
-                       *greedy_branch(params, run, policy))]
+    return [replay_row(cell, ref, replay_record(run)),
+            bridge_row(cell, ref, *greedy_branch(params, run, policy))]
 
 
-def _cell_row(kind: str, seed: int, witness: Witness, method: str,
-              budget: int, cache) -> dict:
+def _cell_row(kind: str, cell: dict, cache) -> dict:
     """A ``ROW_FIELDS`` row of kind ``kind`` holding what both kinds read:
-    the cell, and the regime of the run's terminal ``cache``."""
+    the ``cell`` (its witness name, method, budget and model seed), and the
+    regime of the run's terminal ``cache``."""
     flags = finalize_flags(cache)
     row = dict.fromkeys(ROW_FIELDS)
-    row.update({
-        "kind": kind,
-        "witness": witness.name,
-        "regime_label": flags.regime_label,
-        "method": method,
-        "budget": budget,
-        "decode_events": flags.decode_events,
-        "prefix_budget_exhausted": flags.prefix_budget_exhausted,
-        "merge_inactive": flags.merge_inactive,
-        "seed": seed,
-    })
+    row.update(cell, kind=kind, regime_label=flags.regime_label,
+               decode_events=flags.decode_events,
+               prefix_budget_exhausted=flags.prefix_budget_exhausted,
+               merge_inactive=flags.merge_inactive)
     return row
 
 
-def replay_row(seed: int, witness: Witness, ref, method: str,
-               budget: int, record: ReplayRecord) -> dict:
-    """Model ``seed``'s teacher-forced replay ``record`` of ``ref`` in one
-    (method, budget) cell, as one ``ROW_FIELDS`` row of kind ``replay``:
-    the fields of its ``FidelitySummary`` and ``MassDiagnostics``."""
-    cache = record.cache
-    core = set(cache.position[cache.protected].tolist())
-    row = _cell_row("replay", seed, witness, method, budget, cache)
+def replay_row(cell: dict, ref, record: ReplayRecord) -> dict:
+    """The teacher-forced replay ``record`` of ``ref`` in one sweep
+    ``cell``, as one ``ROW_FIELDS`` row of kind ``replay``: the fields of
+    its ``FidelitySummary`` and ``MassDiagnostics``."""
+    row = _cell_row("replay", cell, record.cache)
     row.update(vars(summarize(record)))
-    row.update(vars(mass_diagnostics(core, covered_positions(cache),
-                                     ref.oracle_scores, k=budget)))
+    row.update(vars(mass_diagnostics(record.cache, ref.cache,
+                                     k=cell["budget"])))
     return row
 
 
-def bridge_row(seed: int, witness: Witness, ref, method: str,
-               budget: int, candidate: list[int], cache) -> dict:
-    """The free greedy run of one (method, budget) cell, its emitted
-    ``candidate`` tokens and terminal ``cache``, scored against ``ref``
-    (the witness's ``decode_len``-token reference), as one ``ROW_FIELDS``
-    row of kind ``bridge``."""
-    row = _cell_row("bridge", seed, witness, method, budget, cache)
+def bridge_row(cell: dict, ref, candidate: list[int], cache) -> dict:
+    """The free greedy run of one sweep ``cell``, its emitted ``candidate``
+    tokens and terminal ``cache``, scored against ``ref`` (the witness's
+    ``decode_len``-token reference), as one ``ROW_FIELDS`` row of kind
+    ``bridge``."""
+    row = _cell_row("bridge", cell, cache)
     row.update({
         "saved_ratio": terminal_saved_ratio(cache),
         "seq_ratio": seq_ratio(candidate, ref.tokens),
@@ -409,10 +398,29 @@ def emit_tables(rows: list[dict], fmt: str, out_dir: str | Path) -> list[Path]:
 
 
 def load_rows(path: str | Path) -> list[dict]:
+    """Read the rows of a ``rows.jsonl`` stream, skipping blank lines.  A
+    line that is not a JSON object carrying every ``ROW_FIELDS`` key, or
+    that repeats an earlier row's (kind, witness, method, budget) cell,
+    raises ``ValueError`` naming the file and its 1-based line."""
     rows = []
+    cells = set()
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"rows file {path}, line {number}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{where}: not JSON ({e})") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            missing = [f for f in ROW_FIELDS if f not in row]
+            if missing:
+                raise ValueError(f"{where}: missing keys {missing}")
+            cell = (row["kind"], row["witness"], row["method"], row["budget"])
+            if cell in cells:
+                raise ValueError(f"{where}: repeats the cell {cell}")
+            cells.add(cell)
+            rows.append(row)
     return rows

@@ -128,6 +128,30 @@ def test_sweep_and_report_roundtrip(tmp_path, capsys):
             "crossings.json"} <= names
 
 
+ROW = {**dict.fromkeys(ROW_FIELDS), "kind": "replay", "witness": "w",
+       "method": "cask", "budget": 16}
+
+
+@pytest.mark.parametrize("line, detail", [
+    ('{"kind": ', "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    (json.dumps({k: v for k, v in ROW.items() if k != "regime_label"}),
+     r"missing keys \['regime_label'\]"),
+    (json.dumps({k: v for k, v in ROW.items() if k != "top1_matches"}),
+     r"missing keys \['top1_matches'\]"),
+    (json.dumps(ROW), r"repeats the cell \('replay', 'w', 'cask', 16\)"),
+])
+def test_report_rejects_a_malformed_rows_file_before_writing(tmp_path, line,
+                                                             detail):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(ROW) + "\n\n" + line + "\n")
+    out = tmp_path / "report"
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{rows}, line 3: ") + detail):
+        main(["report", "--rows", str(rows), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_sweep_rejects_manifest_with_another_prompt(tmp_path):
     wide = tmp_path / "wide.json"
     assert main(["gen-witness", "--kind", "prompt-heavy-decode-active",

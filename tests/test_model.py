@@ -458,8 +458,8 @@ def test_generate_reference_matches_manual_replay(params):
 
 def test_generate_reference_oracle_scores_cover_all_positions(params):
     ref = generate_reference(params, [1, 2, 3], 5)
-    assert set(ref.oracle_scores) == set(range(8))
-    assert all(v >= 0 for v in ref.oracle_scores.values())
+    assert ref.cache.position.tolist() == list(range(8))
+    assert np.all(ref.cache.score_mass >= 0)
 
 
 def _entry_state(entries):

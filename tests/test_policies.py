@@ -14,6 +14,7 @@ from cask.cache import (
     append,
     covered_positions,
     ltr_sum,
+    merge_replace,
 )
 from cask import policies
 from cask.kernels import (
@@ -926,53 +927,87 @@ def test_cask_compress_evicts_the_tail_of_keep_order(masses, decode, over):
 
 # --- mass diagnostics ----------------------------------------------------------
 
+def reference_cache(scores):
+    """A full-KV terminal cache: one entry per position of ``scores``
+    carrying its score mass."""
+    cache = CacheState(budget=10_000)
+    for p in sorted(scores):
+        append(cache, make_entry(p, [1.0, 0.0], score_mass=scores[p]))
+    return cache
+
+
+def held_cache(core, covered):
+    """A compressed cache holding the positions ``covered`` live, with those
+    in ``core`` protected."""
+    cache = CacheState(budget=10_000)
+    for p in sorted(covered):
+        append(cache, make_entry(p, [1.0, 0.0], protected=p in core))
+    return cache
+
+
+def fold_pair(cache, row):
+    """Fold the entry at ``row + 1`` (score mass 1) into the one at ``row``."""
+    pair = cache.entries[row:row + 2]
+    group = MergeGroup(positions=tuple(e.position for e in pair),
+                       weights=(1.0, 1.0), mass=2.0,
+                       keys=tuple(e.key for e in pair))
+    merge_replace(cache, group.positions, fold_group(group, pair))
+
+
 def test_rho_rep_is_one_when_rep_covers_topk():
-    scores = {i: float(10 - i) for i in range(6)}
-    diag = mass_diagnostics(set(), set(range(6)), scores, k=3)
+    ref = reference_cache({i: float(10 - i) for i in range(6)})
+    diag = mass_diagnostics(held_cache(set(), set(range(6))), ref, k=3)
     assert diag.rho_rep == 1.0
     assert diag.rho_core == 0.0
 
 
 def test_rho_hand_enumerated_eight_entries():
-    scores = {0: 5.0, 1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0, 5: 0.5, 6: 0.25, 7: 0.1}
-    core = {0, 3}
-    rep = {0, 1, 3, 5}
-    diag = mass_diagnostics(core, rep, scores, k=4)
+    ref = reference_cache({0: 5.0, 1: 4.0, 2: 3.0, 3: 2.0, 4: 1.0, 5: 0.5,
+                           6: 0.25, 7: 0.1})
+    diag = mass_diagnostics(held_cache({0, 3}, {0, 1, 3, 5}), ref, k=4)
     # top-4 = {0,1,2,3} with mass 14; core holds 5+2=7; rep holds 5+4+2=11
     assert diag.rho_core == pytest.approx(7 / 14)
     assert diag.rho_rep == pytest.approx(11 / 14)
 
 
 def test_rho_counts_folded_members_as_covered():
-    scores = {0: 3.0, 1: 2.0, 2: 1.0}
+    ref = reference_cache({0: 3.0, 1: 2.0, 2: 1.0})
     # Position 1 is folded into the live entry at 0.
-    diag = mass_diagnostics(set(), {0, 1}, scores, k=3)
+    cache = held_cache(set(), {0, 1})
+    fold_pair(cache, 0)
+    assert cache.position.tolist() == [0]
+    diag = mass_diagnostics(cache, ref, k=3)
     assert diag.rho_rep == pytest.approx(5 / 6)
 
 
 def test_k_beyond_population_clamps():
-    scores = {0: 3.0, 1: 2.0, 2: 1.0}
-    assert mass_diagnostics({0}, {0, 1}, scores, k=10) \
-        == mass_diagnostics({0}, {0, 1}, scores, k=len(scores))
+    ref = reference_cache({0: 3.0, 1: 2.0, 2: 1.0})
+    cache = held_cache({0}, {0, 1})
+    assert mass_diagnostics(cache, ref, k=10) \
+        == mass_diagnostics(cache, ref, k=3)
 
 
 def test_k_must_be_positive():
+    ref = reference_cache({0: 1.0})
     for k in bad_integers(1):
         with pytest.raises(ValueError, match="k must be >= 1"):
-            mass_diagnostics(set(), set(), {0: 1.0}, k=k)
+            mass_diagnostics(held_cache(set(), set()), ref, k=k)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
                                  -0.5])
 def test_mass_diagnostics_rejects_a_bad_oracle_score(bad):
-    with pytest.raises(ValueError, match=r"oracle score at position 1 is "):
-        mass_diagnostics(set(), {0}, {0: 1.0, 1: bad, 2: 0.5}, k=2)
+    ref = reference_cache({0: 1.0, 1: bad, 2: 0.5})
+    with pytest.raises(ValueError,
+                       match=r"entry at position 1 has score_mass "):
+        mass_diagnostics(held_cache(set(), {0}), ref, k=2)
 
 
-def test_mass_diagnostics_names_the_first_bad_score_in_dict_order():
-    scores = {5: 1.0, 3: float("nan"), 1: -1.0, 0: 2.0}
-    with pytest.raises(ValueError, match=r"oracle score at position 3 is nan"):
-        mass_diagnostics(set(), {0}, scores, k=2)
+def test_mass_diagnostics_names_the_first_bad_score_in_position_order():
+    ref = reference_cache({5: 1.0, 3: float("nan"), 1: -1.0, 0: 2.0})
+    with pytest.raises(ValueError,
+                       match=r"entry at position 1 has score_mass -1.0"):
+        mass_diagnostics(held_cache(set(), {0}), ref, k=2)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -980,16 +1015,25 @@ def test_mass_diagnostics_names_the_first_bad_score_in_dict_order():
 def test_mass_diagnostics_equals_the_reference(seed):
     # Few distinct scores, zeros among them, so ties are common: position
     # descending breaks them.  k runs past the population, where it clamps.
+    # Some covered positions are folded members, not live rows.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(0, 40))
     values = rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(0, 2)], size=n)
     positions = rng.permutation(3 * n)[:n].tolist()
-    scores = dict(zip(positions, values.tolist()))
+    ref = reference_cache(dict(zip(positions, values.tolist())))
     core = {p for p in positions if rng.random() < 0.3}
-    covered = core | {p for p in positions if rng.random() < 0.5}
+    cache = held_cache(core, core | {p for p in positions
+                                     if rng.random() < 0.5})
+    free = (~cache.protected).nonzero()[0]
+    adjacent = free[1:][np.diff(free) == 1]
+    if adjacent.size:
+        fold_pair(cache, int(adjacent[0]) - 1)
+    scores = dict(zip(ref.position.tolist(), ref.score_mass.tolist()))
+    theirs_core = set(cache.position[cache.protected].tolist())
     for k in (1, max(n // 2, 1), n + 1, n + 7):
-        ours = mass_diagnostics(core, covered, scores, k)
-        theirs = reference_policies.mass_diagnostics(core, covered, scores, k)
+        ours = mass_diagnostics(cache, ref, k)
+        theirs = reference_policies.mass_diagnostics(
+            theirs_core, covered_positions(cache), scores, k)
         assert (ours.rho_core, ours.rho_rep) == (theirs.rho_core,
                                                  theirs.rho_rep)
 
@@ -999,10 +1043,11 @@ def test_mass_diagnostics_equals_the_reference(seed):
 def test_rho_core_never_exceeds_rho_rep(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 15))
-    scores = {i: float(rng.uniform(0, 2)) for i in range(n)}
+    ref = reference_cache({i: float(rng.uniform(0, 2)) for i in range(n)})
     core = {i for i in range(n) if rng.random() < 0.3}
-    rep = core | {i for i in range(n) if rng.random() < 0.5}
-    diag = mass_diagnostics(core, rep, scores, k=int(rng.integers(1, n + 1)))
+    cache = held_cache(core, core | {i for i in range(n)
+                                     if rng.random() < 0.5})
+    diag = mass_diagnostics(cache, ref, k=int(rng.integers(1, n + 1)))
     assert diag.rho_core <= diag.rho_rep + 1e-12
 
 

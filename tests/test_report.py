@@ -295,9 +295,10 @@ def _independent_cell(seed, params, witness, ref, method, budget):
                                    make_policy(method, budget))
     tokens, cache = bridge_run(params, prompt, witness.decode_len,
                                make_policy(method, budget))
-    return [report.replay_row(seed, witness, ref, method, budget, record),
-            report.bridge_row(seed, witness, ref, method, budget, tokens,
-                              cache)]
+    cell = {"witness": witness.name, "method": method, "budget": budget,
+            "seed": seed}
+    return [report.replay_row(cell, ref, record),
+            report.bridge_row(cell, ref, tokens, cache)]
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])
@@ -394,10 +395,10 @@ def test_rows_are_written_from_their_records(monkeypatch, method, budget):
         monkeypatch.setattr(module, "terminal_saved_ratio",
                             lambda c: ratios.append(c)
                             or terminal_saved_ratio(c))
-    rows = [report.replay_row(0, witness, ref, method, budget,
-                              replay_record(run)),
-            report.bridge_row(0, witness, ref, method, budget, tokens,
-                              terminal)]
+    cell = {"witness": witness.name, "method": method, "budget": budget,
+            "seed": 0}
+    rows = [report.replay_row(cell, ref, replay_record(run)),
+            report.bridge_row(cell, ref, tokens, terminal)]
     assert [id(c) for c in ratios] == [id(run.cache), id(terminal)]
     for row, kind, c in zip(rows, ("replay", "bridge"), ratios):
         assert tuple(row) == ROW_FIELDS
