@@ -39,6 +39,11 @@ def main() -> int:
         out_dir=args.out,
         seed=args.seed,
     )
+    try:  # a witness flag make_witness refuses is a usage error
+        for w in spec.witnesses:
+            w.materialize(spec.vocab_size)
+    except ValueError as e:
+        ap.error(str(e))
     rows = run_sweep(spec)
     emit_tables(rows, "csv", args.out)
     emit_tables(rows, "markdown", args.out)

@@ -24,6 +24,8 @@ from .model import (
 )
 from .replay import METHODS
 from .report import (
+    CROSSING_METRICS,
+    FORMATS,
     SweepSpec,
     WitnessSpec,
     _run_cell,
@@ -183,10 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="derive tables from a rows.jsonl stream")
     p.add_argument("--rows", required=True)
-    p.add_argument("--format", choices=("csv", "markdown", "json"),
-                   default="csv")
-    p.add_argument("--metric", choices=("top1", "top5", "mean_nll"),
-                   default="top1")
+    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--metric", choices=CROSSING_METRICS, default="top1")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_report, build=None)
     return parser

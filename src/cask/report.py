@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .bridge import sem_sim, seq_ratio, task_metric
@@ -34,13 +35,29 @@ from .replay import (
 )
 from .twostage import StageConfig, finalize_flags
 
-ROW_FIELDS = (
-    "kind", "witness", "regime_label", "method", "budget", "top1", "top5",
-    "mean_nll", "first_mismatch", "saved_ratio", "decode_events",
-    "prefix_budget_exhausted", "merge_inactive", "rho_core", "rho_rep",
-    "seq_ratio", "sem_sim", "task_metric", "T", "top1_matches",
-    "top5_matches", "seed",
-)
+_STR = ((str,), "a string")
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_BOOL = ((bool,), "a boolean")
+_REPLAY, _BRIDGE = ("replay",), ("bridge",)
+_BOTH = _REPLAY + _BRIDGE
+# Each row field's JSON types (compared exactly, so a bool is not an int)
+# and the row kinds that write it; rows of the other kind write null there.
+_ROW_TYPES = {
+    "kind": (_STR, _BOTH), "witness": (_STR, _BOTH),
+    "regime_label": (_STR, _BOTH), "method": (_STR, _BOTH),
+    "budget": (_INT, _BOTH), "top1": (_NUMBER, _REPLAY),
+    "top5": (_NUMBER, _REPLAY), "mean_nll": (_NUMBER, _REPLAY),
+    "first_mismatch": (((int, type(None)), "an integer or null"), _REPLAY),
+    "saved_ratio": (_NUMBER, _BOTH), "decode_events": (_INT, _BOTH),
+    "prefix_budget_exhausted": (_BOOL, _BOTH),
+    "merge_inactive": (_BOOL, _BOTH), "rho_core": (_NUMBER, _REPLAY),
+    "rho_rep": (_NUMBER, _REPLAY), "seq_ratio": (_NUMBER, _BRIDGE),
+    "sem_sim": (_NUMBER, _BRIDGE), "task_metric": (_NUMBER, _BRIDGE),
+    "T": (_INT, _BOTH), "top1_matches": (_INT, _REPLAY),
+    "top5_matches": (_INT, _REPLAY), "seed": (_INT, _BOTH),
+}
+ROW_FIELDS = tuple(_ROW_TYPES)
 
 
 @dataclass
@@ -131,17 +148,13 @@ def _run_cell(seed: int, params, witness: Witness, ref, method: str,
     ``ref``'s prefill or later cache (``model.decode``'s ``trunk``); the
     free greedy run forks the replay at its first mismatch
     (``model.greedy_branch``).  A cell whose policy has no budget (``none``)
-    is the reference itself (bit for bit, acceptance c01), so it is not
-    rerun.  perfbench's tracer labels cells by binding these parameter
-    names."""
+    starts on a fork of ``ref``'s terminal cache and runs no step.
+    perfbench's tracer labels cells by binding these parameter names."""
     cell = {"witness": witness.name, "method": method, "budget": budget,
             "seed": seed}
     policy = make_policy(method, budget)
-    if policy.budget is None:
-        run = ref
-    else:
-        run = decode(params, ref.snapshot, witness.decode_len, policy,
-                     forced=ref.tokens, trunk=ref)
+    run = decode(params, ref.snapshot, witness.decode_len, policy,
+                 forced=ref.tokens, trunk=ref)
     return [replay_row(cell, ref, replay_record(run)),
             bridge_row(cell, ref, *greedy_branch(params, run, policy))]
 
@@ -206,33 +219,36 @@ class CrossingFinding:
             raise ValueError("lower budget must be below higher budget")
 
 
+CROSSING_METRICS = ("top1", "top5", "mean_nll")
+
+
+def _compared(rows: list[dict]) -> dict[str, dict[str, dict[int, dict]]]:
+    """The cask and evict replay rows by witness, method and budget, the
+    same-budget tables' and the crossings' one index.  Witnesses and budgets
+    run in ascending order; a repeated cell keeps its last row."""
+    index: dict[str, dict[str, dict[int, dict]]] = {}
+    for r in sorted(_replay_rows(rows), key=itemgetter("witness", "budget")):
+        if r["method"] in (METHOD_CASK, METHOD_EVICT):
+            runs = index.setdefault(r["witness"],
+                                    {METHOD_CASK: {}, METHOD_EVICT: {}})
+            runs[r["method"]][r["budget"]] = r
+    return index
+
+
 def detect_crossings(rows: list[dict], metric: str = "top1") -> list[CrossingFinding]:
     """Find every (witness, b_low < b_high) pair where the consolidation
     policy at the lower budget strictly beats eviction at the higher one."""
-    if metric not in ("top1", "top5", "mean_nll"):
+    if metric not in CROSSING_METRICS:
         raise ValueError(f"unsupported crossing metric {metric!r}")
     lower_is_better = metric == "mean_nll"
-    by_witness: dict[str, dict[tuple[str, int], float]] = {}
-    for row in rows:
-        if row.get("kind") != "replay" or row.get(metric) is None:
-            continue
-        if row["method"] not in (METHOD_CASK, METHOD_EVICT):
-            continue
-        by_witness.setdefault(row["witness"], {})[
-            (row["method"], row["budget"])] = row[metric]
     findings: list[CrossingFinding] = []
-    for witness in sorted(by_witness):
-        cells = by_witness[witness]
-        cask_budgets = sorted(b for m, b in cells if m == METHOD_CASK)
-        evict_budgets = sorted(b for m, b in cells if m == METHOD_EVICT)
-        for b_low in cask_budgets:
-            for b_high in evict_budgets:
+    for witness, runs in _compared(rows).items():
+        for b_low, ck in runs[METHOD_CASK].items():
+            for b_high, ev in runs[METHOD_EVICT].items():
                 if b_low >= b_high:
                     continue
-                cask_val = cells[(METHOD_CASK, b_low)]
-                evict_val = cells[(METHOD_EVICT, b_high)]
-                margin = (evict_val - cask_val) if lower_is_better \
-                    else (cask_val - evict_val)
+                margin = (ev[metric] - ck[metric]) if lower_is_better \
+                    else (ck[metric] - ev[metric])
                 if margin > 0:
                     findings.append(CrossingFinding(
                         witness=witness, lower_method=METHOD_CASK,
@@ -297,29 +313,18 @@ def _build_aggregate(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
     return header, body
 
 
-def _paired(rows: list[dict]) -> dict[tuple[str, int], dict[str, dict]]:
-    pairs: dict[tuple[str, int], dict[str, dict]] = {}
-    for r in _replay_rows(rows):
-        if r["method"] in (METHOD_CASK, METHOD_EVICT):
-            pairs.setdefault((r["witness"], r["budget"]), {})[r["method"]] = r
-    return {k: v for k, v in pairs.items()
-            if METHOD_CASK in v and METHOD_EVICT in v}
-
-
 def _build_same_budget(rows: list[dict]) -> tuple[list[str], list[list[str]]]:
     header = ["witness", "budget", "evict_top1_pct", "cask_top1_pct",
               "delta_top1_pp", "evict_mean_nll", "cask_mean_nll",
               "delta_nll", "decode_events"]
-    body = []
-    for (witness, budget), pair in sorted(_paired(rows).items()):
-        ev, ck = pair[METHOD_EVICT], pair[METHOD_CASK]
-        body.append([
-            witness, str(budget), _pct(ev["top1"]), _pct(ck["top1"]),
-            f"{100.0 * (ck['top1'] - ev['top1']):+.1f}",
-            _nll(ev["mean_nll"]), _nll(ck["mean_nll"]),
-            f"{ck['mean_nll'] - ev['mean_nll']:+.3f}",
-            str(ck["decode_events"]),
-        ])
+    body = [[witness, str(budget), _pct(ev["top1"]), _pct(ck["top1"]),
+             f"{100.0 * (ck['top1'] - ev['top1']):+.1f}",
+             _nll(ev["mean_nll"]), _nll(ck["mean_nll"]),
+             f"{ck['mean_nll'] - ev['mean_nll']:+.3f}",
+             str(ck["decode_events"])]
+            for witness, runs in _compared(rows).items()
+            for budget, ck in runs[METHOD_CASK].items()
+            if (ev := runs[METHOD_EVICT].get(budget)) is not None]
     return header, body
 
 
@@ -338,13 +343,13 @@ def _build_audit_same_budget(rows: list[dict]) -> tuple[list[str], list[list[str
     header = ["witness", "budget", "output_tokens", "evict_top1_matches",
               "cask_top1_matches", "evict_top5_matches", "cask_top5_matches",
               "evict_first_mismatch", "cask_first_mismatch"]
-    body = []
-    for (witness, budget), pair in sorted(_paired(rows).items()):
-        ev, ck = pair[METHOD_EVICT], pair[METHOD_CASK]
-        body.append([witness, str(budget), str(ev["T"]),
-                     str(ev["top1_matches"]), str(ck["top1_matches"]),
-                     str(ev["top5_matches"]), str(ck["top5_matches"]),
-                     _fm(ev["first_mismatch"]), _fm(ck["first_mismatch"])])
+    body = [[witness, str(budget), str(ev["T"]),
+             str(ev["top1_matches"]), str(ck["top1_matches"]),
+             str(ev["top5_matches"]), str(ck["top5_matches"]),
+             _fm(ev["first_mismatch"]), _fm(ck["first_mismatch"])]
+            for witness, runs in _compared(rows).items()
+            for budget, ck in runs[METHOD_CASK].items()
+            if (ev := runs[METHOD_EVICT].get(budget)) is not None]
     return header, body
 
 
@@ -377,6 +382,7 @@ def _render_json(header: list[str], body: list[list[str]]) -> str:
 _RENDERERS = {"csv": (_render_csv, "csv"),
               "markdown": (_render_markdown, "md"),
               "json": (_render_json, "json")}
+FORMATS = tuple(_RENDERERS)
 
 
 def emit_tables(rows: list[dict], fmt: str, out_dir: str | Path) -> list[Path]:
@@ -399,9 +405,11 @@ def emit_tables(rows: list[dict], fmt: str, out_dir: str | Path) -> list[Path]:
 
 def load_rows(path: str | Path) -> list[dict]:
     """Read the rows of a ``rows.jsonl`` stream, skipping blank lines.  A
-    line that is not a JSON object carrying every ``ROW_FIELDS`` key, or
-    that repeats an earlier row's (kind, witness, method, budget) cell,
-    raises ``ValueError`` naming the file and its 1-based line."""
+    line that is not a JSON object carrying every ``ROW_FIELDS`` key with a
+    value of its type, null where its kind writes null and ``T`` and
+    ``budget`` at least 1, or that repeats an earlier row's (kind, witness,
+    method, budget) cell, raises ``ValueError`` naming the file and its
+    1-based line."""
     rows = []
     cells = set()
     with open(path) as fh:
@@ -418,6 +426,19 @@ def load_rows(path: str | Path) -> list[dict]:
             missing = [f for f in ROW_FIELDS if f not in row]
             if missing:
                 raise ValueError(f"{where}: missing keys {missing}")
+            if row["kind"] not in _BOTH:
+                raise ValueError(f"{where}: 'kind' is {row['kind']!r}, "
+                                 "expected 'replay' or 'bridge'")
+            for key, ((types, expected), kinds) in _ROW_TYPES.items():
+                if row["kind"] not in kinds:
+                    types, expected = (type(None),), "null"
+                if type(row[key]) not in types:
+                    raise ValueError(f"{where}: {key!r} is {row[key]!r}, "
+                                     f"expected {expected}")
+            for key in ("budget", "T"):
+                if row[key] < 1:
+                    raise ValueError(f"{where}: {key!r} is {row[key]}, "
+                                     "expected an integer >= 1")
             cell = (row["kind"], row["witness"], row["method"], row["budget"])
             if cell in cells:
                 raise ValueError(f"{where}: repeats the cell {cell}")

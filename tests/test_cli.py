@@ -129,7 +129,12 @@ def test_sweep_and_report_roundtrip(tmp_path, capsys):
 
 
 ROW = {**dict.fromkeys(ROW_FIELDS), "kind": "replay", "witness": "w",
-       "method": "cask", "budget": 16}
+       "regime_label": "decode-active", "method": "cask", "budget": 16,
+       "top1": 0.9375, "top5": 1.0, "mean_nll": 1.5, "first_mismatch": 3,
+       "saved_ratio": 0.5, "decode_events": 10,
+       "prefix_budget_exhausted": True, "merge_inactive": False,
+       "rho_core": 0.25, "rho_rep": 0.75, "T": 16, "top1_matches": 15,
+       "top5_matches": 16, "seed": 0}
 
 
 @pytest.mark.parametrize("line, detail", [
@@ -140,6 +145,19 @@ ROW = {**dict.fromkeys(ROW_FIELDS), "kind": "replay", "witness": "w",
     (json.dumps({k: v for k, v in ROW.items() if k != "top1_matches"}),
      r"missing keys \['top1_matches'\]"),
     (json.dumps(ROW), r"repeats the cell \('replay', 'w', 'cask', 16\)"),
+    # Read, each of these would fail the report part-way (a TypeError or
+    # ZeroDivisionError after fidelity.csv is written), or drop or miscount
+    # the row in every table.
+    (json.dumps(dict(ROW, T=None)), "'T' is None, expected an integer$"),
+    (json.dumps(dict(ROW, T=0)), "'T' is 0, expected an integer >= 1"),
+    (json.dumps(dict(ROW, budget=[24])),
+     r"'budget' is \[24\], expected an integer$"),
+    (json.dumps(dict(ROW, top1="0.9")), "'top1' is '0.9', expected a number"),
+    (json.dumps(dict(ROW, kind="replayx")),
+     "'kind' is 'replayx', expected 'replay' or 'bridge'"),
+    (json.dumps(dict(ROW, top1_matches=True)),
+     "'top1_matches' is True, expected an integer$"),
+    (json.dumps(dict(ROW, kind="bridge")), "'top1' is 0.9375, expected null"),
 ])
 def test_report_rejects_a_malformed_rows_file_before_writing(tmp_path, line,
                                                              detail):
@@ -314,13 +332,20 @@ def test_bad_model_and_witness_flags_are_usage_errors(tmp_path, capsys,
      "prefix fraction 1.5 must be in (0, 1]"),
     ("regime_probe.py", "--prefix-fraction", "nan",
      "prefix fraction nan must be in (0, 1]"),
+    ("frontier_sweep.py", "--redundancy", "2",
+     "redundancy must be in [0, 1]"),
+    ("frontier_sweep.py", "--decode-len", "0",
+     "decode_len must be >= 1, got 0"),
+    ("frontier_sweep.py", "--prefix-len", "-1",
+     "prefix_len must be >= 0, got -1"),
 ])
 def test_scripts_reject_bad_budgets_as_usage_errors(tmp_path, script, flag,
                                                     value, detail):
     # Both scripts used to split the grid by hand: a non-integer ended in an
     # int() traceback and a zero budget died in CacheState.  A zero seed
     # count died in SweepSpec, a zero prefix fraction in StageConfig after
-    # the table header was printed.
+    # the table header was printed, and a witness flag make_witness refuses
+    # in run_sweep.
     repo = Path(__file__).resolve().parents[1]
     src = str(Path(cask.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -515,6 +515,36 @@ def test_decode_from_snapshot_matches_fresh_prefill(method, forced):
     assert _cache_state(cache_a) == _cache_state(cache_b)
 
 
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_unbudgeted_decode_on_its_trunk_is_the_trunk(monkeypatch, num_layers):
+    # A sweep's none cell is decoded like every other cell.  With no budget
+    # its cache holds every step, so it starts on a fork of the reference's
+    # terminal cache and feeds no token.
+    params = init_model(0, num_layers=num_layers)
+    prompt = list(make_witness("prompt-heavy-decode-active", 3, 24, 1,
+                               0.7).prompt)
+    ref = generate_reference(params, prompt, 24, [28, 32])
+    steps = []
+    monkeypatch.setattr("cask.model.forward_step",
+                        lambda *args, **kwargs: steps.append(args))
+    policy = make_policy("none")
+    run = decode(params, ref.snapshot, 24, policy, forced=ref.tokens,
+                 trunk=ref)
+    assert run.tokens == ref.tokens and run.fork is None
+    assert run.distributions.tobytes() == ref.distributions.tobytes()
+    assert run.cache_sizes.tobytes() == ref.cache_sizes.tobytes()
+    assert run.cache is not ref.cache
+    assert _cache_state(run.cache) == _cache_state(ref.cache)
+    assert ({name: col[:run.cache.n].tobytes()
+             for name, col in run.cache._columns.items()}
+            == {name: col[:ref.cache.n].tobytes()
+                for name, col in ref.cache._columns.items()})
+    assert run.cache.members == ref.cache.members
+    tokens, cache = greedy_branch(params, run, policy)
+    assert tokens == ref.tokens and cache is run.cache
+    assert steps == []
+
+
 def test_decode_checks_every_forced_token_before_the_first_step(params,
                                                                 monkeypatch):
     ref = generate_reference(params, [1, 2, 3], 48)

@@ -227,10 +227,10 @@ def _record_runs(monkeypatch, share: bool, history: int) -> list:
     """Log (method, snapshot) per cell decode.
 
     With ``share=False`` every decode prefills a snapshot of its own instead
-    of forking the reference's, runs every step itself instead of starting
-    on the reference's cache, and ``none`` cells are decoded as well, under
-    a budget of ``history`` that none of their runs fills: the per-cell
-    computation the shared sweep must reproduce.
+    of forking the reference's and runs every step itself instead of
+    starting on the reference's cache; ``none`` cells run under a budget of
+    ``history`` that none of their runs fills, so they take every step too:
+    the per-cell computation the shared sweep must reproduce.
     """
     log = []
     decode, make_policy = report.decode, report.make_policy
@@ -270,7 +270,7 @@ def test_shared_prefill_rows_equal_independent_runs(tmp_path, monkeypatch,
         shared_log = _record_runs(m, share=True, history=history)
         shared = run_sweep(spec)
     assert len(prefills) == len(spec.witnesses)
-    assert {method for method, _ in shared_log} == {"cask", "evict"}
+    assert {method for method, _ in shared_log} == {"cask", "evict", "none"}
     assert len({id(snap) for _, snap in shared_log}) == len(spec.witnesses)
     assert any(r["decode_events"] > 0 for r in shared)
     assert any(r["regime_label"] == "prefix-dominant" for r in shared)
