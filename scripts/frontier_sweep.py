@@ -14,6 +14,7 @@ import argparse
 from pathlib import Path
 
 from cask.cli import budget_grid, count
+from cask.model import init_model
 from cask.report import SweepSpec, WitnessSpec, detect_crossings, emit_tables, run_sweep
 
 
@@ -39,7 +40,9 @@ def main() -> int:
         out_dir=args.out,
         seed=args.seed,
     )
-    try:  # a witness flag make_witness refuses is a usage error
+    try:  # a flag init_model or make_witness refuses is a usage error
+        init_model(spec.seed, spec.vocab_size, spec.model_dim,
+                   spec.num_layers)
         for w in spec.witnesses:
             w.materialize(spec.vocab_size)
     except ValueError as e:

@@ -47,7 +47,10 @@ def main() -> int:
     ap.add_argument("--prefix-fraction", type=prefix_fraction, default=0.75)
     args = ap.parse_args()
 
-    params = init_model(args.seed, 32, 16, 1)
+    try:  # a seed init_model refuses is a usage error
+        params = init_model(args.seed, 32, 16, 1)
+    except ValueError as e:
+        ap.error(str(e))
     header = (f"{'witness':<34} {'budget':>6} {'top1':>6} {'events':>6} "
               f"{'exhausted':>9} {'regime':>16}")
     print(header)

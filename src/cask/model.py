@@ -45,6 +45,8 @@ import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -88,6 +90,7 @@ class ModelParams:
 def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
                num_layers: int = 1) -> ModelParams:
     """Build deterministic parameters; equal inputs give equal parameters."""
+    at_least("seed", seed, 0)
     at_least("vocab_size", vocab_size, 2)
     if model_dim % 2 != 0:
         raise ValueError("model_dim must be even")
@@ -431,6 +434,7 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
     """
     if kind not in WITNESS_KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
+    at_least("seed", seed, 0)
     at_least("vocab_size", vocab_size, 2)
     at_least("prefix_len", prefix_len, 0)
     at_least("decode_len", decode_len, 1)
@@ -464,33 +468,49 @@ def write_witness_manifest(witness: Witness, path: str | Path) -> Path:
     return path
 
 
-# The JSON types a manifest may give each Witness field, and how a message
-# names them.  Types are compared exactly, so a bool is not an int.
-_MANIFEST_TYPES = {
-    "kind": ((str,), "a string"),
-    "seed": ((int,), "an integer"),
-    "prefix_len": ((int,), "an integer"),
-    "decode_len": ((int,), "an integer"),
-    "redundancy": ((int, float), "a number"),
-    "prompt": ((list,), "a list of integers"),
-    "vocab_size": ((int, type(None)), "an integer or null"),
-}
+# How a message names each type that a JSON field's annotation may take.
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", type(None): "null",
+               tuple[int, ...]: "a list of integers"}
+
+
+def check_json_types(where: str, data: dict, types: dict) -> None:
+    """Raise ``ValueError`` at the first key of ``types`` in the JSON object
+    ``data`` whose value is not of its annotation, a union of the types in
+    ``_JSON_NAMES``.  Types compare exactly, so a bool is not an int, but a
+    float field takes an int and a ``tuple[int, ...]`` a list of ints."""
+    for key, hint in types.items():
+        members = get_args(hint) if isinstance(hint, UnionType) else (hint,)
+        value = data.get(key)
+        found = tuple[int, ...] if type(value) is list and all(
+            type(v) is int for v in value) else type(value)
+        if key in data and found not in members and not (
+                found is int and float in members):
+            raise ValueError(f"{where}: {key!r} is {value!r}, expected "
+                             + " or ".join(_JSON_NAMES[m] for m in members))
+
+
+def json_object(where: str, text: str, required) -> dict:
+    """``text`` parsed as a JSON object that carries every ``required`` key;
+    anything else raises ``ValueError`` prefixed with ``where``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: not JSON ({e})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+    return data
 
 
 def read_witness_manifest(path: str | Path) -> Witness:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ValueError(f"witness manifest {path}: expected a JSON object")
-    missing = [f.name for f in fields(Witness)
-               if f.default is MISSING and f.name not in data]
-    if missing:
-        raise ValueError(f"witness manifest {path}: missing keys {missing}")
-    values = {f.name: data[f.name] for f in fields(Witness) if f.name in data}
-    for key, value in values.items():
-        types, expected = _MANIFEST_TYPES[key]
-        if type(value) not in types or (key == "prompt" and any(
-                type(t) is not int for t in value)):
-            raise ValueError(f"witness manifest {path}: {key!r} is "
-                             f"{value!r}, expected {expected}")
+    where = f"witness manifest {path}"
+    data = json_object(where, Path(path).read_text(), [
+        f.name for f in fields(Witness) if f.default is MISSING])
+    types = get_type_hints(Witness)
+    check_json_types(where, data, types)
+    values = {key: data[key] for key in types if key in data}
     values["prompt"] = tuple(values["prompt"])
     return Witness(**values)

@@ -12,22 +12,26 @@ import json
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from .bridge import sem_sim, seq_ratio, task_metric
 from .cache import at_least, terminal_saved_ratio
 from .model import (
     Witness,
+    check_json_types,
     decode,
     generate_reference,
     greedy_branch,
     init_model,
+    json_object,
     make_witness,
 )
-from .policies import CaskConfig, mass_diagnostics
+from .policies import CaskConfig, MassDiagnostics, mass_diagnostics
 from .replay import (
     METHOD_CASK,
     METHOD_EVICT,
     METHODS,
+    FidelitySummary,
     ReplayRecord,
     make_policy,
     replay_record,
@@ -35,29 +39,20 @@ from .replay import (
 )
 from .twostage import StageConfig, finalize_flags
 
-_STR = ((str,), "a string")
-_INT = ((int,), "an integer")
-_NUMBER = ((int, float), "a number")
-_BOOL = ((bool,), "a boolean")
-_REPLAY, _BRIDGE = ("replay",), ("bridge",)
-_BOTH = _REPLAY + _BRIDGE
-# Each row field's JSON types (compared exactly, so a bool is not an int)
-# and the row kinds that write it; rows of the other kind write null there.
-_ROW_TYPES = {
-    "kind": (_STR, _BOTH), "witness": (_STR, _BOTH),
-    "regime_label": (_STR, _BOTH), "method": (_STR, _BOTH),
-    "budget": (_INT, _BOTH), "top1": (_NUMBER, _REPLAY),
-    "top5": (_NUMBER, _REPLAY), "mean_nll": (_NUMBER, _REPLAY),
-    "first_mismatch": (((int, type(None)), "an integer or null"), _REPLAY),
-    "saved_ratio": (_NUMBER, _BOTH), "decode_events": (_INT, _BOTH),
-    "prefix_budget_exhausted": (_BOOL, _BOTH),
-    "merge_inactive": (_BOOL, _BOTH), "rho_core": (_NUMBER, _REPLAY),
-    "rho_rep": (_NUMBER, _REPLAY), "seq_ratio": (_NUMBER, _BRIDGE),
-    "sem_sim": (_NUMBER, _BRIDGE), "task_metric": (_NUMBER, _BRIDGE),
-    "T": (_INT, _BOTH), "top1_matches": (_INT, _REPLAY),
-    "top5_matches": (_INT, _REPLAY), "seed": (_INT, _BOTH),
-}
-ROW_FIELDS = tuple(_ROW_TYPES)
+ROW_FIELDS = ("kind", "witness", "regime_label", "method", "budget", "top1",
+              "top5", "mean_nll", "first_mismatch", "saved_ratio",
+              "decode_events", "prefix_budget_exhausted", "merge_inactive",
+              "rho_core", "rho_rep", "seq_ratio", "sem_sim", "task_metric",
+              "T", "top1_matches", "top5_matches", "seed")
+# The annotation of each field a row of each kind writes (the cell's, then
+# FidelitySummary and MassDiagnostics or the bridge scores); others are null.
+_CELL_TYPES = dict(kind=str, witness=str, regime_label=str, method=str,
+                   budget=int, seed=int, decode_events=int,
+                   prefix_budget_exhausted=bool, merge_inactive=bool)
+_ROW_TYPES = {"replay": {**_CELL_TYPES, **get_type_hints(FidelitySummary),
+                         **get_type_hints(MassDiagnostics)},
+              "bridge": dict(_CELL_TYPES, saved_ratio=float, seq_ratio=float,
+                             sem_sim=float, task_metric=float, T=int)}
 
 
 @dataclass
@@ -417,24 +412,14 @@ def load_rows(path: str | Path) -> list[dict]:
             if not line.strip():
                 continue
             where = f"rows file {path}, line {number}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{where}: not JSON ({e})") from None
-            if not isinstance(row, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            missing = [f for f in ROW_FIELDS if f not in row]
-            if missing:
-                raise ValueError(f"{where}: missing keys {missing}")
-            if row["kind"] not in _BOTH:
+            row = json_object(where, line, ROW_FIELDS)
+            check_json_types(where, row, {"kind": str})
+            written = _ROW_TYPES.get(row["kind"])
+            if written is None:
                 raise ValueError(f"{where}: 'kind' is {row['kind']!r}, "
                                  "expected 'replay' or 'bridge'")
-            for key, ((types, expected), kinds) in _ROW_TYPES.items():
-                if row["kind"] not in kinds:
-                    types, expected = (type(None),), "null"
-                if type(row[key]) not in types:
-                    raise ValueError(f"{where}: {key!r} is {row[key]!r}, "
-                                     f"expected {expected}")
+            check_json_types(where, row, {key: written.get(key, type(None))
+                                          for key in ROW_FIELDS})
             for key in ("budget", "T"):
                 if row[key] < 1:
                     raise ValueError(f"{where}: {key!r} is {row[key]}, "

@@ -170,6 +170,21 @@ def test_report_rejects_a_malformed_rows_file_before_writing(tmp_path, line,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", [["replay"], None, {}], ids=repr)
+def test_report_rejects_a_row_whose_kind_is_not_a_string(tmp_path, kind):
+    # Each row's kind picks the fields it writes; a kind that is not a
+    # string is refused, not met with the TypeError (unhashable type) of
+    # looking it up.
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text(json.dumps(ROW) + "\n" + json.dumps(dict(ROW, kind=kind))
+                    + "\n")
+    out = tmp_path / "report"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{rows}, line 2: 'kind' is {kind!r}, expected a string")):
+        main(["report", "--rows", str(rows), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_sweep_rejects_manifest_with_another_prompt(tmp_path):
     wide = tmp_path / "wide.json"
     assert main(["gen-witness", "--kind", "prompt-heavy-decode-active",
@@ -248,7 +263,8 @@ def test_replay_rejects_malformed_manifest(tmp_path):
     data = json.loads(path.read_text())
     del data["prompt"]
     for content, detail in ((json.dumps(data), r"missing keys \['prompt'\]"),
-                            ("[1, 2]", "JSON object")):
+                            ("[1, 2]", "JSON object"),
+                            ('{"kind": ', "not JSON")):
         path.write_text(content)
         with pytest.raises(ValueError,
                            match=re.escape(str(path)) + ".*" + detail):
@@ -294,6 +310,9 @@ def test_replay_rejects_zero_budget(tmp_path, capsys):
     ("gen-witness", "--prefix-len", "-1", "prefix_len must be >= 0"),
     ("gen-witness", "--redundancy", "2", "redundancy must be in [0, 1]"),
     ("gen-witness", "--vocab-size", "1", "vocab_size must be >= 2"),
+    ("gen-witness", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("replay", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("sweep", "--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_bad_model_and_witness_flags_are_usage_errors(tmp_path, capsys,
                                                       command, flag, value,
@@ -338,6 +357,8 @@ def test_bad_model_and_witness_flags_are_usage_errors(tmp_path, capsys,
      "decode_len must be >= 1, got 0"),
     ("frontier_sweep.py", "--prefix-len", "-1",
      "prefix_len must be >= 0, got -1"),
+    ("frontier_sweep.py", "--seed", "-1", "seed must be >= 0, got -1"),
+    ("regime_probe.py", "--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_scripts_reject_bad_budgets_as_usage_errors(tmp_path, script, flag,
                                                     value, detail):

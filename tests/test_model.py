@@ -24,6 +24,7 @@ from cask.model import (
     WITNESS_KINDS,
     StepOutput,
     accumulate_mass,
+    check_json_types,
     decode,
     forward_step,
     generate_reference,
@@ -765,6 +766,27 @@ def test_read_witness_manifest_rejects_a_value_of_the_wrong_type(
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: {key!r} is {value!r}")):
         read_witness_manifest(path)
+
+
+@pytest.mark.parametrize("hint, value, expected", [
+    (int, 3, None), (int, True, "an integer"), (int, 3.0, "an integer"),
+    (float, 3, None), (float, 2.5, None), (float, False, "a number"),
+    (bool, False, None), (bool, 0, "a boolean"), (str, "x", None),
+    (str, None, "a string"), (type(None), None, None), (type(None), 0, "null"),
+    (int | None, None, None), (int | None, 1.5, "an integer or null"),
+    (tuple[int, ...], [0, 5], None), (tuple[int, ...], [], None),
+    (tuple[int, ...], [0, True], "a list of integers"),
+    (tuple[int, ...], 5, "a list of integers"),
+])
+def test_check_json_types_compares_types_exactly(hint, value, expected):
+    check = lambda: check_json_types("where", {"a": 1, "k": value},
+                                     {"absent": int, "k": hint})
+    if expected is None:
+        check()
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"where: 'k' is {value!r}, expected {expected}") + "$"):
+            check()
 
 
 @given(st.sampled_from([1, 2, 3, 4, 7]), st.integers(1, 9), st.data())

@@ -4,6 +4,7 @@ import itertools
 import json
 import re
 import types
+import typing
 
 import pytest
 
@@ -404,6 +405,24 @@ def test_rows_are_written_from_their_records(monkeypatch, method, budget):
         assert tuple(row) == ROW_FIELDS
         assert row["kind"] == kind
         assert row["saved_ratio"] == terminal_saved_ratio(c)
+
+
+def test_row_kinds_annotate_every_row_field_with_a_named_type():
+    # load_rows checks a row against its kind's map and nulls elsewhere, so
+    # a field in neither map could never be written.  Every member type of
+    # every annotation the JSON checker reads must have a message name, or a
+    # malformed file would end in a KeyError rather than the refusal.
+    kinds = report._ROW_TYPES
+    assert set().union(*kinds.values()) == set(ROW_FIELDS)
+    for written in kinds.values():
+        assert set(written) <= set(ROW_FIELDS)
+    for annotations in [*map(typing.get_type_hints, (
+            model.Witness, FidelitySummary, policies.MassDiagnostics)),
+            *kinds.values()]:
+        for key, hint in annotations.items():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"where: {key!r} is {{}}, expected ")):
+                model.check_json_types("where", {key: {}}, {key: hint})
 
 
 def test_a_method_added_to_the_table_runs_through_the_sweep(tmp_path,
