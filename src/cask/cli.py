@@ -63,8 +63,11 @@ def _read_witness(path, vocab_size: int) -> Witness:
         raise ValueError(
             f"witness manifest {path}: made at vocab size {w.vocab_size}, "
             f"not at --vocab-size {vocab_size}")
-    rebuilt = make_witness(w.kind, w.seed, w.prefix_len, w.decode_len,
-                           w.redundancy, vocab_size)
+    try:
+        rebuilt = make_witness(w.kind, w.seed, w.prefix_len, w.decode_len,
+                               w.redundancy, vocab_size)
+    except ValueError as e:
+        raise ValueError(f"witness manifest {path}: {e}") from None
     if rebuilt.prompt != w.prompt:
         raise ValueError(
             f"witness manifest {path}: prompt differs from the {w.kind} "

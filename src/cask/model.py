@@ -28,7 +28,10 @@ The step reads the cache's buffers in place and stages each token's row
 in the free slot (:func:`forward_step`, :class:`cask.cache.StagedRow`);
 the decode loop commits it, and only then does the policy compress.
 :func:`accumulate_mass` adds the step's layer-mean attention onto the
-``score_mass`` column in one vector add.
+``score_mass`` column in one vector add.  Prefill reads one next-token
+distribution, the last prompt token's, so every earlier prompt token's
+step skips the last layer's value mix and the output head
+(``predict=False``); the rows and attention it stages are unchanged.
 
 Layer 0's input is the token's embedding alone, so its query, key and value
 are taken once per token by :class:`ModelParams`; later layers take all three
@@ -111,11 +114,12 @@ def init_model(seed: int, vocab_size: int = 32, model_dim: int = 16,
 
 @dataclass
 class StepOutput:
-    """One forward pass: next-token distribution, the handle of the token's
-    row staged in the cache, and per-layer attention weights over the
-    entries present at call time plus the new position (last column)."""
+    """One forward pass: the next-token distribution (None for a step asked
+    for no prediction), the handle of the token's row staged in the cache,
+    and per-layer attention weights over the entries present at call time
+    plus the new position (last column)."""
 
-    distribution: np.ndarray       # (V,)
+    distribution: np.ndarray | None  # (V,)
     staged: StagedRow
     attention_weights: np.ndarray  # (L, n_cache + 1)
 
@@ -131,7 +135,7 @@ def _softmax_in_place(x: np.ndarray) -> np.ndarray:
 
 
 def forward_step(params: ModelParams, cache: CacheState, token: int,
-                 origin: str = DECODE) -> StepOutput:
+                 origin: str = DECODE, predict: bool = True) -> StepOutput:
     """Forward pass over the live rows that stages the token's row in the
     cache; the caller decides whether to commit it.
 
@@ -154,6 +158,11 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
     ``total_appended``, ``origin``, its own layer-mean attention as score
     mass, group mass 1 and no protection.  The live rows are only read,
     and ``n`` does not change.
+
+    With ``predict=False`` the step skips what only the next-token
+    distribution reads, the last layer's value mix and residual and the
+    output head, and returns no distribution; every key, value, attention
+    weight and staged byte is the one a predicting step gives.
     """
     if not (hasattr(token, "__index__") and 0 <= token < params.vocab_size):
         raise ValueError(f"token {token} out of vocab (V={params.vocab_size})")
@@ -179,8 +188,9 @@ def forward_step(params: ModelParams, cache: CacheState, token: int,
         if log_mass is not None:
             w += log_mass
         _softmax_in_place(w)
-        h = h + (w @ values[l]) @ params.wo[l]
-    dist = _softmax_in_place(h @ params.unembed)
+        if predict or l < L - 1:
+            h = h + (w @ values[l]) @ params.wo[l]
+    dist = _softmax_in_place(h @ params.unembed) if predict else None
     # The layer mean of the staged column; one layer's is its weight.
     mass = weights[0, -1] if L == 1 else weights[:, -1].sum() / L
     staged = cache.stage(origin, float(mass))
@@ -219,14 +229,20 @@ class NoCompressionPolicy:
 
 def run_prefill(params: ModelParams, cache: CacheState, prompt) -> np.ndarray:
     """Feed the prompt, accumulate attention mass, and return the
-    next-token distribution in hand."""
-    dist = None
-    for tok in prompt:
-        out = forward_step(params, cache, tok, origin=PREFIX)
+    next-token distribution in hand (None for an empty prompt).
+
+    Only the last token's distribution is read, so only its step predicts;
+    every other token's step skips the output head (:func:`forward_step`'s
+    ``predict``)."""
+    prompt = list(prompt)
+    out = None
+    last = len(prompt) - 1
+    for i, tok in enumerate(prompt):
+        out = forward_step(params, cache, tok, origin=PREFIX,
+                           predict=i == last)
         accumulate_mass(cache, out)
         append(cache, out.staged)
-        dist = out.distribution
-    return dist
+    return None if out is None else out.distribution
 
 
 @dataclass

@@ -261,10 +261,15 @@ def test_method_choices_are_the_methods_table():
 def test_replay_rejects_malformed_manifest(tmp_path):
     path = gen_witness(tmp_path)
     data = json.loads(path.read_text())
+    # Values that make_witness refuses when it rebuilds the prompt.
+    bad_seed = json.dumps({**data, "seed": -1})
+    bad_kind = json.dumps({**data, "kind": "other"})
     del data["prompt"]
     for content, detail in ((json.dumps(data), r"missing keys \['prompt'\]"),
                             ("[1, 2]", "JSON object"),
-                            ('{"kind": ', "not JSON")):
+                            ('{"kind": ', "not JSON"),
+                            (bad_seed, "seed must be >= 0, got -1"),
+                            (bad_kind, "unknown witness kind 'other'")):
         path.write_text(content)
         with pytest.raises(ValueError,
                            match=re.escape(str(path)) + ".*" + detail):

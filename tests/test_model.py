@@ -23,6 +23,7 @@ from cask.cache import (
 from cask.model import (
     WITNESS_KINDS,
     StepOutput,
+    _softmax_in_place,
     accumulate_mass,
     check_json_types,
     decode,
@@ -33,6 +34,7 @@ from cask.model import (
     make_witness,
     prefill,
     read_witness_manifest,
+    run_prefill,
     write_witness_manifest,
 )
 from cask.policies import CaskConfig, CompressOutcome, cask_compress
@@ -264,15 +266,21 @@ def _check_step_against_restack(num_layers, n, folded, defold=False):
     live_n = cache.n
     for token, origin in ((0, DECODE), (17, PREFIX), (31, DECODE)):
         live = _entry_state(cache.entries)
-        new = forward_step(params, cache, token, origin)
         dist, entry, weights = _restack_forward_step(params, cache, token,
                                                      origin)
-        for a, b in ((new.distribution, dist),
-                     (new.attention_weights, weights)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        # Every column of the staged row, and nothing live, moved.
-        assert _row_state(new.staged.entry()) == _row_state(entry)
-        assert cache.n == live_n and _entry_state(cache.entries) == live
+        # A step asked for no prediction returns no distribution, and the
+        # same weights and staged row.
+        for predict in (False, True):
+            new = forward_step(params, cache, token, origin, predict=predict)
+            if predict:
+                assert new.distribution.tobytes() == dist.tobytes()
+            else:
+                assert new.distribution is None
+            assert new.attention_weights.shape == weights.shape
+            assert new.attention_weights.tobytes() == weights.tobytes()
+            # Every column of the staged row, and nothing live, moved.
+            assert _row_state(new.staged.entry()) == _row_state(entry)
+            assert cache.n == live_n and _entry_state(cache.entries) == live
     # The live positions run to 3n - 3 (or past it, counting members), so
     # from n = 2 on the staged position n is out of order.
     if n < 2:
@@ -391,6 +399,56 @@ def test_prefill_and_decode_build_no_entry(params, monkeypatch):
     assert built == []
     assert snapshot.cache.total_appended == len(prompt)
     assert run.cache.total_appended == len(prompt) + 65
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 4])
+@pytest.mark.parametrize("kind, prefix_len, redundancy", [
+    ("prompt-heavy-decode-active", 24, 0.7),
+    ("prompt-heavy-prefix-dominant", 48, 0.2)])
+def test_prefill_equals_a_loop_that_predicts_every_token(num_layers, kind,
+                                                         prefix_len,
+                                                         redundancy):
+    # Prefill predicts from the last prompt token alone; its cache and
+    # distribution are the bytes of a loop whose every step predicts.
+    params = init_model(0, num_layers=num_layers)
+    prompt = list(make_witness(kind, 1, prefix_len, 8, redundancy).prompt)
+    snapshot = prefill(params, prompt)
+    cache = CacheState(budget=len(prompt))
+    for tok in prompt:
+        out = forward_step(params, cache, tok, PREFIX)
+        accumulate_mass(cache, out)
+        append(cache, out.staged)
+    assert snapshot.distribution.tobytes() == out.distribution.tobytes()
+    assert _cache_state(snapshot.cache) == _cache_state(cache)
+    n = cache.n
+    assert snapshot.cache.n == n == len(prompt)
+    assert ({name: col[:n].tobytes()
+             for name, col in snapshot.cache._columns.items()}
+            == {name: col[:n].tobytes() for name, col in cache._columns.items()})
+    assert (snapshot.cache._kv[:, :, :n].tobytes()
+            == cache._kv[:, :, :n].tobytes())
+    # run_prefill takes any iterable of tokens, a generator too.
+    streamed = CacheState(budget=len(prompt))
+    dist = run_prefill(params, streamed, (tok for tok in prompt))
+    assert dist.tobytes() == out.distribution.tobytes()
+    assert _cache_state(streamed) == _cache_state(cache)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_prefill_takes_one_output_head(monkeypatch, num_layers):
+    # Each step takes one softmax per layer over its n + 1 attention
+    # weights; only the last prompt token's step also takes the head's,
+    # over the V logits.  The prompt is shorter than V, so no weight row
+    # has V entries.
+    params = init_model(0, num_layers=num_layers)
+    prompt = list(range(1, 21))
+    sizes = []
+    monkeypatch.setattr("cask.model._softmax_in_place",
+                        lambda x: sizes.append(len(x)) or _softmax_in_place(x))
+    snapshot = prefill(params, prompt)
+    assert sizes == [n + 1 for n in range(len(prompt))
+                     for _ in range(num_layers)] + [params.vocab_size]
+    assert abs(snapshot.distribution.sum() - 1.0) < 1e-9
 
 
 def test_noop_compression_keeps_distributions_identical(params):
