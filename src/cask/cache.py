@@ -16,7 +16,7 @@ buffers of one common capacity that doubles when a row does not fit:
 - ``members``, the covered positions of folded rows only, keyed by the
   row's position; every other row covers its own position alone.
 
-One row leaves by shifting the rows after it down a slot, several by mask
+One row leaves by shifting the rows after it down a slot, several by
 compaction, and a position is found by binary search.
 
 A row enters through :func:`append`, either committed from the free slot
@@ -124,7 +124,7 @@ class StagedRow:
         cache = self.cache
         if cache._staged is not self:
             raise CacheError("the row is no longer staged")
-        return cache._entry(cache.n)
+        return cache._entries([cache.n])[0]
 
 
 # The per-row columns, each a 1-D buffer of the cache's capacity, and their
@@ -145,6 +145,14 @@ class CacheState:
 
     ``keys``, ``position``, ``is_decode``, ``score_mass`` and ``protected``
     are views of the live rows; writing them writes the cache.
+
+    ``_core_due`` is a core marking owed to the ``protected`` column, or
+    None: ``(mark, *args)``, written by ``mark(cache, *args)``.  A
+    consolidation leaves one (:func:`cask.policies.cask_compress`) instead
+    of marking a core that the next consolidation overwrites unread.  It is
+    written before anything reads the column (:attr:`protected`,
+    :meth:`_entries`), writes a row or removes one, so every reader sees
+    the flags an immediate marking would have left.
     """
 
     def __init__(self, budget: int):
@@ -159,6 +167,7 @@ class CacheState:
         self.row_shape: tuple[int, ...] | None = None
         self.members: dict[int, tuple[int, ...]] = {}
         self._staged: StagedRow | None = None
+        self._core_due: tuple | None = None
         # Keys are _kv[0], values _kv[1]: (2, L, capacity, d).
         self._kv = np.empty((2, 0, 0, 0))
         self._columns = {name: np.empty(0, dtype)
@@ -186,12 +195,14 @@ class CacheState:
 
     @property
     def protected(self) -> np.ndarray:
+        """The live rows' core flags, once any due marking is written."""
+        self._write_core()
         return self._columns["protected"][:self.n]
 
     @property
     def entries(self) -> list[KVEntry]:
         """The live rows as read-only :class:`KVEntry` copies."""
-        return [self._entry(row) for row in range(self.n)]
+        return self._entries(np.arange(self.n))
 
     def fork(self, budget: int | None = None) -> "CacheState":
         """An independent copy that a decode can continue on, under
@@ -201,7 +212,8 @@ class CacheState:
         rows (a run holds one row over its budget between an append and its
         compression), or for the live rows if there are more.  The members
         and the list of compression events are copied too (a fired outcome
-        is frozen); counters and flags carry over.
+        is frozen); counters and flags carry over, and so does a due core
+        marking, which each copy writes on its own first read.
         """
         twin = CacheState(self.budget if budget is None else budget)
         twin.__dict__.update(vars(self), budget=twin.budget)
@@ -214,24 +226,36 @@ class CacheState:
 
     def entry_at(self, position: int) -> KVEntry:
         """A read-only copy of the row at ``position``."""
-        return self._entry(self.row_of([position])[0])
+        return self._entries(self.row_of([position]))[0]
 
-    def _entry(self, row: int) -> KVEntry:
-        """A read-only copy of ``row``, live or staged; a staged row covers
-        its own position alone."""
-        c = self._columns
-        position = int(c["position"][row])
-        members = self.members if row < self.n else {}
-        kv = self._kv[:, :, row].copy()
+    def _entries(self, rows) -> list[KVEntry]:
+        """Read-only copies of ``rows`` (row indices, live or the staged
+        row), their keys and values gathered in one copy; a staged row
+        covers its own position alone."""
+        rows = np.asarray(rows)
+        if not rows.size:
+            return []
+        self._write_core()
+        c, n, members = self._columns, self.n, self.members
+        # (2, k, L, d), C-contiguous, so each row's key and value are too.
+        kv = np.ascontiguousarray(self._kv.take(rows, axis=2).swapaxes(1, 2))
         kv.setflags(write=False)
-        kv = kv.reshape(2, *self.row_shape)
-        return KVEntry(
-            key=kv[0], value=kv[1],
-            position=position, score_mass=float(c["score_mass"][row]),
-            origin=DECODE if c["is_decode"][row] else PREFIX,
-            group_mass=float(c["group_mass"][row]),
-            protected=bool(c["protected"][row]),
-            members=members.get(position, (position,)))
+        keys, values = kv.reshape(2, len(rows), *self.row_shape)
+        return [KVEntry(key=key, value=value, position=p,
+                        origin=DECODE if decode else PREFIX, score_mass=mass,
+                        group_mass=group, protected=core,
+                        members=members.get(p, (p,)) if row < n else (p,))
+                for row, key, value, p, decode, mass, group, core in zip(
+                    rows.tolist(), keys, values, *(
+                        c[name][rows].tolist() for name in (
+                            "position", "is_decode", "score_mass",
+                            "group_mass", "protected")))]
+
+    def _write_core(self) -> None:
+        """Write the due core marking, if there is one."""
+        if self._core_due is not None:
+            mark, *args = self._core_due
+            mark(self, *args)
 
     def row_of(self, positions: Sequence[int]) -> np.ndarray:
         """The rows holding ``positions``, by one binary search over them
@@ -305,6 +329,7 @@ class CacheState:
             raise CacheError(f"entry at position {entry.position} has group "
                              f"mass {entry.group_mass} but covers only its "
                              f"own position")
+        self._write_core()
         if row == self.n:
             self.slot(entry.key.shape)
         self._kv[0, :, row] = entry.key
@@ -323,10 +348,12 @@ class CacheState:
         gone.
 
         One row leaves by moving the rows after it down one slot, one slice
-        copy per buffer; several leave by mask compaction.  Nearly every
-        removal is of one row: a baseline or consolidation step over budget
-        by one evicts one row, and a fold of two members removes one.
+        copy per buffer; several leave by compaction, one gather of the kept
+        rows per buffer.  Nearly every removal is of one row: a baseline or
+        consolidation step over budget by one evicts one row, and a fold of
+        two members removes one.
         """
+        self._write_core()
         self._staged = None
         n, kv, columns = self.n, self._kv, self._columns.values()
         if len(rows) == 1:
@@ -338,11 +365,12 @@ class CacheState:
             return 1
         keep = np.ones(n, dtype=bool)
         keep[rows] = False
-        k = int(np.count_nonzero(keep))
+        kept = keep.nonzero()[0]
+        k = kept.size
         if k < n:
-            kv[:, :, :k] = kv[:, :, :n][:, :, keep]
+            kv[:, :, :k] = kv.take(kept, axis=2)
             for col in columns:
-                col[:k] = col[:n][keep]
+                col[:k] = col.take(kept)
         self.n = k
         return n - k
 
@@ -383,7 +411,7 @@ def drop(cache: CacheState, rows) -> int:
     evicted tokens; returns how many entries were removed.  No protection
     check: callers decide it."""
     folded = [cache.members.pop(p) for p in cache.position[rows].tolist()
-              if p in cache.members]
+              if p in cache.members] if cache.members else []
     removed = cache._remove(rows)
     cache.evicted_tokens += removed + sum(len(m) - 1 for m in folded)
     return removed

@@ -89,8 +89,10 @@ def d_kappa_batch(coefficients: np.ndarray, reference: np.ndarray,
     ``reference`` coefficients: sum_f magnitudes_f * |c_f - r_f|.
 
     A row's distance has the same bits as the distance of that row alone.
+    ``np.add.reduce`` is the reduction ``ndarray.sum`` calls.
     """
-    return (magnitudes * np.abs(coefficients - reference)).sum(axis=-1)
+    return np.add.reduce(magnitudes * np.abs(coefficients - reference),
+                         axis=-1)
 
 
 def d_kappa(a: np.ndarray, b: np.ndarray, pi: HorizonDistribution) -> float:

@@ -299,7 +299,8 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
     else the greedy argmax (ties go to the lowest id), appends its row and
     lets the policy compress.  Returns the ``(steps, V)`` distributions and
     ``(steps,)`` sizes (rows before ``len(tokens)`` are left unset), the
-    ``DecodeRun.fork`` of a forced run and the ``DecodeRun.kept`` forks."""
+    ``DecodeRun.fork`` of a forced run and the ``DecodeRun.kept`` forks.
+    ``cache`` is left with any due core marking written."""
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)
     fork = None
@@ -310,17 +311,19 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
             kept[t] = cache.fork(keep[t])
         dists[t] = dist
         sizes[t] = cache.n
-        tok = int(dist.argmax())
-        if forced is not None:
-            if fork is None and tok != forced[t]:
-                fork = (t, cache.fork())
+        if forced is None:
+            tok = int(dist.argmax())
+        else:
             tok = forced[t]
+            if fork is None and int(dist.argmax()) != tok:
+                fork = (t, cache.fork())
         tokens.append(tok)
         out = forward_step(params, cache, tok, origin=DECODE)
         accumulate_mass(cache, out)
         append(cache, out.staged)
         policy.after_append(cache)
         dist = out.distribution
+    cache._write_core()
     return dists, sizes, fork, kept
 
 

@@ -133,17 +133,26 @@ def _check_score_mass(cache: CacheState, rows) -> None:
 def _mark_core(cache: CacheState, config: CaskConfig) -> np.ndarray:
     """Protect and return :func:`detect_core`'s rows; masses unchecked."""
     decode = cache.is_decode.nonzero()[0]
-    cache.protected[:] = False
+    return _protect(cache, config, decode, cache.score_mass[decode])
+
+
+def _protect(cache: CacheState, config: CaskConfig, decode: np.ndarray,
+             masses: np.ndarray) -> np.ndarray:
+    """Protect and return the core among the ``decode`` rows, whose score
+    masses are ``masses``.  Drops any due marking first: this one replaces
+    it."""
+    cache._core_due = None
+    protected = cache.protected
+    protected[:] = False
     if not decode.size:
         return decode
-    masses = cache.score_mass[decode]
     core = masses > linear_quantile(sorted(masses.tolist()),
                                     config.anchor_quantile)
     core[:config.sink_count] = True
     if config.recency_window > 0:
         core[-config.recency_window:] = True
     rows = decode[core]
-    cache.protected[rows] = True
+    protected[rows] = True
     return rows
 
 
@@ -252,9 +261,10 @@ def form_merge_groups(cache: CacheState,
             total = 0.0 + masses[i] + masses[j]
             end = bisect_right(positions, positions[i] + window)
             pool = j + 1 + free[j + 1:end].nonzero()[0]
+            pool_spectra = spectra[pool]
             while pool.size and len(members) < config.max_group_size:
                 centroid = acc / total if total else stacked[members].mean(0)
-                near = (d_kappa_batch(spectra[pool], band_view(centroid), mags)
+                near = (d_kappa_batch(pool_spectra, band_view(centroid), mags)
                         <= config.merge_epsilon).nonzero()[0]
                 if not near.size:
                     break
@@ -263,6 +273,7 @@ def form_merge_groups(cache: CacheState,
                 acc += masses[j] * stacked[j]
                 total += masses[j]
                 pool = pool[near[0] + 1:]
+                pool_spectra = pool_spectra[near[0] + 1:]
             free[members] = False
             groups.append(MergeGroup(
                 positions=tuple(positions[j] for j in members),
@@ -336,13 +347,20 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     leaves the cache untouched; the outcome does not fire.  Otherwise the
     cache is over a budget that fits the core, so at least one fold or
     eviction happens: the outcome fires and is appended to
-    ``cache.compression_events``.  Terminal protected flags are recomputed
-    on the final state.
+    ``cache.compression_events``.
 
-    Every row's score mass is checked once, first (the eviction ranks prefix
-    rows too): a NaN, infinite or negative one raises ``ValueError`` naming
-    its position, and the cache is left untouched.
+    A fired call leaves the core of its final state due rather than marked:
+    the cache keeps its decode rows and their score masses, and marks the
+    core from them when the ``protected`` column is first read or a row is
+    written or removed (:class:`cask.cache.CacheState`).  The next call
+    marks the core afresh and drops a due marking unread.
+
+    ``budget`` must be an integer of at least 1, and every row's score mass
+    is checked once, first (the eviction ranks prefix rows too): a NaN,
+    infinite or negative one raises ``ValueError`` naming its position, and
+    the cache is left untouched.
     """
+    at_least("budget", budget, 1)
     if cache.n <= budget:
         return CompressOutcome()
     _check_score_mass(cache, slice(None))
@@ -353,8 +371,7 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     for group in form_merge_groups(cache, config):
         if group.mass <= 0.0:
             continue
-        rows = cache.row_of(group.positions)
-        rep = fold_group(group, [cache._entry(row) for row in rows])
+        rep = fold_group(group, cache._entries(cache.row_of(group.positions)))
         merge_replace(cache, group.positions, rep)
         groups_folded += 1
         members_folded += len(group)
@@ -364,8 +381,10 @@ def cask_compress(cache: CacheState, config: CaskConfig,
         evicted = drop(cache, unprotected[gone])
     outcome = CompressOutcome(groups_folded, members_folded, evicted)
     cache.compression_events.append(outcome)
-    # The terminal flags rho_core reads; a fold's mass is finite and > 0.
-    _mark_core(cache, config)
+    # The terminal flags rho_core reads, marked unchecked when first read:
+    # a fold's mass is finite and > 0.
+    decode = cache.is_decode.nonzero()[0]
+    cache._core_due = (_protect, config, decode, cache.score_mass[decode])
     return outcome
 
 

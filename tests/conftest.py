@@ -38,6 +38,16 @@ def keep_order(cache, rows):
     return rows[np.lexsort((-cache.position[rows], -cache.score_mass[rows]))]
 
 
+def cache_bytes(cache):
+    """Everything a policy could change in ``cache``, as comparable values."""
+    n = cache.n
+    return ({name: col[:n].tobytes() for name, col in cache._columns.items()},
+            cache._kv[:, :, :n].tobytes(), dict(cache.members), cache.budget,
+            cache.total_appended, cache.evicted_tokens,
+            cache.prefix_budget_exhausted, cache.core_overflow,
+            list(cache.compression_events))
+
+
 def fill_cache(keys, budget=10_000, origin=DECODE, score_masses=None):
     """Cache with one entry per key, positions 0..n-1."""
     cache = CacheState(budget=budget)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cask.cache import (
     KVEntry,
     append,
     covered_positions,
+    drop,
+    evict,
     ltr_sum,
     merge_replace,
 )
@@ -25,10 +28,20 @@ from cask.kernels import (
     kappa_magnitudes,
     truncated_geometric,
 )
+from cask.model import (
+    accumulate_mass,
+    forward_step,
+    generate_reference,
+    init_model,
+    make_witness,
+    prefill,
+)
 from cask.policies import (
     CaskConfig,
+    CompressOutcome,
     MergeGroup,
     _kappa_magnitudes,
+    _mark_core,
     _weighted_centroid,
     cask_compress,
     detect_core,
@@ -41,7 +54,13 @@ from cask.policies import (
     perturbation_check,
 )
 from cask.twostage import StageConfig, stage1_prefix_evict
-from conftest import bad_integers, fill_cache, keep_order, make_entry
+from conftest import (
+    bad_integers,
+    cache_bytes,
+    fill_cache,
+    keep_order,
+    make_entry,
+)
 from reference import policies as reference_policies
 
 PI = truncated_geometric(4)
@@ -726,6 +745,130 @@ def test_terminal_flags_equal_a_fresh_detect_core(seed):
     core = detect_core(cache, cfg)
     assert (cache.protected == terminal).all()
     assert set(cache.position[terminal].tolist()) == core
+
+
+@pytest.mark.parametrize("budget", bad_integers(1))
+def test_compress_rejects_a_bad_budget(budget):
+    # A NaN budget used to fold 46 members of this 89-row cache and leave
+    # it at 47 rows; 0, -1 and 1.5 read as core overflow.
+    params = init_model(0, 32, 16, 1)
+    witness = make_witness("prompt-heavy-decode-active", 0, 24, 64, 0.7)
+    cache = generate_reference(params, list(witness.prompt), 64).cache
+    before = cache_bytes(cache)
+    with pytest.raises(ValueError, match="^budget must be >= 1"):
+        cask_compress(cache, CaskConfig(), budget)
+    assert cache_bytes(cache) == before
+
+
+def _prefilled():
+    """The model and a P24 witness's prefilled cache under budget 100."""
+    params = init_model(0, 32, 16, 1)
+    witness = make_witness("prompt-heavy-decode-active", 0, 24, 64, 0.7)
+    return params, prefill(params, witness.prompt).cache.fork(100)
+
+
+def _decode_steps(params, cache, steps, compress_every=None, read_every=None):
+    """Feed tokens ``7 t mod 32`` for ``t`` in ``steps`` through the model
+    step, compressing to 30 rows on every ``compress_every``-th step and
+    reading the core flags on every ``read_every``-th; returns the reads."""
+    reads = []
+    for t in steps:
+        out = forward_step(params, cache, 7 * t % 32, origin=DECODE)
+        accumulate_mass(cache, out)
+        append(cache, out.staged)
+        if compress_every and t % compress_every == 0:
+            cask_compress(cache, CaskConfig(), 30)
+        if read_every and t % read_every == 0:
+            reads.append(cache.protected.tobytes())
+    return reads
+
+
+# sha256 of the core flags read every third step below, as a consolidation
+# that marks its terminal core at once leaves them.
+DEFERRED_CORE_DIGEST = (
+    "d9085bf5d9cfcd1c88f58c1d2334f3eb09306e579f4d6be026b45d1e90c7df72")
+
+
+def test_core_flags_read_steps_after_a_consolidation_are_its_own():
+    # Steps without a consolidation append decode rows and move every
+    # mass; the flags read then are still those of the last consolidation's
+    # final state (new rows unprotected), not a marking of the live rows.
+    params, cache = _prefilled()
+    reads = _decode_steps(params, cache, range(1, 41), 5, 3)
+    assert len(cache.compression_events) == 7
+    digest = hashlib.sha256(b"".join(reads)).hexdigest()
+    assert digest == DEFERRED_CORE_DIGEST
+
+
+def _due_and_marked():
+    """Two equal caches two decode steps after a fired consolidation: the
+    first owes that consolidation's terminal core marking, the second had
+    it written at once.  The consolidation's first marking, which the first
+    cache's column still holds, differs from its terminal one."""
+    params, cache = _prefilled()
+    _decode_steps(params, cache, range(1, 26), 5)
+    marked = cache.fork()
+    _mark_core(marked, CaskConfig())
+    for twin in (cache, marked):
+        _decode_steps(params, twin, (26, 27))
+    assert cache._core_due is not None
+    stale = cache._columns["protected"][:cache.n]
+    assert (stale != marked.protected).any()
+    return cache, marked
+
+
+def _merge_two_scratch_rows(cache, rows):
+    group = [cache.entries[r] for r in rows]
+    weights = tuple(e.score_mass for e in group)
+    rep = fold_group(MergeGroup(tuple(e.position for e in group), weights,
+                                ltr_sum(weights)), group)
+    merge_replace(cache, [e.position for e in group], rep)
+    return cache
+
+
+@pytest.mark.parametrize("act", [
+    lambda cache, rows: cache.fork(),
+    lambda cache, rows: cache,
+    lambda cache, rows: drop(cache, rows[:1]) and cache,
+    lambda cache, rows: evict(cache, cache.position[rows[:1]]),
+    lambda cache, rows: _merge_two_scratch_rows(cache, rows[:2]),
+    lambda cache, rows: append(cache, make_entry(
+        cache.total_appended, np.ones(cache.row_shape), protected=True)),
+], ids=["fork", "read", "drop", "evict", "merge_replace", "append"])
+def test_a_due_core_marking_is_written_before_it_is_read_or_moved(act):
+    due, marked = _due_and_marked()
+    scratch = (marked.is_decode & ~marked.protected).nonzero()[0]
+    assert scratch.size >= 2
+    due, marked = act(due, scratch), act(marked, scratch)
+    assert due.protected.tobytes() == marked.protected.tobytes()
+    assert cache_bytes(due) == cache_bytes(marked)
+
+
+@pytest.mark.parametrize("read", [
+    lambda cache: [e.protected for e in cache.entries],
+    lambda cache: [cache.entry_at(p).protected
+                   for p in cache.position.tolist()],
+], ids=["entries", "entry_at"])
+def test_rows_read_back_carry_a_due_core_marking(read):
+    due, marked = _due_and_marked()
+    assert read(due) == read(marked)
+    assert cache_bytes(due) == cache_bytes(marked)
+
+
+def test_an_evict_only_consolidation_marks_the_core_once(monkeypatch):
+    # The terminal core is marked when read; the next consolidation's own
+    # marking replaces it unread.
+    params, cache = _prefilled()
+    _decode_steps(params, cache, range(1, 11), 1)
+    calls = []
+    counted = policies.linear_quantile
+    monkeypatch.setattr(policies, "linear_quantile",
+                        lambda *args: calls.append(args) or counted(*args))
+    _decode_steps(params, cache, [11], 1)
+    assert cache.compression_events[-1] == CompressOutcome(evicted=1)
+    assert len(cache.compression_events) == 6 and len(calls) == 1
+    cache.protected
+    assert len(calls) == 2
 
 
 # --- evict_baseline --------------------------------------------------------------

@@ -18,6 +18,7 @@ from cask.model import (
     make_witness,
     prefill,
 )
+from cask.policies import _mark_core
 from cask.replay import (
     FidelitySummary,
     ReplayRecord,
@@ -29,7 +30,7 @@ from cask.replay import (
     top1_agreement,
     top5_coverage,
 )
-from conftest import CheckedPolicy, keep_order
+from conftest import CheckedPolicy, cache_bytes, keep_order
 
 # sha256 of the acceptance suite's replay rows (see
 # test_acceptance_suite_rows_match_golden_digest), one json.dumps line each,
@@ -264,16 +265,6 @@ def test_a_nan_budget_is_refused_before_any_step(params, method):
                forced=ref.tokens)
 
 
-def _cache_bytes(cache):
-    """Everything a policy could change in ``cache``, as comparable values."""
-    n = cache.n
-    return ({name: col[:n].tobytes() for name, col in cache._columns.items()},
-            cache._kv[:, :, :n].tobytes(), dict(cache.members), cache.budget,
-            cache.total_appended, cache.evicted_tokens,
-            cache.prefix_budget_exhausted, cache.core_overflow,
-            list(cache.compression_events))
-
-
 @pytest.mark.parametrize("method", ["cask", "evict"])
 @pytest.mark.parametrize("slack", [0, 8])
 def test_after_append_changes_nothing_within_budget(params, method, slack):
@@ -289,9 +280,9 @@ def test_after_append_changes_nothing_within_budget(params, method, slack):
     cache = run.cache.fork(budget)
     assert cache.members and cache.compression_events
     assert cache.protected.any() and not cache.protected.all()
-    before = _cache_bytes(cache)
+    before = cache_bytes(cache)
     make_policy(method, budget).after_append(cache)
-    assert _cache_bytes(cache) == before
+    assert cache_bytes(cache) == before
 
 
 def test_make_policy_rejects_unknown_method():
@@ -343,11 +334,11 @@ def test_a_run_started_on_the_trunk_equals_a_run_from_the_prefill(
                 counts.append(len(steps))
             a, b = runs
             assert _run_state(a) == _run_state(b)
-            assert _cache_bytes(a.cache) == _cache_bytes(b.cache)
+            assert cache_bytes(a.cache) == cache_bytes(b.cache)
             assert (a.fork is None) == (b.fork is None)
             if a.fork is not None:
                 assert a.fork[0] == b.fork[0]
-                assert _cache_bytes(a.fork[1]) == _cache_bytes(b.fork[1])
+                assert cache_bytes(a.fork[1]) == cache_bytes(b.fork[1])
             if counts[0] != counts[1]:
                 skipped[method, budget] = counts[0] - counts[1]
     # min(budget - P + 1, T) steps where after_prefill removed nothing.
@@ -453,8 +444,8 @@ def _sweep_cell_equals_its_own_run(params, ref, method, budget):
         run = decode(params, ref.snapshot, len(ref.tokens), policy,
                      forced=ref.tokens, trunk=trunk)
         tokens, cache = greedy_branch(params, run, policy)
-        runs.append((_run_state(run), _cache_bytes(run.cache),
-                     run.fork and run.fork[0], tokens, _cache_bytes(cache)))
+        runs.append((_run_state(run), cache_bytes(run.cache),
+                     run.fork and run.fork[0], tokens, cache_bytes(cache)))
     assert runs[0] == runs[1]
 
 
@@ -476,6 +467,49 @@ def test_a_sweep_cell_keeps_the_invariants_and_equals_its_own_run(
     ref = generate_reference(params, list(witness.prompt), decode_len,
                              [budget])
     _sweep_cell_equals_its_own_run(params, ref, method, budget)
+
+
+class _CoreCheck:
+    """A cask policy that, after each consolidation that fires, reads the
+    core flags of a fork of the cache and compares them with a fresh
+    marking of another fork.  The cache itself is not read, so its marking
+    stays due for the rest of the run."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.budget = policy.budget
+        self.fired = 0
+
+    def after_prefill(self, cache):
+        self.policy.after_prefill(cache)
+
+    def after_append(self, cache):
+        events = len(cache.compression_events)
+        self.policy.after_append(cache)
+        if len(cache.compression_events) > events:
+            fresh = cache.fork()
+            _mark_core(fresh, self.policy.cask_config)
+            assert cache.fork().protected.tobytes() == fresh.protected.tobytes()
+            self.fired += 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(WITNESS_KINDS), prefix_len=st.integers(0, 40),
+       decode_len=st.integers(1, 40),
+       redundancy=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       num_layers=st.sampled_from([1, 2]), budget=st.integers(4, 48))
+def test_the_core_read_after_a_consolidation_is_a_fresh_marking(
+        kind, prefix_len, decode_len, redundancy, num_layers, budget):
+    # Over a decode tree: the teacher-forced run on the trunk, then its
+    # greedy branch, which continues from a fork with the marking due.
+    params = _PARAMS_BY_LAYERS[num_layers]
+    witness = make_witness(kind, 0, prefix_len, decode_len, redundancy)
+    ref = generate_reference(params, list(witness.prompt), decode_len,
+                             [budget])
+    policy = _CoreCheck(make_policy("cask", budget))
+    run = decode(params, ref.snapshot, decode_len, policy, forced=ref.tokens,
+                 trunk=ref)
+    greedy_branch(params, run, policy)
 
 
 @pytest.mark.parametrize("method", ["cask", "evict"])
