@@ -48,7 +48,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:  # a seed init_model refuses is a usage error
-        params = init_model(args.seed, 32, 16, 1)
+        params = init_model(args.seed)
     except ValueError as e:
         ap.error(str(e))
     header = (f"{'witness':<34} {'budget':>6} {'top1':>6} {'events':>6} "

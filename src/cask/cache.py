@@ -152,7 +152,8 @@ class CacheState:
     of marking a core that the next consolidation overwrites unread.  It is
     written before anything reads the column (:attr:`protected`,
     :meth:`_entries`), writes a row or removes one, so every reader sees
-    the flags an immediate marking would have left.
+    the flags an immediate marking would have left.  It outlives a decode:
+    a cache whose flags are never read is never marked.
     """
 
     def __init__(self, budget: int):
@@ -343,9 +344,8 @@ class CacheState:
             self.members[entry.position] = entry.members
 
     def _remove(self, rows) -> int:
-        """Remove the live ``rows`` (row indices), keeping the order of the
-        rest; returns how many rows left.  Their members must already be
-        gone.
+        """Remove the live ``rows`` (row indices) and their members, keeping
+        the order of the rest; returns how many positions they covered.
 
         One row leaves by moving the rows after it down one slot, one slice
         copy per buffer; several leave by compaction, one gather of the kept
@@ -355,14 +355,17 @@ class CacheState:
         """
         self._write_core()
         self._staged = None
-        n, kv, columns = self.n, self._kv, self._columns.values()
+        n, kv, columns, members = (self.n, self._kv, self._columns.values(),
+                                   self.members)
+        gone = self.position[rows].tolist() if members else ()
+        covered = sum(len(members.pop(p)) - 1 for p in gone if p in members)
         if len(rows) == 1:
             row = int(rows[0])
             kv[:, :, row:n - 1] = kv[:, :, row + 1:n]
             for col in columns:
                 col[row:n - 1] = col[row + 1:n]
             self.n = n - 1
-            return 1
+            return 1 + covered
         keep = np.ones(n, dtype=bool)
         keep[rows] = False
         kept = keep.nonzero()[0]
@@ -372,7 +375,7 @@ class CacheState:
             for col in columns:
                 col[:k] = col.take(kept)
         self.n = k
-        return n - k
+        return n - k + covered
 
 
 def append(cache: CacheState, entry: KVEntry | StagedRow) -> CacheState:
@@ -407,14 +410,12 @@ def append(cache: CacheState, entry: KVEntry | StagedRow) -> CacheState:
 
 
 def drop(cache: CacheState, rows) -> int:
-    """Remove the live ``rows`` (row indices) and count their members as
-    evicted tokens; returns how many entries were removed.  No protection
-    check: callers decide it."""
-    folded = [cache.members.pop(p) for p in cache.position[rows].tolist()
-              if p in cache.members] if cache.members else []
-    removed = cache._remove(rows)
-    cache.evicted_tokens += removed + sum(len(m) - 1 for m in folded)
-    return removed
+    """Remove the live ``rows`` (row indices) and count the positions they
+    covered as evicted tokens; returns how many entries were removed.  No
+    protection check: callers decide it."""
+    n = cache.n
+    cache.evicted_tokens += cache._remove(rows)
+    return n - cache.n
 
 
 def evict(cache: CacheState, positions: Iterable[int]) -> CacheState:
@@ -458,8 +459,8 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
 
     The representative's ``group_mass`` must equal the left-to-right sum of
     the members' ``score_mass`` in position order (the fold weights); it is
-    written into the earliest member's row and the other members' rows are
-    compacted away.
+    written into the earliest member's row, and the other members' rows
+    leave with their members (:meth:`CacheState._remove`).
     """
     targets = sorted(set(group_positions))
     if len(targets) < 2:
@@ -480,8 +481,6 @@ def merge_replace(cache: CacheState, group_positions: Sequence[int],
         raise CacheError(f"entry shape {representative.key.shape} does not "
                          f"match the cache's {cache.row_shape}")
     cache._write(rows[0], representative)
-    for p in targets[1:]:
-        cache.members.pop(p, None)
     cache._remove(rows[1:])
     return cache
 

@@ -300,7 +300,7 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
     lets the policy compress.  Returns the ``(steps, V)`` distributions and
     ``(steps,)`` sizes (rows before ``len(tokens)`` are left unset), the
     ``DecodeRun.fork`` of a forced run and the ``DecodeRun.kept`` forks.
-    ``cache`` is left with any due core marking written."""
+    ``cache`` may still owe a core marking, which it writes when read."""
     dists = np.empty((steps, params.vocab_size))
     sizes = np.empty(steps, dtype=np.int64)
     fork = None
@@ -323,7 +323,6 @@ def _run_steps(params: ModelParams, policy, cache: CacheState,
         append(cache, out.staged)
         policy.after_append(cache)
         dist = out.distribution
-    cache._write_core()
     return dists, sizes, fork, kept
 
 

@@ -130,12 +130,6 @@ def _check_score_mass(cache: CacheState, rows) -> None:
                      f"finite >= 0")
 
 
-def _mark_core(cache: CacheState, config: CaskConfig) -> np.ndarray:
-    """Protect and return :func:`detect_core`'s rows; masses unchecked."""
-    decode = cache.is_decode.nonzero()[0]
-    return _protect(cache, config, decode, cache.score_mass[decode])
-
-
 def _protect(cache: CacheState, config: CaskConfig, decode: np.ndarray,
              masses: np.ndarray) -> np.ndarray:
     """Protect and return the core among the ``decode`` rows, whose score
@@ -168,8 +162,10 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     """
     if not cache.n:
         raise ValueError("cache is empty")
-    _check_score_mass(cache, cache.is_decode)
-    return set(cache.position[_mark_core(cache, config)].tolist())
+    decode = cache.is_decode.nonzero()[0]
+    _check_score_mass(cache, decode)
+    core = _protect(cache, config, decode, cache.score_mass[decode])
+    return set(cache.position[core].tolist())
 
 
 def _weighted_centroid(keys: Sequence[np.ndarray],
@@ -349,11 +345,9 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     eviction happens: the outcome fires and is appended to
     ``cache.compression_events``.
 
-    A fired call leaves the core of its final state due rather than marked:
-    the cache keeps its decode rows and their score masses, and marks the
-    core from them when the ``protected`` column is first read or a row is
-    written or removed (:class:`cask.cache.CacheState`).  The next call
-    marks the core afresh and drops a due marking unread.
+    A fired call leaves the core of its final state owed to the cache, not
+    marked (:class:`cask.cache.CacheState`); the next call marks the core
+    afresh and drops an owed marking unread.
 
     ``budget`` must be an integer of at least 1, and every row's score mass
     is checked once, first (the eviction ranks prefix rows too): a NaN,
@@ -364,7 +358,8 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     if cache.n <= budget:
         return CompressOutcome()
     _check_score_mass(cache, slice(None))
-    if budget < len(_mark_core(cache, config)):
+    decode = cache.is_decode.nonzero()[0]
+    if budget < len(_protect(cache, config, decode, cache.score_mass[decode])):
         cache.core_overflow = True
         return CompressOutcome()
     groups_folded = members_folded = evicted = 0

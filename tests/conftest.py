@@ -39,9 +39,12 @@ def keep_order(cache, rows):
 
 
 def cache_bytes(cache):
-    """Everything a policy could change in ``cache``, as comparable values."""
+    """Everything a policy could change in ``cache``, as comparable values;
+    the core flags are read through ``protected``, which writes any owed
+    core marking first."""
     n = cache.n
-    return ({name: col[:n].tobytes() for name, col in cache._columns.items()},
+    columns = {name: col[:n].tobytes() for name, col in cache._columns.items()}
+    return ({**columns, "protected": cache.protected.tobytes()},
             cache._kv[:, :, :n].tobytes(), dict(cache.members), cache.budget,
             cache.total_appended, cache.evicted_tokens,
             cache.prefix_budget_exhausted, cache.core_overflow,

@@ -283,6 +283,24 @@ def test_merge_replace_reduces_count():
     assert cache.entries[0].member_count == 2
 
 
+@pytest.mark.parametrize("remove, members, evicted", [
+    (lambda cache: drop(cache, cache.row_of([2])), {}, 2),
+    (lambda cache: merge_replace(cache, [1, 2], rep_for(cache.entries[1:3])),
+     {1: (1, 2, 3)}, 0),
+], ids=["drop", "merge_replace"])
+def test_a_removed_row_takes_its_members_along(remove, members, evicted):
+    # The row at 2 is folded over 2 and 3; dropping it evicts both, and
+    # merging it into the row at 1 passes both to the representative.
+    cache = fill_cache([[float(i), 0.0] for i in range(6)])
+    merge_replace(cache, [2, 3], rep_for(cache.entries[2:4]))
+    assert cache.members == {2: (2, 3)}
+    before = cache.evicted_tokens
+    remove(cache)
+    assert 2 not in cache.members and cache.members == members
+    assert cache.evicted_tokens - before == evicted
+    check_invariants(cache)
+
+
 def test_merge_replace_mass_mismatch():
     cache = fill_cache([[1.0, 0.0], [0.0, 1.0]])
     rep = rep_for(cache.entries)

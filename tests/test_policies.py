@@ -41,7 +41,6 @@ from cask.policies import (
     CompressOutcome,
     MergeGroup,
     _kappa_magnitudes,
-    _mark_core,
     _weighted_centroid,
     cask_compress,
     detect_core,
@@ -808,7 +807,7 @@ def _due_and_marked():
     params, cache = _prefilled()
     _decode_steps(params, cache, range(1, 26), 5)
     marked = cache.fork()
-    _mark_core(marked, CaskConfig())
+    detect_core(marked, CaskConfig())
     for twin in (cache, marked):
         _decode_steps(params, twin, (26, 27))
     assert cache._core_due is not None

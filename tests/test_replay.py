@@ -18,7 +18,7 @@ from cask.model import (
     make_witness,
     prefill,
 )
-from cask.policies import _mark_core
+from cask.policies import detect_core
 from cask.replay import (
     FidelitySummary,
     ReplayRecord,
@@ -30,6 +30,7 @@ from cask.replay import (
     top1_agreement,
     top5_coverage,
 )
+from cask.report import bridge_row
 from conftest import CheckedPolicy, cache_bytes, keep_order
 
 # sha256 of the acceptance suite's replay rows (see
@@ -488,7 +489,7 @@ class _CoreCheck:
         self.policy.after_append(cache)
         if len(cache.compression_events) > events:
             fresh = cache.fork()
-            _mark_core(fresh, self.policy.cask_config)
+            detect_core(fresh, self.policy.cask_config)
             assert cache.fork().protected.tobytes() == fresh.protected.tobytes()
             self.fired += 1
 
@@ -510,6 +511,59 @@ def test_the_core_read_after_a_consolidation_is_a_fresh_marking(
     run = decode(params, ref.snapshot, decode_len, policy, forced=ref.tokens,
                  trunk=ref)
     greedy_branch(params, run, policy)
+
+
+class _FiredCheck:
+    """A policy that records, per step, whether a consolidation fired."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.budget = policy.budget
+        self.fired = []
+
+    def after_prefill(self, cache):
+        self.policy.after_prefill(cache)
+
+    def after_append(self, cache):
+        events = len(cache.compression_events)
+        self.policy.after_append(cache)
+        self.fired.append(len(cache.compression_events) > events)
+
+
+def _forced_cask_run(params):
+    """A frontier cell's witness, its reference and its forced ``cask``
+    run at budget 24, whose last step fires a consolidation."""
+    witness = make_witness("prompt-heavy-decode-active", 0, 24, 64, 0.7)
+    ref = generate_reference(params, list(witness.prompt), 64, [24])
+    policy = _FiredCheck(make_policy("cask", 24))
+    run = decode(params, ref.snapshot, 64, policy, forced=ref.tokens,
+                 trunk=ref)
+    assert policy.fired[-1]
+    return witness, ref, policy, run
+
+
+def test_a_decode_run_returns_its_core_owed(params):
+    # Only the cache writes an owed core marking, on its first read: a
+    # decode does not write it on return.
+    _, _, policy, run = _forced_cask_run(params)
+    assert run.cache._core_due is not None
+    fresh = run.cache.fork()
+    detect_core(fresh, policy.policy.cask_config)
+    assert run.cache.protected.tobytes() == fresh.protected.tobytes()
+
+
+def test_a_bridge_row_leaves_the_greedy_branch_core_owed(params):
+    # A bridge row reads no core flag, so the marking the greedy branch's
+    # last consolidation owes is never written.
+    witness, ref, policy, run = _forced_cask_run(params)
+    assert run.fork is not None
+    policy.fired.clear()
+    tokens, branch = greedy_branch(params, run, policy)
+    assert policy.fired[-1]
+    cell = {"witness": witness.name, "method": "cask", "budget": 24,
+            "seed": 0}
+    bridge_row(cell, ref, tokens, branch)
+    assert branch._core_due is not None
 
 
 @pytest.mark.parametrize("method", ["cask", "evict"])

@@ -175,6 +175,24 @@ def test_frontier_sweep_rows_match_golden_digest(tmp_path):
     assert hashlib.sha256(rows).hexdigest() == FRONTIER_DIGEST
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("csv", "681a64aab0ff44029828a2066348be631ee5cf114f9728b647b644ef902e4a2c"),
+    ("markdown",
+     "c463f7b7d7786b5a98db2ac653eb62101d6bafd7ba90f9b44f97a6271aa0ef85"),
+    ("json", "c809b8f153a7f3f94bb58ff3dbf563621637e29c6304590cce33d51deba0357d"),
+])
+def test_frontier_tables_match_golden_digest(tmp_path, fmt, digest):
+    # sha256 over the five tables' bytes in report._TABLES order, emitted
+    # from the canonical frontier rows as read back from rows.jsonl; taken
+    # while drop and merge_replace still removed members by hand.
+    run_sweep(frontier_spec(tmp_path / "sweep"))
+    rows = load_rows(tmp_path / "sweep" / "rows.jsonl")
+    paths = emit_tables(rows, fmt, tmp_path / fmt)
+    assert [p.stem for p in paths] == list(report._TABLES)
+    tables = b"".join(p.read_bytes() for p in paths)
+    assert hashlib.sha256(tables).hexdigest() == digest
+
+
 def test_frontier_manifest_matches_golden_digest():
     # The bytes run_sweep writes to manifest.json, without running the sweep.
     manifest = json.dumps(frontier_spec("out/frontier").to_manifest(),
