@@ -232,7 +232,13 @@ class CacheState:
     def _entries(self, rows) -> list[KVEntry]:
         """Read-only copies of ``rows`` (row indices, live or the staged
         row), their keys and values gathered in one copy; a staged row
-        covers its own position alone."""
+        covers its own position alone.
+
+        The copies are trusted, not validated: each is built without
+        :class:`KVEntry`'s ``__post_init__``, whose checks the cache's own
+        rows pass by construction (one float64 shape, a known origin, and a
+        group mass checked when its row was written or the staged slot's
+        1), with the fields that constructor would leave."""
         rows = np.asarray(rows)
         if not rows.size:
             return []
@@ -242,15 +248,20 @@ class CacheState:
         kv = np.ascontiguousarray(self._kv.take(rows, axis=2).swapaxes(1, 2))
         kv.setflags(write=False)
         keys, values = kv.reshape(2, len(rows), *self.row_shape)
-        return [KVEntry(key=key, value=value, position=p,
-                        origin=DECODE if decode else PREFIX, score_mass=mass,
-                        group_mass=group, protected=core,
-                        members=members.get(p, (p,)) if row < n else (p,))
-                for row, key, value, p, decode, mass, group, core in zip(
-                    rows.tolist(), keys, values, *(
-                        c[name][rows].tolist() for name in (
-                            "position", "is_decode", "score_mass",
-                            "group_mass", "protected")))]
+        copies = []
+        for row, key, value, p, decode, mass, group, core in zip(
+                rows.tolist(), keys, values, *(
+                    c[name][rows].tolist() for name in (
+                        "position", "is_decode", "score_mass",
+                        "group_mass", "protected"))):
+            entry = object.__new__(KVEntry)
+            vars(entry).update(
+                key=key, value=value, position=p,
+                origin=DECODE if decode else PREFIX, score_mass=mass,
+                group_mass=group, protected=core,
+                members=members.get(p, (p,)) if row < n else (p,))
+            copies.append(entry)
+        return copies
 
     def _write_core(self) -> None:
         """Write the due core marking, if there is one."""
@@ -348,10 +359,12 @@ class CacheState:
         the order of the rest; returns how many positions they covered.
 
         One row leaves by moving the rows after it down one slot, one slice
-        copy per buffer; several leave by compaction, one gather of the kept
-        rows per buffer.  Nearly every removal is of one row: a baseline or
+        copy per buffer, and the last live row by counting it out, moving no
+        byte; several leave by compaction, one gather of the kept rows per
+        buffer.  Nearly every removal is of one row: a baseline or
         consolidation step over budget by one evicts one row, and a fold of
-        two members removes one.
+        two members removes one.  The baseline's evictions are nearly all of
+        the row it has just appended, the last.
         """
         self._write_core()
         self._staged = None
@@ -361,9 +374,10 @@ class CacheState:
         covered = sum(len(members.pop(p)) - 1 for p in gone if p in members)
         if len(rows) == 1:
             row = int(rows[0])
-            kv[:, :, row:n - 1] = kv[:, :, row + 1:n]
-            for col in columns:
-                col[row:n - 1] = col[row + 1:n]
+            if row < n - 1:
+                kv[:, :, row:n - 1] = kv[:, :, row + 1:n]
+                for col in columns:
+                    col[row:n - 1] = col[row + 1:n]
             self.n = n - 1
             return 1 + covered
         keep = np.ones(n, dtype=bool)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import floor, inf
+from math import floor, inf, isnan, nan
 from typing import Sequence
 
 import numpy as np
@@ -130,15 +130,29 @@ def _check_score_mass(cache: CacheState, rows) -> None:
                      f"finite >= 0")
 
 
+def _core_inputs(cache: CacheState, config: CaskConfig):
+    """The decode rows and their score masses, the arguments of
+    :func:`_protect`; the masses are None, and not gathered, when the sinks
+    and the recency window alone cover every decode row."""
+    decode = cache.is_decode.nonzero()[0]
+    if config.sink_count + config.recency_window >= decode.size:
+        return decode, None
+    return decode, cache.score_mass[decode]
+
+
 def _protect(cache: CacheState, config: CaskConfig, decode: np.ndarray,
-             masses: np.ndarray) -> np.ndarray:
+             masses: np.ndarray | None) -> np.ndarray:
     """Protect and return the core among the ``decode`` rows, whose score
-    masses are ``masses``.  Drops any due marking first: this one replaces
-    it."""
+    masses are ``masses`` (:func:`_core_inputs`).  Drops any due marking
+    first: this one replaces it.
+
+    Masses of None say that the sinks and the recency window cover every
+    decode row: every one is core, marked with no sort or quantile."""
     cache._core_due = None
     protected = cache.protected
     protected[:] = False
-    if not decode.size:
+    if masses is None:
+        protected[decode] = True
         return decode
     core = masses > linear_quantile(sorted(masses.tolist()),
                                     config.anchor_quantile)
@@ -162,9 +176,9 @@ def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
     """
     if not cache.n:
         raise ValueError("cache is empty")
-    decode = cache.is_decode.nonzero()[0]
+    decode, masses = _core_inputs(cache, config)
     _check_score_mass(cache, decode)
-    core = _protect(cache, config, decode, cache.score_mass[decode])
+    core = _protect(cache, config, decode, masses)
     return set(cache.position[core].tolist())
 
 
@@ -196,6 +210,39 @@ def _kappa_magnitudes(config: CaskConfig, dim: int) -> np.ndarray:
 # the hundreds never holds c**2 differences of spectra at once.
 _TABLE_PAIRS = 4096
 
+# The range :func:`_rounding_margin` covers.  Keys and weights up to
+# _HEAVIEST keep every weighted sum far from overflow.  A centroid measured
+# at a group weight of at least _LIGHTEST_ANCHOR divides by a normal number,
+# so a product that underflows moves it by less than 2**-600 per component;
+# a lighter one (zero, the mean branch, included) certifies nothing.
+_HEAVIEST = 2.0 ** 400
+_LIGHTEST_ANCHOR = 2.0 ** -400
+
+
+def _rounding_margin(stacked: np.ndarray, masses: list[float],
+                     mags: np.ndarray, size: int) -> float:
+    """mu of :func:`form_merge_groups`: a bound, five times over, on how far
+    float64 rounding can move one certified decision; NaN, which certifies
+    nothing, when a key or a weight leaves the range it covers.
+
+    With u = 2**-53 and S = sum_f |kappa(w_f)| * max|key component| (a
+    band's modulus is at most sqrt 2 times its largest component), a
+    measured distance rounds by at most 2 sqrt 2 (bands + 4) u S, and a
+    running centroid of m members sits within sqrt 2 (2 m + 1) u S of the
+    exact one in merge distance.  A decision compares two measured
+    distances, each to its own running centroid, through the drift bound's
+    own arithmetic: about sqrt 2 (8 m + 4 bands + 30) u S in all.  mu is
+    2**-47 (size + bands + 8) S, over five times that for any m <= size,
+    plus 2**-600 per component for products that underflow.
+    """
+    scale = float(np.abs(stacked).max())
+    if not (scale <= _HEAVIEST and 0.0 <= min(masses)
+            and max(masses) <= _HEAVIEST):
+        return nan
+    bands = stacked.shape[1] // 2
+    return (2.0 ** -47 * (size + bands + 8) * float(mags.sum())
+            * (scale + 2.0 ** -600))
+
 
 def form_merge_groups(cache: CacheState,
                       config: CaskConfig) -> list[MergeGroup]:
@@ -213,11 +260,25 @@ def form_merge_groups(cache: CacheState,
     so one batched call per block of seed rows takes every candidate's
     distance to every seed's centroid.  A seed with no free, in-window
     candidate within ``merge_epsilon`` in its row of that table forms no
-    group and costs no further work; any other admits the first one.  From
-    then on the centroid changes only when a member is admitted, by one
-    term of its running sums, and the distances of all remaining in-window
-    candidates to it are taken in one batched call.  Admitting the first
-    one within ``merge_epsilon`` is the choice a one-by-one scan makes.
+    group and costs no further work; any other admits the first one.
+
+    Later admissions are certified where they can be, not re-measured.  The
+    merge distance d(x, c) = sum_f |kappa(w_f)| * |x_f - c_f| is a seminorm
+    of x - c, so |d(x, c') - d(x, c)| <= d(c, c').  Every pool member has a
+    measured distance d to the last measured centroid (at first the seed's,
+    its row of the table), of group weight T.  Members of weights w_i
+    admitted since move the exact centroid by at most
+    sum_i w_i * d_i / (T + sum_i w_i), so with the rounding margin mu
+    (:func:`_rounding_margin`) counted on each distance, a member with
+    d + drift + mu <= merge_epsilon is admitted and one with
+    d - drift - mu > merge_epsilon is passed over, each as a fresh
+    measurement would decide.  Any other member, or any member while the
+    last measured centroid's weight is 0 (the mean) or too light, is
+    undecided: the centroid of the members so far is built
+    (:func:`_weighted_centroid`, its adds in member order), and the rest of
+    the pool is measured against it in one batched call.  The first member
+    measured within ``merge_epsilon`` is admitted, the choice a one-by-one
+    scan makes.
     """
     candidates = (cache.is_decode & ~cache.protected).nonzero()[0]
     c = candidates.size
@@ -234,7 +295,9 @@ def form_merge_groups(cache: CacheState,
     scale = np.where(mass == 0.0, 1.0, mass)[:, None]
     seed_centroids = band_view(scale * stacked / scale)
     positions, masses = position.tolist(), mass.tolist()
-    window = config.temporal_window
+    window, epsilon = config.temporal_window, config.merge_epsilon
+    size = config.max_group_size
+    margin = None
     free = np.ones(c, dtype=bool)
     groups: list[MergeGroup] = []
     block = max(1, _TABLE_PAIRS // c)
@@ -243,33 +306,50 @@ def form_merge_groups(cache: CacheState,
         lo = start + 1
         hi = bisect_right(positions, positions[stop - 1] + window)
         gap = position[lo:hi] - position[start:stop, None]
-        within = (d_kappa_batch(spectra[None, lo:hi],
-                                seed_centroids[start:stop, None], mags)
-                  <= config.merge_epsilon) \
-            & (gap > 0) & (gap <= window) & free[lo:hi]
+        table = d_kappa_batch(spectra[None, lo:hi],
+                              seed_centroids[start:stop, None], mags)
+        within = (table <= epsilon) & (gap > 0) & (gap <= window) \
+            & free[lo:hi]
         for i in (start + within.any(axis=1).nonzero()[0]).tolist():
+            if not free[i]:
+                continue
             partners = (within[i - start] & free[lo:hi]).nonzero()[0]
-            if not free[i] or not partners.size:
+            if not partners.size:
                 continue
             j = lo + int(partners[0])
+            if margin is None:
+                margin = _rounding_margin(stacked, masses, mags, size)
             members = [i, j]
-            acc = masses[i] * stacked[i] + masses[j] * stacked[j]
             total = 0.0 + masses[i] + masses[j]
             end = bisect_right(positions, positions[i] + window)
             pool = j + 1 + free[j + 1:end].nonzero()[0]
-            pool_spectra = spectra[pool]
-            while pool.size and len(members) < config.max_group_size:
-                centroid = acc / total if total else stacked[members].mean(0)
-                near = (d_kappa_batch(pool_spectra, band_view(centroid), mags)
-                        <= config.merge_epsilon).nonzero()[0]
-                if not near.size:
+            # The pool's distances to the last measured centroid, that
+            # centroid's weight, and sum w * (d + mu) over the members
+            # admitted since.
+            dist = table[i - start, pool - lo].tolist()
+            anchor = masses[i]
+            lead = masses[j] * (float(table[i - start, j - lo]) + margin)
+            drifted = True
+            for k, p in enumerate(pool.tolist()):
+                if len(members) == size:
                     break
-                j = int(pool[near[0]])
-                members.append(j)
-                acc += masses[j] * stacked[j]
-                total += masses[j]
-                pool = pool[near[0] + 1:]
-                pool_spectra = pool_spectra[near[0] + 1:]
+                d, slack = dist[k], 0.0
+                if drifted:
+                    slack = lead / total + margin if not isnan(margin) \
+                        and anchor >= _LIGHTEST_ANCHOR else nan
+                    if not (d + slack <= epsilon or d - slack > epsilon):
+                        centroid = _weighted_centroid(
+                            stacked[members], [masses[q] for q in members])
+                        dist[k:] = d_kappa_batch(spectra[pool[k:]],
+                                                 band_view(centroid),
+                                                 mags).tolist()
+                        d, slack = dist[k], 0.0
+                        anchor, lead, drifted = total, 0.0, False
+                if d + slack <= epsilon:
+                    members.append(p)
+                    total += masses[p]
+                    lead += masses[p] * (d + margin)
+                    drifted = True
             free[members] = False
             groups.append(MergeGroup(
                 positions=tuple(positions[j] for j in members),
@@ -345,6 +425,11 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     eviction happens: the outcome fires and is appended to
     ``cache.compression_events``.
 
+    Grouping (:func:`form_merge_groups`) runs only when at least two decode
+    rows are outside the core: fewer cannot form a group.  A core whose
+    sinks and recency window cover every decode row is marked without
+    reading a mass (:func:`_protect`).
+
     A fired call leaves the core of its final state owed to the cache, not
     marked (:class:`cask.cache.CacheState`); the next call marks the core
     afresh and drops an owed marking unread.
@@ -358,12 +443,15 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     if cache.n <= budget:
         return CompressOutcome()
     _check_score_mass(cache, slice(None))
-    decode = cache.is_decode.nonzero()[0]
-    if budget < len(_protect(cache, config, decode, cache.score_mass[decode])):
+    decode, masses = _core_inputs(cache, config)
+    core = _protect(cache, config, decode, masses)
+    if budget < len(core):
         cache.core_overflow = True
         return CompressOutcome()
     groups_folded = members_folded = evicted = 0
-    for group in form_merge_groups(cache, config):
+    groups = form_merge_groups(cache, config) \
+        if decode.size - core.size >= 2 else ()
+    for group in groups:
         if group.mass <= 0.0:
             continue
         rep = fold_group(group, cache._entries(cache.row_of(group.positions)))
@@ -378,8 +466,7 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     cache.compression_events.append(outcome)
     # The terminal flags rho_core reads, marked unchecked when first read:
     # a fold's mass is finite and > 0.
-    decode = cache.is_decode.nonzero()[0]
-    cache._core_due = (_protect, config, decode, cache.score_mass[decode])
+    cache._core_due = (_protect, config, *_core_inputs(cache, config))
     return outcome
 
 

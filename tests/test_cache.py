@@ -37,7 +37,7 @@ from cask.policies import (
     fold_group,
     form_merge_groups,
 )
-from conftest import bad_integers, fill_cache, make_entry
+from conftest import bad_integers, cache_bytes, fill_cache, make_entry
 
 
 @pytest.mark.parametrize("budget", bad_integers(1))
@@ -299,6 +299,77 @@ def test_a_removed_row_takes_its_members_along(remove, members, evicted):
     assert 2 not in cache.members and cache.members == members
     assert cache.evicted_tokens - before == evicted
     check_invariants(cache)
+
+
+def _folded_cache(num_layers):
+    """Six rows, one prefix row and one folded over two positions, with
+    protected flags and distinct score masses."""
+    rng = np.random.default_rng(num_layers)
+    shape = (num_layers, 4) if num_layers > 1 else (4,)
+    cache = CacheState(budget=10_000)
+    for i in range(7):
+        append(cache, KVEntry(
+            key=rng.standard_normal(shape), value=rng.standard_normal(shape),
+            position=i, origin=PREFIX if i == 0 else DECODE,
+            score_mass=0.25 * i, protected=i in (1, 5)))
+    merge_replace(cache, [3, 4], rep_for(cache.entries[3:5]))
+    return cache
+
+
+@pytest.mark.parametrize("row", [5, 2, 3], ids=["last", "middle", "folded"])
+def test_dropping_one_row_leaves_what_a_fresh_cache_holds(row):
+    # The last row leaves by counting it out, moving no byte of any buffer;
+    # any other by a shift.  Either way the cache holds what a cache that
+    # only ever held the kept rows holds.
+    cache = _folded_cache(2)
+    entries = cache.entries
+    buffers = (cache._kv.tobytes(),
+               [col.tobytes() for col in cache._columns.values()])
+    assert drop(cache, np.array([row])) == 1
+    check_invariants(cache)
+    fresh = CacheState(budget=10_000)
+    for r, entry in enumerate(entries):
+        if r != row:
+            append(fresh, entry)
+    assert cache_bytes(cache)[:3] == cache_bytes(fresh)[:3]
+    assert cache.evicted_tokens == len(entries[row].members)
+    if row == len(entries) - 1:
+        assert (cache._kv.tobytes(),
+                [col.tobytes() for col in cache._columns.values()]) == buffers
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_trusted_copies_equal_validated_ones(num_layers):
+    # _entries builds its copies without KVEntry's checks; each must equal,
+    # field by field and byte for byte, the entry the validating
+    # constructor builds from the same row, live or staged, and its key
+    # and value must be read-only.
+    cache = _folded_cache(num_layers)
+    staged = _staged_row(cache)
+    copies = [(r, e) for r, e in enumerate(cache.entries)]
+    copies.append((cache.n, staged.entry()))
+    columns = cache._columns
+    for row, got in copies:
+        p = int(columns["position"][row])
+        want = KVEntry(
+            key=cache._kv[0, :, row].reshape(cache.row_shape).copy(),
+            value=cache._kv[1, :, row].reshape(cache.row_shape).copy(),
+            position=p,
+            origin=DECODE if columns["is_decode"][row] else PREFIX,
+            score_mass=float(columns["score_mass"][row]),
+            group_mass=float(columns["group_mass"][row]),
+            protected=bool(columns["protected"][row]),
+            members=cache.members.get(p, ()) if row < cache.n else ())
+        for field in dataclasses.fields(KVEntry):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) \
+                    == (b.dtype, b.shape, b.tobytes()), field.name
+                assert not a.flags.writeable
+            else:
+                assert a == b, field.name
+    assert copies[-1][1].members == (cache.total_appended,)
 
 
 def test_merge_replace_mass_mismatch():

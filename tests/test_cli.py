@@ -405,3 +405,21 @@ def test_regime_probe_table_matches_golden_digest(tmp_path, args):
         cwd=tmp_path, env=env, capture_output=True, timeout=120, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() \
         == REGIME_PROBE_DIGESTS[args]
+
+
+def test_rows_digest_prints_the_frontier_golden_digest(tmp_path):
+    # perfbench's frontier workload at seed 0 is the canonical frontier
+    # sweep, so scripts/rows_digest.py prints its golden digest
+    # (test_report.FRONTIER_DIGEST) and writes nothing where it runs.
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(cask.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "rows_digest.py"),
+         "--workload", "frontier", "--seed", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        check=True)
+    assert proc.stdout == ("163530bdc1ed3e281f730c64f63a4d34"
+                           "c34f7255a5151ea6b54911194b2d0927\n")
+    assert list(tmp_path.iterdir()) == []

@@ -407,37 +407,30 @@ def test_distance_table_entries_equal_scalar_d_kappa(monkeypatch, n,
         assert max(out.size for *_, out in tables) < len(decode) ** 2 // 2
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_running_centroid_equals_weighted_centroid(monkeypatch, seed):
-    # form_merge_groups keeps the centroid's weighted sum and weight sum as
-    # running totals, one term per admitted member.  Every centroid it
-    # measures against must be _weighted_centroid of the members so far,
-    # bit for bit, for groups of 2 to 16 members; zero-mass members are
-    # common, and seed 0's group is all zero, which takes the mean branch.
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 18))
-    masses = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
-    masses[rng.random(n) < 0.3] = 0.0
-    if seed == 0:
-        masses[:] = 0.0
-    keys = rng.standard_normal((n, 2, 8))
+def measured_centroids(monkeypatch, keys, masses, epsilon):
+    """form_merge_groups over one decode row per key, and each centroid it
+    measures a pool against, with the member count it stands for; every
+    key must join one group, so a call over the last r candidates measures
+    the centroid of the first n - r."""
+    n = len(keys)
     cache = CacheState(budget=10_000)
     for i in range(n):
         append(cache, make_entry(i, keys[i], score_mass=float(masses[i])))
-    centroids = []
+    measured = []
 
     def recording(coefficients, reference, magnitudes):
         if reference.ndim == 1:
-            centroids.append(reference.view(np.float64).copy())
+            measured.append((n - len(coefficients),
+                             reference.view(np.float64).copy()))
         return d_kappa_batch(coefficients, reference, magnitudes)
 
     monkeypatch.setattr(policies, "d_kappa_batch", recording)
-    cfg = scratch_config(merge_epsilon=np.inf, max_group_size=17)
+    cfg = scratch_config(merge_epsilon=epsilon, max_group_size=17)
     groups = form_merge_groups(cache, cfg)
+    monkeypatch.undo()
     assert [g.positions for g in groups] == [tuple(range(n))]
     stacked = [e.geometry_key() for e in cache.entries]
-    assert len(centroids) == n - 2
-    for m, centroid in enumerate(centroids, start=2):
+    for m, centroid in measured:
         assert same_bits(centroid,
                          _weighted_centroid(stacked[:m], masses[:m].tolist()))
     # The group's mass is the running weight sum, and its keys are read
@@ -448,6 +441,170 @@ def test_running_centroid_equals_weighted_centroid(monkeypatch, seed):
         assert len(g.keys) == len(g.positions)
         for key, p in zip(g.keys, g.positions):
             assert same_bits(key, stacked[p])
+    return [m for m, _ in measured]
+
+
+def random_masses(rng, n):
+    """Masses over six orders of magnitude, with zeros common."""
+    masses = rng.random(n) * 10.0 ** rng.integers(-3, 4, n)
+    masses[rng.random(n) < 0.3] = 0.0
+    return masses
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_running_centroid_equals_weighted_centroid(monkeypatch, seed):
+    # form_merge_groups builds the centroid of the members so far only when
+    # it measures a pool against one.  Every centroid it measures against
+    # must be _weighted_centroid of the members so far, bit for bit, for
+    # groups of 2 to 16 members; zero-mass members are common.  With
+    # merge_epsilon infinite every admission is certified unless the last
+    # measured centroid weighs 0; seed 0's group is all zero, which takes
+    # the mean branch and certifies nothing, so it measures once per
+    # admission.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 18))
+    masses = random_masses(rng, n)
+    if seed == 0:
+        masses[:] = 0.0
+    keys = rng.standard_normal((n, 2, 8))
+    measured = measured_centroids(monkeypatch, keys, masses, np.inf)
+    assert measured == sorted(set(measured))
+    if seed == 0:
+        assert measured == list(range(2, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_infinite_epsilon_with_positive_masses_measures_no_centroid(
+        monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 18))
+    masses = rng.random(n) * 10.0 ** rng.integers(-3, 4, n) + 1e-3
+    keys = rng.standard_normal((n, 2, 8))
+    assert measured_centroids(monkeypatch, keys, masses, np.inf) == []
+
+
+def key_at(rng, centroid, distance):
+    """A key of width 8 at merge distance ``distance`` from ``centroid``,
+    in a random direction."""
+    step = rng.standard_normal(8)
+    length = d_kappa_batch(band_decompose(step), np.zeros(4, dtype=complex),
+                           _kappa_magnitudes(scratch_config(), 8))
+    return centroid + distance / length * step
+
+
+def straddling_keys(rng, masses, distance):
+    """One geometry key per mass, each after the first at ``distance`` from
+    the weighted centroid of those before it; both layers of a key are that
+    geometry key, so the layer mean reproduces it exactly."""
+    keys = [rng.standard_normal(8)]
+    for m in range(1, len(masses)):
+        keys.append(key_at(rng, _weighted_centroid(keys, masses[:m].tolist()),
+                           distance))
+    return np.stack([keys, keys], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_members_at_the_margin_measure_every_centroid(monkeypatch, seed):
+    # Each member sits just inside merge_epsilon of the centroid of those
+    # before it, so no bound can certify its admission from an older
+    # centroid: every admission after the first measures.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 18))
+    masses = random_masses(rng, n) + 1e-3
+    keys = straddling_keys(rng, masses, 1.0 - 1e-13)
+    assert measured_centroids(monkeypatch, keys, masses, 1.0) \
+        == list(range(2, n))
+
+
+# Member kinds for the margin cases: a copy of an earlier key, a key just
+# inside or just outside merge_epsilon of the running centroid of the first
+# group, or a key drawn afresh.
+KINDS = ("copy", "inside", "outside", "fresh")
+
+
+def margin_cache(rng, kinds, zero_masses, epsilon, size):
+    """A decode cache of 1-D keys built by ``kinds``; the running centroid
+    is that of the first group as a one-by-one scan forms it, so "inside"
+    and "outside" keys sit at ``epsilon * (1 -+ 1e-13)`` from the centroid
+    the scan would measure them against."""
+    mags = _kappa_magnitudes(scratch_config(), 8)
+    masses = rng.random(len(kinds)) * 10.0 ** rng.integers(-3, 4, len(kinds))
+    masses[np.asarray(zero_masses)] = 0.0
+    keys = [rng.standard_normal(8)]
+    members = [0]
+    for m, kind in enumerate(kinds[1:], start=1):
+        centroid = _weighted_centroid([keys[i] for i in members],
+                                      masses[members].tolist())
+        if kind == "copy":
+            key = keys[int(rng.integers(m))].copy()
+        elif kind == "fresh":
+            key = rng.standard_normal(8)
+        else:
+            side = -1e-13 if kind == "inside" else 1e-13
+            key = key_at(rng, centroid, epsilon * (1 + side))
+        if len(members) < size and d_kappa_batch(
+                band_decompose(key), band_decompose(centroid), mags) \
+                <= epsilon:
+            members.append(m)
+        keys.append(key)
+    return decode_cache(keys, score_masses=masses.tolist())
+
+
+def test_certified_admission_equals_one_by_one_scan(monkeypatch):
+    # Admissions certified by the seminorm bound must be the ones a
+    # one-by-one scan makes, group by group and bit for bit, on exact
+    # copies (epsilon 0 among them: a running centroid of copies drifts by
+    # an ulp), zero masses, and members within 1e-13 of merge_epsilon,
+    # where only a measurement can decide.  Some examples must fall back
+    # to one.
+    fallbacks = []
+
+    def recording(coefficients, reference, magnitudes):
+        if reference.ndim == 1:
+            fallbacks[-1] += 1
+        return d_kappa_batch(coefficients, reference, magnitudes)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=24),
+           zeros=st.lists(st.booleans(), min_size=24, max_size=24),
+           epsilon=st.sampled_from([0.0, 1e-9, 0.5, 2.0]),
+           size=st.sampled_from([3, 16]))
+    @settings(max_examples=200, deadline=None)
+    def check(seed, kinds, zeros, epsilon, size):
+        cache = margin_cache(np.random.default_rng(seed), kinds,
+                             zeros[:len(kinds)], epsilon, size)
+        cfg = scratch_config(merge_epsilon=epsilon, max_group_size=size)
+        fallbacks.append(0)
+        groups = form_merge_groups(cache, cfg)
+        expected = reference_form_merge_groups(cache.entries, cfg)
+        assert [g.positions for g in groups] \
+            == [g.positions for g in expected]
+        for g, ref in zip(groups, expected):
+            assert same_bits(g.weights, ref.weights)
+            assert same_bits(g.mass, ref.mass)
+            assert all(same_bits(k, r) for k, r in zip(g.keys, ref.keys))
+
+    monkeypatch.setattr(policies, "d_kappa_batch", recording)
+    check()
+    assert sum(f > 0 for f in fallbacks) >= 10
+
+
+def test_groups_of_copies_take_one_distance_call(monkeypatch, rng):
+    # Every admission into a group of exact copies is certified against
+    # the seed's row of the distance table, and every other key is passed
+    # over by the same bound: one call measures the whole scan.
+    base = rng.standard_normal((3, 8))
+    layout = [0, 1, 0, 2, 0, 1, 0, 2, 1, 0, 1, 2, 0]
+    masses = (rng.random(len(layout)) * 10.0).tolist()
+    cache = decode_cache([base[i] for i in layout], score_masses=masses)
+    calls = []
+    monkeypatch.setattr(
+        policies, "d_kappa_batch",
+        lambda *args: calls.append(args) or d_kappa_batch(*args))
+    groups = form_merge_groups(cache, scratch_config(merge_epsilon=1e-9))
+    assert sorted(g.positions for g in groups) == sorted(
+        tuple(p for p, i in enumerate(layout) if i == b) for b in range(3))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
@@ -860,8 +1017,8 @@ def test_an_evict_only_consolidation_marks_the_core_once(monkeypatch):
     params, cache = _prefilled()
     _decode_steps(params, cache, range(1, 11), 1)
     calls = []
-    counted = policies.linear_quantile
-    monkeypatch.setattr(policies, "linear_quantile",
+    counted = policies._protect
+    monkeypatch.setattr(policies, "_protect",
                         lambda *args: calls.append(args) or counted(*args))
     _decode_steps(params, cache, [11], 1)
     assert cache.compression_events[-1] == CompressOutcome(evicted=1)
