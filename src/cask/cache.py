@@ -95,11 +95,7 @@ class KVEntry:
 
     def geometry_key(self) -> np.ndarray:
         """Flat d-vector used for merge geometry (mean over layers)."""
-        if self.key.ndim == 1:
-            return self.key
-        # ndarray.mean's own steps (add.reduce, then one division), without
-        # its dispatch overhead: bit-identical.
-        return self.key.sum(axis=0) / len(self.key)
+        return self.key if self.key.ndim == 1 else self.key.mean(axis=0)
 
 
 class StagedRow:

@@ -223,7 +223,8 @@ def _rounding_margin(stacked: np.ndarray, masses: list[float],
                      mags: np.ndarray, size: int) -> float:
     """mu of :func:`form_merge_groups`: a bound, five times over, on how far
     float64 rounding can move one certified decision; NaN, which certifies
-    nothing, when a key or a weight leaves the range it covers.
+    nothing, when a key or a weight leaves the range it covers.  Computed
+    once per call, at the call's first admission.
 
     With u = 2**-53 and S = sum_f |kappa(w_f)| * max|key component| (a
     band's modulus is at most sqrt 2 times its largest component), a
@@ -255,12 +256,13 @@ def form_merge_groups(cache: CacheState,
     and the group is below ``max_group_size``.  Size-1 groups are discarded.
 
     The candidates' geometry keys are stacked once and read as band spectra
-    (:func:`band_view`).  A seed's first admission is measured against the
-    seed alone, whose centroid is ``(w * k) / w`` (``k`` where ``w == 0``),
-    so one batched call per block of seed rows takes every candidate's
-    distance to every seed's centroid.  A seed with no free, in-window
-    candidate within ``merge_epsilon`` in its row of that table forms no
-    group and costs no further work; any other admits the first one.
+    (:func:`band_view`).  One batched call per block of seed rows measures
+    every candidate against every seed alone (centroid ``(w * k) / w``,
+    ``k`` where ``w == 0``).  A seed with no free, in-window candidate
+    within ``merge_epsilon`` in its row of that table forms no group.  Any
+    other scans its pool, the free entries after it in the window, in one
+    loop that takes every admission: first the first pool member within
+    ``merge_epsilon`` in the table, at zero slack.
 
     Later admissions are certified where they can be, not re-measured.  The
     merge distance d(x, c) = sum_f |kappa(w_f)| * |x_f - c_f| is a seminorm
@@ -313,23 +315,14 @@ def form_merge_groups(cache: CacheState,
         for i in (start + within.any(axis=1).nonzero()[0]).tolist():
             if not free[i]:
                 continue
-            partners = (within[i - start] & free[lo:hi]).nonzero()[0]
-            if not partners.size:
-                continue
-            j = lo + int(partners[0])
-            if margin is None:
-                margin = _rounding_margin(stacked, masses, mags, size)
-            members = [i, j]
-            total = 0.0 + masses[i] + masses[j]
             end = bisect_right(positions, positions[i] + window)
-            pool = j + 1 + free[j + 1:end].nonzero()[0]
-            # The pool's distances to the last measured centroid, that
-            # centroid's weight, and sum w * (d + mu) over the members
-            # admitted since.
+            pool = i + 1 + free[i + 1:end].nonzero()[0]
+            # The pool's distances to the last measured centroid (at first
+            # the seed's, its row of the table), that centroid's weight,
+            # and sum w * (d + mu) over the members admitted since.
             dist = table[i - start, pool - lo].tolist()
-            anchor = masses[i]
-            lead = masses[j] * (float(table[i - start, j - lo]) + margin)
-            drifted = True
+            members, total = [i], 0.0 + masses[i]
+            anchor, lead, drifted = masses[i], 0.0, False
             for k, p in enumerate(pool.tolist()):
                 if len(members) == size:
                     break
@@ -346,17 +339,17 @@ def form_merge_groups(cache: CacheState,
                         d, slack = dist[k], 0.0
                         anchor, lead, drifted = total, 0.0, False
                 if d + slack <= epsilon:
+                    if margin is None:
+                        margin = _rounding_margin(stacked, masses, mags, size)
                     members.append(p)
                     total += masses[p]
                     lead += masses[p] * (d + margin)
                     drifted = True
-            free[members] = False
-            groups.append(MergeGroup(
-                positions=tuple(positions[j] for j in members),
-                weights=tuple(masses[j] for j in members),
-                mass=total,
-                keys=tuple(stacked[j] for j in members),
-            ))
+            if len(members) > 1:
+                free[members] = False
+                groups.append(MergeGroup(
+                    positions=tuple(positions[j] for j in members),
+                    weights=tuple(masses[j] for j in members), mass=total))
     return groups
 
 

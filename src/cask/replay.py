@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CacheState, terminal_saved_ratio
+from .cache import CacheState, at_least, terminal_saved_ratio
 from .model import (  # noqa: F401  (run_prefill is part of the replay API)
     DecodeRun,
     ModelParams,
@@ -36,6 +36,7 @@ class EvictionPolicy:
     """Score-mass eviction baseline: trim to budget whenever it overflows."""
 
     def __init__(self, budget: int):
+        at_least("budget", budget, 1)
         self.budget = budget
 
     def after_prefill(self, cache: CacheState) -> None:

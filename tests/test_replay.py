@@ -31,7 +31,7 @@ from cask.replay import (
     top5_coverage,
 )
 from cask.report import bridge_row
-from conftest import CheckedPolicy, cache_bytes, keep_order
+from conftest import CheckedPolicy, bad_integers, cache_bytes, keep_order
 
 # sha256 of the acceptance suite's replay rows (see
 # test_acceptance_suite_rows_match_golden_digest), one json.dumps line each,
@@ -292,6 +292,14 @@ def test_make_policy_rejects_unknown_method():
             make_policy("magic", budget)
     with pytest.raises(ValueError, match="method 'cask' needs a budget"):
         make_policy("cask")
+
+
+@pytest.mark.parametrize("method", ["cask", "evict"])
+@pytest.mark.parametrize("budget", bad_integers(1))
+def test_make_policy_refuses_a_bad_budget(method, budget):
+    # evict used to build and fail only when decode forked the snapshot.
+    with pytest.raises(ValueError, match="^budget must be >= 1, got "):
+        make_policy(method, budget)
 
 
 def _run_state(run):

@@ -242,6 +242,60 @@ def test_fold_heavy_sweep_rows_match_golden_digest(tmp_path, monkeypatch):
     assert digest.hexdigest() == FOLD_HEAVY_DIGEST
 
 
+class DecisionLog:
+    """A policy that logs, after each of its steps, the cache's live
+    positions and every folded row's members.  It reads no core flag, so it
+    writes no owed core marking."""
+
+    def __init__(self, policy, log):
+        self.policy, self.budget, self.log = policy, policy.budget, log
+
+    def after_prefill(self, cache):
+        self.policy.after_prefill(cache)
+        self._record(cache)
+
+    def after_append(self, cache):
+        self.policy.after_append(cache)
+        self._record(cache)
+
+    def _record(self, cache):
+        self.log.append((cache.position.tolist(),
+                         sorted(cache.members.items())))
+
+
+# sha256 of the DecisionLog of every cell below: its forced run on the
+# reference, then its greedy branch.  The row digests pin outcomes; this
+# pins which rows each step keeps and which it folds together.  Taken while
+# a merge group's first admission still took a path of its own.
+DECISION_DIGEST = (
+    "c52ba96fb42eb6e1ab4b378bd358f8fb637eb39dabdb8b84c14173b28ce8838f")
+
+
+def test_step_decisions_match_golden_digest():
+    # The frontier's cask and evict cells, then the first two consolidate
+    # witnesses (P32/T256, r = 0.8) under cask.
+    cells = [
+        ([WitnessSpec("prompt-heavy-decode-active", s, 24, 64, 0.7)
+          for s in range(10)], ("cask", "evict"), (24, 32, 48)),
+        ([WitnessSpec("prompt-heavy-decode-active", s, 32, 256, 0.8)
+          for s in range(2)], ("cask",), (32, 64)),
+    ]
+    params = model.init_model(0, 32, 16, 1)
+    log = []
+    for specs, methods, budgets in cells:
+        for spec in specs:
+            witness = spec.materialize(32)
+            ref = model.generate_reference(params, list(witness.prompt),
+                                           witness.decode_len, budgets)
+            for method, budget in itertools.product(methods, budgets):
+                policy = DecisionLog(make_policy(method, budget), log)
+                run = model.decode(params, ref.snapshot, witness.decode_len,
+                                   policy, forced=ref.tokens, trunk=ref)
+                model.greedy_branch(params, run, policy)
+    assert any(members for _, members in log)
+    assert hashlib.sha256(repr(log).encode()).hexdigest() == DECISION_DIGEST
+
+
 def _record_runs(monkeypatch, share: bool, history: int) -> list:
     """Log (method, snapshot) per cell decode.
 
