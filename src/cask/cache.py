@@ -454,9 +454,10 @@ def ltr_sum(values) -> float:
 
 def at_least(name: str, value, minimum: int) -> None:
     """Raise ``ValueError`` unless ``value`` is an integer (one that
-    ``operator.index`` takes: NaN and 1.5 fail) of at least ``minimum``."""
+    ``operator.index`` takes: NaN and 1.5 fail) of at least ``minimum``.
+    A bool is refused too, though ``operator.index`` takes it."""
     try:
-        if operator.index(value) >= minimum:
+        if not isinstance(value, bool) and operator.index(value) >= minimum:
             return
     except TypeError:
         pass

@@ -130,28 +130,21 @@ def _check_score_mass(cache: CacheState, rows) -> None:
                      f"finite >= 0")
 
 
-def _core_inputs(cache: CacheState, config: CaskConfig):
-    """The decode rows and their score masses, the arguments of
-    :func:`_protect`; the masses are None, and not gathered, when the sinks
-    and the recency window alone cover every decode row."""
-    decode = cache.is_decode.nonzero()[0]
-    if config.sink_count + config.recency_window >= decode.size:
-        return decode, None
-    return decode, cache.score_mass[decode]
-
-
 def _protect(cache: CacheState, config: CaskConfig, decode: np.ndarray,
-             masses: np.ndarray | None) -> np.ndarray:
+             masses: np.ndarray) -> np.ndarray:
     """Protect and return the core among the ``decode`` rows, whose score
-    masses are ``masses`` (:func:`_core_inputs`).  Drops any due marking
-    first: this one replaces it.
+    masses are ``masses``: the one rule that decides which decode rows are
+    core.  Drops any due marking first: this one replaces it.
 
-    Masses of None say that the sinks and the recency window cover every
-    decode row: every one is core, marked with no sort or quantile."""
+    Core = the first ``sink_count`` decode rows + the last
+    ``recency_window`` + the rows whose score mass is strictly above the
+    ``anchor_quantile`` quantile of ``masses``.  When the sinks and the
+    recency window cover every decode row, every one is core, and
+    ``masses`` is not read."""
     cache._core_due = None
     protected = cache.protected
     protected[:] = False
-    if masses is None:
+    if config.sink_count + config.recency_window >= decode.size:
         protected[decode] = True
         return decode
     core = masses > linear_quantile(sorted(masses.tolist()),
@@ -165,20 +158,19 @@ def _protect(cache: CacheState, config: CaskConfig, decode: np.ndarray,
 
 
 def detect_core(cache: CacheState, config: CaskConfig) -> set[int]:
-    """Mark the protected core among decode entries and return its positions.
+    """Mark the protected core among decode entries (the rule of
+    :func:`_protect`) and return its positions.
 
-    Core = first ``sink_count`` decode entries + last ``recency_window``
-    decode entries + decode entries whose accumulated score mass is strictly
-    above the ``anchor_quantile`` quantile of decode score mass.  Flags are
-    recomputed from scratch on every call.  A NaN, infinite or negative
-    decode score mass raises ``ValueError`` naming its position before any
-    flag is written: it would make the quantile NaN and drop every anchor.
+    Flags are recomputed from scratch on every call.  A NaN, infinite or
+    negative decode score mass raises ``ValueError`` naming its position
+    before any flag is written: it would make the quantile NaN and drop
+    every anchor.
     """
     if not cache.n:
         raise ValueError("cache is empty")
-    decode, masses = _core_inputs(cache, config)
+    decode = cache.is_decode.nonzero()[0]
     _check_score_mass(cache, decode)
-    core = _protect(cache, config, decode, masses)
+    core = _protect(cache, config, decode, cache.score_mass[decode])
     return set(cache.position[core].tolist())
 
 
@@ -419,9 +411,7 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     ``cache.compression_events``.
 
     Grouping (:func:`form_merge_groups`) runs only when at least two decode
-    rows are outside the core: fewer cannot form a group.  A core whose
-    sinks and recency window cover every decode row is marked without
-    reading a mass (:func:`_protect`).
+    rows are outside the core (:func:`_protect`): fewer cannot form a group.
 
     A fired call leaves the core of its final state owed to the cache, not
     marked (:class:`cask.cache.CacheState`); the next call marks the core
@@ -436,8 +426,8 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     if cache.n <= budget:
         return CompressOutcome()
     _check_score_mass(cache, slice(None))
-    decode, masses = _core_inputs(cache, config)
-    core = _protect(cache, config, decode, masses)
+    decode = cache.is_decode.nonzero()[0]
+    core = _protect(cache, config, decode, cache.score_mass[decode])
     if budget < len(core):
         cache.core_overflow = True
         return CompressOutcome()
@@ -459,7 +449,8 @@ def cask_compress(cache: CacheState, config: CaskConfig,
     cache.compression_events.append(outcome)
     # The terminal flags rho_core reads, marked unchecked when first read:
     # a fold's mass is finite and > 0.
-    cache._core_due = (_protect, config, *_core_inputs(cache, config))
+    decode = cache.is_decode.nonzero()[0]
+    cache._core_due = (_protect, config, decode, cache.score_mass[decode])
     return outcome
 
 

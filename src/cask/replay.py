@@ -73,17 +73,21 @@ METHODS = {
 
 
 def make_policy(method: str, budget: int | None = None):
-    """``method``'s policy at ``budget``; only ``none`` runs without one."""
+    """``method``'s policy at ``budget``; only ``none`` runs without one,
+    and it too refuses a budget that is not an integer of at least 1."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if budget is None and method != METHOD_NONE:
+    if budget is not None:
+        at_least("budget", budget, 1)
+    elif method != METHOD_NONE:
         raise ValueError(f"method {method!r} needs a budget")
     return METHODS[method](budget)
 
 
 @dataclass
 class ReplayRecord:
-    """Per-step teacher-forced log plus the terminal cache, if any."""
+    """Per-step teacher-forced log plus the terminal cache, if any.  A
+    record holds at least one step: an empty one is refused."""
 
     reference: np.ndarray        # (T,) forced tokens
     argmax: np.ndarray           # (T,) candidate argmax per step
@@ -91,6 +95,10 @@ class ReplayRecord:
     log_probs: np.ndarray        # (T,) floored log p_t(reference)
     distributions: np.ndarray    # (T, V) candidate distributions
     cache: CacheState | None
+
+    def __post_init__(self):
+        if self.T < 1:
+            raise ValueError("empty record")
 
     @property
     def T(self) -> int:
@@ -160,20 +168,14 @@ def replay_record(run: DecodeRun) -> ReplayRecord:
 
 
 def top1_agreement(record: ReplayRecord) -> float:
-    if record.T < 1:
-        raise ValueError("empty record")
     return float(np.mean(record.argmax == record.reference))
 
 
 def top5_coverage(record: ReplayRecord) -> float:
-    if record.T < 1:
-        raise ValueError("empty record")
     return float(np.mean(record.top5_flags))
 
 
 def mean_nll(record: ReplayRecord) -> float:
-    if record.T < 1:
-        raise ValueError("empty record")
     return float(-np.mean(record.log_probs))
 
 

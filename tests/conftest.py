@@ -27,7 +27,7 @@ def make_entry(position, key, value=None, origin=DECODE, score_mass=1.0,
 
 def bad_integers(minimum):
     """Values an integer setting of at least ``minimum`` must refuse."""
-    return (float("nan"), 1.5, minimum - 1)
+    return (float("nan"), 1.5, minimum - 1, True)
 
 
 def keep_order(cache, rows):

@@ -135,6 +135,13 @@ def test_embed_equals_the_reference_bit_for_bit(rng, length):
                     == reference_bridge.embed(seq).tobytes())
 
 
+@pytest.mark.parametrize("candidate, reference",
+                         [([], [1, 2]), ([1, 2], []), ([], [])])
+def test_sem_sim_empty_warns_and_returns_zero(candidate, reference):
+    with pytest.warns(UserWarning, match="empty sequence"):
+        assert sem_sim(candidate, reference) == 0.0
+
+
 def test_sem_sim_single_token_zero_embedding_warns():
     with pytest.warns(UserWarning):
         assert sem_sim([3], [1, 2, 3]) == 0.0

@@ -97,6 +97,17 @@ def test_entry_rejects_a_group_mass_not_finite_and_positive(group_mass):
                 group_mass=group_mass, members=(0, 1))
 
 
+def test_an_unknown_origin_is_refused():
+    # Neither an entry nor a staged row may claim a third origin.
+    with pytest.raises(CacheError, match="^unknown origin 'middle'$"):
+        KVEntry(key=np.zeros(4), value=np.zeros(4), position=0,
+                origin="middle")
+    cache = fill_cache([[1.0, 0.0]])
+    cache.slot(cache.row_shape)
+    with pytest.raises(CacheError, match="^unknown origin 'middle'$"):
+        cache.stage("middle", 0.5)
+
+
 def _staged_row(cache):
     keys, values, _ = cache.slot(cache.row_shape)
     keys[:, -1] = 7.0
@@ -384,6 +395,22 @@ def test_merge_replace_rejects_singleton():
     cache = fill_cache([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(CacheError, match="singleton"):
         merge_replace(cache, [0], cache.entries[0])
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(position=1), "representative must sit at the earliest member "
+                       "position"),
+    (dict(key=np.zeros(3), value=np.zeros(3)),
+     r"entry shape \(3,\) does not match the cache's \(2,\)"),
+], ids=["position", "shape"])
+def test_merge_replace_refuses_a_misplaced_or_misshapen_representative(
+        change, message):
+    cache = fill_cache([[1.0, 0.0], [0.0, 1.0]])
+    before = _rows_state(cache)
+    rep = dataclasses.replace(rep_for(cache.entries), **change)
+    with pytest.raises(CacheError, match=f"^{message}$"):
+        merge_replace(cache, [0, 1], rep)
+    assert _rows_state(cache) == before
 
 
 def test_merge_replace_rejects_protected_member():

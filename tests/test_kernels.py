@@ -90,9 +90,20 @@ def test_horizon_distribution_rejects_bad_weights():
     # A NaN weight used to pass both weight checks.
     with pytest.raises(ValueError, match="non-negative"):
         HorizonDistribution(np.array([0, 1]), np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="^support and weights must be "
+                                         "matching 1-D arrays$"):
+        HorizonDistribution(np.array([0, 1]), np.array([1.0]))
+    with pytest.raises(ValueError, match="^empty support$"):
+        HorizonDistribution(np.array([], dtype=int), np.array([]))
 
 
 # --- band decomposition ---------------------------------------------------
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_band_frequencies_need_an_even_width(dim):
+    with pytest.raises(ValueError, match="^dim must be even and >= 2$"):
+        band_frequencies(dim)
+
 
 def test_band_decompose_zero_vector():
     spec = band_decompose(np.zeros(8))
@@ -241,6 +252,16 @@ def test_rms2_hand_example():
 def test_rms2_zero_denominator():
     with pytest.raises(ValueError):
         rms2_decomposition(np.zeros(4), 0.0)
+
+
+@pytest.mark.parametrize("norms, mu, message", [
+    (np.empty(0), 1.0, "empty sample"),
+    (np.array([1.0, -1.0]), 1.0, "norms must be non-negative"),
+    (np.array([1.0]), -1.0, "norms must be non-negative"),
+])
+def test_rms2_refuses_an_empty_or_negative_sample(norms, mu, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rms2_decomposition(norms, mu)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -519,11 +519,13 @@ def test_members_at_the_margin_measure_every_centroid(monkeypatch, seed):
 KINDS = ("copy", "inside", "outside", "fresh")
 
 
-def margin_cache(rng, kinds, zero_masses, epsilon, size):
+def margin_cache(rng, kinds, zero_masses, epsilon, size, scale=1.0):
     """A decode cache of 1-D keys built by ``kinds``; the running centroid
     is that of the first group as a one-by-one scan forms it, so "inside"
     and "outside" keys sit at ``epsilon * (1 -+ 1e-13)`` from the centroid
-    the scan would measure them against."""
+    the scan would measure them against.  The keys are then multiplied by
+    ``scale``, a power of two, which leaves every ratio of distances
+    exact."""
     mags = _kappa_magnitudes(scratch_config(), 8)
     masses = rng.random(len(kinds)) * 10.0 ** rng.integers(-3, 4, len(kinds))
     masses[np.asarray(zero_masses)] = 0.0
@@ -544,7 +546,8 @@ def margin_cache(rng, kinds, zero_masses, epsilon, size):
                 <= epsilon:
             members.append(m)
         keys.append(key)
-    return decode_cache(keys, score_masses=masses.tolist())
+    return decode_cache([k * scale for k in keys],
+                        score_masses=masses.tolist())
 
 
 def test_certified_admission_equals_one_by_one_scan(monkeypatch):
@@ -553,7 +556,8 @@ def test_certified_admission_equals_one_by_one_scan(monkeypatch):
     # copies (epsilon 0 among them: a running centroid of copies drifts by
     # an ulp), zero masses, and members within 1e-13 of merge_epsilon,
     # where only a measurement can decide.  Some examples must fall back
-    # to one.
+    # to one.  Keys scaled past _HEAVIEST leave the rounding margin NaN,
+    # which certifies nothing: every drifted decision is measured.
     fallbacks = []
 
     def recording(coefficients, reference, magnitudes):
@@ -565,12 +569,14 @@ def test_certified_admission_equals_one_by_one_scan(monkeypatch):
            kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=24),
            zeros=st.lists(st.booleans(), min_size=24, max_size=24),
            epsilon=st.sampled_from([0.0, 1e-9, 0.5, 2.0]),
-           size=st.sampled_from([3, 16]))
+           size=st.sampled_from([3, 16]),
+           scale=st.sampled_from([1.0, 2.0 ** 401]))
     @settings(max_examples=200, deadline=None)
-    def check(seed, kinds, zeros, epsilon, size):
+    def check(seed, kinds, zeros, epsilon, size, scale):
         cache = margin_cache(np.random.default_rng(seed), kinds,
-                             zeros[:len(kinds)], epsilon, size)
-        cfg = scratch_config(merge_epsilon=epsilon, max_group_size=size)
+                             zeros[:len(kinds)], epsilon, size, scale)
+        cfg = scratch_config(merge_epsilon=epsilon * scale,
+                             max_group_size=size)
         fallbacks.append(0)
         groups = form_merge_groups(cache, cfg)
         expected = reference_form_merge_groups(cache.entries, cfg)
@@ -688,6 +694,25 @@ def test_fold_rejects_a_singleton_group():
     group = MergeGroup(positions=(3,), weights=(0.7,), mass=0.7)
     with pytest.raises(ValueError, match="singleton group"):
         fold_group(group, [make_entry(3, [1.0, 0.0], score_mass=0.7)])
+
+
+@pytest.mark.parametrize("weights, mass, message", [
+    ((1.0,), 1.0, "positions and weights must align"),
+    ((1.5, -0.5), 1.0, "weights must be non-negative"),
+    # 0.1 + 0.2 left to right is 0.30000000000000004, not 0.3.
+    ((0.1, 0.2), 0.3, "mass must equal the left-to-right weight sum"),
+], ids=["unaligned", "negative", "re-summed"])
+def test_merge_group_refuses_inconsistent_weights(weights, mass, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MergeGroup(positions=(0, 1), weights=weights, mass=mass)
+
+
+def test_fold_rejects_a_group_and_entries_that_do_not_align():
+    group = MergeGroup(positions=(0, 1, 2), weights=(1.0, 1.0, 1.0),
+                       mass=3.0)
+    entries = [make_entry(0, [1.0, 0.0]), make_entry(1, [0.0, 1.0])]
+    with pytest.raises(ValueError, match="^group and entries must align$"):
+        fold_group(group, entries)
 
 
 def test_fold_rejects_all_zero_weights():
@@ -1375,6 +1400,15 @@ def test_perturbation_bound_holds_on_random_groups(rng):
         report = perturbation_check(group, rep, rng.standard_normal((5, 8)), PI)
         hits.append(report.fraction_bounded)
     assert np.mean(hits) >= 0.99
+
+
+def test_perturbation_needs_the_group_keys(rng):
+    # form_merge_groups builds no keys; the check measures nothing without.
+    key = rng.standard_normal(8)
+    group = MergeGroup(positions=(0, 1), weights=(1.0, 1.0), mass=2.0)
+    rep = fold_group(group, [make_entry(0, key), make_entry(1, key)])
+    with pytest.raises(ValueError, match="^group carries no keys$"):
+        perturbation_check(group, rep, rng.standard_normal((4, 8)), PI)
 
 
 def test_perturbation_empty_queries_rejected(rng):

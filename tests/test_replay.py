@@ -20,6 +20,7 @@ from cask.model import (
 )
 from cask.policies import detect_core
 from cask.replay import (
+    CaskPolicy,
     FidelitySummary,
     ReplayRecord,
     first_mismatch,
@@ -31,6 +32,7 @@ from cask.replay import (
     top5_coverage,
 )
 from cask.report import bridge_row
+from cask.twostage import StageConfig
 from conftest import CheckedPolicy, bad_integers, cache_bytes, keep_order
 
 # sha256 of the acceptance suite's replay rows (see
@@ -84,7 +86,7 @@ def test_metrics_match_brute_force_oracle(seed):
 @settings(max_examples=80)
 def test_record_stats_equal_per_step_loop(seed):
     rng = np.random.default_rng(seed)
-    T, V = int(rng.integers(0, 10)), int(rng.integers(1, 12))
+    T, V = int(rng.integers(1, 10)), int(rng.integers(1, 12))
     dists = rng.integers(0, 4, size=(T, V)) / 4.0  # coarse values force ties
     refs = rng.integers(0, V, size=T)
     record = ReplayRecord.from_distributions(dists, refs)
@@ -97,6 +99,16 @@ def test_record_stats_equal_per_step_loop(seed):
         assert record.log_probs[t] == np.log(max(float(p), 1e-12))
     assert record.argmax.shape == record.top5_flags.shape == (T,)
     assert record.log_probs.shape == (T,)
+
+
+@pytest.mark.parametrize("steps, reference, message", [
+    (0, [], "empty record"),
+    (2, [1], "reference must have one token per step"),
+], ids=["empty", "unaligned"])
+def test_record_refuses_an_empty_or_unaligned_run(steps, reference, message):
+    # Every metric averages over the steps, so a record has at least one.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReplayRecord.from_distributions(np.full((steps, 6), 1 / 6), reference)
 
 
 def test_top1_all_match_and_none_match():
@@ -286,6 +298,12 @@ def test_after_append_changes_nothing_within_budget(params, method, slack):
     assert cache_bytes(cache) == before
 
 
+def test_cask_policy_refuses_a_stage_budget_of_its_own():
+    with pytest.raises(ValueError, match="^stage_config.budget must match "
+                                         "the policy budget$"):
+        CaskPolicy(32, stage_config=StageConfig(budget=48))
+
+
 def test_make_policy_rejects_unknown_method():
     for budget in (8, None):
         with pytest.raises(ValueError, match="unknown method 'magic'"):
@@ -294,7 +312,7 @@ def test_make_policy_rejects_unknown_method():
         make_policy("cask")
 
 
-@pytest.mark.parametrize("method", ["cask", "evict"])
+@pytest.mark.parametrize("method", ["cask", "evict", "none"])
 @pytest.mark.parametrize("budget", bad_integers(1))
 def test_make_policy_refuses_a_bad_budget(method, budget):
     # evict used to build and fail only when decode forked the snapshot.

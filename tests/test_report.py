@@ -81,7 +81,7 @@ def test_spec_rejects_non_increasing_budgets(tmp_path):
 
 
 @pytest.mark.parametrize("budgets", [(0, 8), (-1,), (0,), (float("nan"),),
-                                     (1.5, 8)])
+                                     (1.5, 8), (True, 2)])
 def test_spec_rejects_budgets_below_one(tmp_path, budgets):
     with pytest.raises(ValueError, match="budgets must be >= 1"):
         small_spec(tmp_path, budgets=budgets)
@@ -582,6 +582,21 @@ def test_crossing_requires_positive_margin():
         CrossingFinding(witness="w", lower_method="cask", lower_budget=128,
                         higher_method="evict", higher_budget=256,
                         metric="top1", margin=0.0)
+
+
+def test_crossing_requires_budgets_in_order():
+    with pytest.raises(ValueError,
+                       match="^lower budget must be below higher budget$"):
+        CrossingFinding(witness="w", lower_method="cask", lower_budget=256,
+                        higher_method="evict", higher_budget=256,
+                        metric="top1", margin=0.1)
+
+
+def test_detect_crossings_refuses_an_unknown_metric():
+    rows = [replay_row(method="cask", budget=256, top1=0.9)]
+    with pytest.raises(ValueError,
+                       match="^unsupported crossing metric 'seq_ratio'$"):
+        detect_crossings(rows, "seq_ratio")
 
 
 def test_detect_crossings_ignores_bridge_rows():
