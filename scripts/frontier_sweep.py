@@ -13,7 +13,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-from cask.cli import budget_grid, count
+from cask.cache import at_least
+from cask.cli import budget_grid
 from cask.model import init_model
 from cask.report import SweepSpec, WitnessSpec, detect_crossings, emit_tables, run_sweep
 
@@ -21,7 +22,7 @@ from cask.report import SweepSpec, WitnessSpec, detect_crossings, emit_tables, r
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/frontier")
-    ap.add_argument("--seeds", type=count("seed count"), default=10,
+    ap.add_argument("--seeds", type=int, default=10,
                     help="number of seeded witnesses")
     ap.add_argument("--budget-grid", type=budget_grid, default="24,32,48")
     ap.add_argument("--seed", type=int, default=0, help="model seed")
@@ -30,17 +31,18 @@ def main() -> int:
     ap.add_argument("--redundancy", type=float, default=0.7)
     args = ap.parse_args()
 
-    spec = SweepSpec(
-        witnesses=[WitnessSpec("prompt-heavy-decode-active", s,
-                               args.prefix_len, args.decode_len,
-                               args.redundancy)
-                   for s in range(args.seeds)],
-        methods=["cask", "evict", "none"],
-        budgets=args.budget_grid,
-        out_dir=args.out,
-        seed=args.seed,
-    )
-    try:  # a flag init_model or make_witness refuses is a usage error
+    try:  # what SweepSpec, init_model or make_witness refuse is a usage error
+        at_least("seeds", args.seeds, 1)
+        spec = SweepSpec(
+            witnesses=[WitnessSpec("prompt-heavy-decode-active", s,
+                                   args.prefix_len, args.decode_len,
+                                   args.redundancy)
+                       for s in range(args.seeds)],
+            methods=["cask", "evict", "none"],
+            budgets=args.budget_grid,
+            out_dir=args.out,
+            seed=args.seed,
+        )
         init_model(spec.seed, spec.vocab_size, spec.model_dim,
                    spec.num_layers)
         for w in spec.witnesses:

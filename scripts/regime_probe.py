@@ -27,28 +27,18 @@ PROBES = (
 )
 
 
-def prefix_fraction(text: str) -> float:
-    """argparse type of ``--prefix-fraction``: a fraction in (0, 1]."""
-    try:
-        fraction = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"prefix fraction {text!r} is not a number") from None
-    if not 0.0 < fraction <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"prefix fraction {fraction} must be in (0, 1]")
-    return fraction
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budgets", type=budget_grid, default="24,40,64,96")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--prefix-fraction", type=prefix_fraction, default=0.75)
+    ap.add_argument("--prefix-fraction", type=float, default=0.75)
     args = ap.parse_args()
 
-    try:  # a seed init_model refuses is a usage error
+    try:  # a flag init_model or StageConfig refuses is a usage error
         params = init_model(args.seed)
+        stages = [StageConfig(budget=budget,
+                              prefix_fraction=args.prefix_fraction)
+                  for budget in args.budgets]
     except ValueError as e:
         ap.error(str(e))
     header = (f"{'witness':<34} {'budget':>6} {'top1':>6} {'events':>6} "
@@ -59,16 +49,14 @@ def main() -> int:
         witness = make_witness(kind, args.seed, **geometry)
         ref = generate_reference(params, list(witness.prompt),
                                  witness.decode_len, args.budgets)
-        for budget in args.budgets:
-            stage = StageConfig(budget=budget,
-                                prefix_fraction=args.prefix_fraction)
-            policy = CaskPolicy(budget, CaskConfig(), stage)
+        for stage in stages:
+            policy = CaskPolicy(stage.budget, CaskConfig(), stage)
             record = replay_record(decode(params, ref.snapshot,
                                           witness.decode_len, policy,
                                           forced=ref.tokens, trunk=ref))
             flags = finalize_flags(record.cache, stage)
             s = summarize(record)
-            print(f"{witness.name:<34} {budget:>6} {s.top1:>6.3f} "
+            print(f"{witness.name:<34} {stage.budget:>6} {s.top1:>6.3f} "
                   f"{flags.decode_events:>6} "
                   f"{str(flags.prefix_budget_exhausted):>9} "
                   f"{flags.regime_label:>16}")

@@ -430,8 +430,11 @@ def drop(cache: CacheState, rows) -> int:
 
 def evict(cache: CacheState, positions: Iterable[int]) -> CacheState:
     """Remove the entries at ``positions``.  A position no row holds
-    (:meth:`CacheState.row_of`) or a protected one is refused first."""
-    rows = cache.row_of(np.fromiter(positions, dtype=np.int64))
+    (:meth:`CacheState.row_of`), a fractional one among them, or a protected
+    one is refused first."""
+    if not isinstance(positions, np.ndarray):
+        positions = list(positions)
+    rows = cache.row_of(np.asarray(positions))
     hit = rows[cache.protected[rows]]
     if hit.size:
         raise CacheError(f"protected entry at position "

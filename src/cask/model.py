@@ -457,7 +457,7 @@ def make_witness(kind: str, seed: int, prefix_len: int, decode_len: int,
     at_least("prefix_len", prefix_len, 0)
     at_least("decode_len", decode_len, 1)
     if not 0.0 <= redundancy <= 1.0:
-        raise ValueError("redundancy must be in [0, 1]")
+        raise ValueError(f"redundancy must be in [0, 1], got {redundancy!r}")
     rng = np.random.default_rng([seed, WITNESS_KINDS.index(kind)])
     motif_len = _MOTIF_LEN[kind]
     motif = rng.integers(1, vocab_size, size=motif_len).tolist()

@@ -59,9 +59,11 @@ class CaskConfig:
         at_least("sink_count", self.sink_count, 0)
         at_least("recency_window", self.recency_window, 0)
         if not 0.0 <= self.anchor_quantile <= 1.0:
-            raise ValueError("anchor_quantile must be in [0, 1]")
+            raise ValueError("anchor_quantile must be in [0, 1], got "
+                             f"{self.anchor_quantile!r}")
         if not self.merge_epsilon >= 0:
-            raise ValueError("merge_epsilon must be >= 0")
+            raise ValueError("merge_epsilon must be >= 0, got "
+                             f"{self.merge_epsilon!r}")
         at_least("temporal_window", self.temporal_window, 1)
         at_least("max_group_size", self.max_group_size, 2)
         at_least("horizon", self.horizon, 0)

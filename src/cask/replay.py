@@ -110,13 +110,19 @@ class ReplayRecord:
         """Build a record from per-step candidate distributions.
 
         This is the single place the per-step stats (argmax, top-5 flag,
-        floored log-probability) are derived from a distribution.
+        floored log-probability) are derived from a distribution.  A
+        reference token that is not an integer in ``[0, V)`` is refused,
+        naming its step, as :func:`decode` refuses a forced one.
         """
         distributions = np.asarray(distributions, dtype=np.float64)
-        reference = np.asarray(reference, dtype=np.int64)
         T, V = distributions.shape
-        if reference.shape != (T,):
+        if np.shape(reference) != (T,):
             raise ValueError("reference must have one token per step")
+        for t, tok in enumerate(reference):
+            if not (hasattr(tok, "__index__") and 0 <= tok < V):
+                raise ValueError(f"reference token {tok} at step {t} out of "
+                                 "vocab")
+        reference = np.asarray(reference, dtype=np.int64)
         p = distributions[np.arange(T), reference]
         # Rank of the reference token, ties going to lower ids.
         rank = np.sum((distributions > p[:, None])

@@ -36,7 +36,8 @@ class StageConfig:
     def __post_init__(self):
         at_least("budget", self.budget, 1)
         if not 0.0 < self.prefix_fraction <= 1.0:
-            raise ValueError("prefix_fraction must be in (0, 1]")
+            raise ValueError("prefix_fraction must be in (0, 1], got "
+                             f"{self.prefix_fraction!r}")
         at_least("min_decode_slack", self.min_decode_slack, 0)
         at_least("min_prefix_keep", self.min_prefix_keep, 0)
 

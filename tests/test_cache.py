@@ -211,8 +211,9 @@ def test_evict_records_no_event():
 
 @pytest.mark.parametrize("positions, missing", [
     ([0], 0), ([3], 3), ([9], 9), ([8], 8), ([2, 5, 6], 5), ([7, 4], 7),
+    ([2.5], 2.5),
 ], ids=["before-first", "between", "past-last", "folded-member",
-        "among-present", "first-of-two"])
+        "among-present", "first-of-two", "fractional"])
 def test_evict_refuses_an_absent_position(positions, missing):
     # The refusal comes before any row is removed, even the present ones.
     cache = CacheState(budget=8)

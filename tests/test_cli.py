@@ -278,9 +278,9 @@ def test_replay_rejects_malformed_manifest(tmp_path):
 
 
 @pytest.mark.parametrize("grid, detail", [
-    ("0,8", "budget 0 must be >= 1"),
-    ("-4", "budget -4 must be >= 1"),
-    ("32,abc", "budget 'abc' is not an integer"),
+    ("0,8", "budgets must be >= 1, got 0"),
+    ("-4", "budgets must be >= 1, got -4"),
+    ("32,abc", "invalid budget_grid value: '32,abc'"),
     ("32,16", "must be strictly increasing"),
 ])
 def test_sweep_rejects_bad_budget_grid_before_writing(tmp_path, capsys, grid,
@@ -303,7 +303,7 @@ def test_replay_rejects_zero_budget(tmp_path, capsys):
         main(["replay", "--witness", str(path), "--method", "cask",
               "--budget", "0"])
     assert exc.value.code == 2
-    assert "budget 0 must be >= 1" in capsys.readouterr().err
+    assert "budget must be >= 1, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, value, detail", [
@@ -345,17 +345,16 @@ def test_bad_model_and_witness_flags_are_usage_errors(tmp_path, capsys,
 
 @pytest.mark.parametrize("script, flag, value, detail", [
     ("frontier_sweep.py", "--budget-grid", "32,abc",
-     "budget 'abc' is not an integer"),
-    ("regime_probe.py", "--budgets", "0,8", "budget 0 must be >= 1"),
-    ("frontier_sweep.py", "--seeds", "0", "seed count 0 must be >= 1"),
-    ("frontier_sweep.py", "--seeds", "two",
-     "seed count 'two' is not an integer"),
+     "invalid budget_grid value: '32,abc'"),
+    ("regime_probe.py", "--budgets", "0,8", "budget must be >= 1, got 0"),
+    ("frontier_sweep.py", "--seeds", "0", "seeds must be >= 1, got 0"),
+    ("frontier_sweep.py", "--seeds", "two", "invalid int value: 'two'"),
     ("regime_probe.py", "--prefix-fraction", "0",
-     "prefix fraction 0.0 must be in (0, 1]"),
+     "prefix_fraction must be in (0, 1], got 0.0"),
     ("regime_probe.py", "--prefix-fraction", "1.5",
-     "prefix fraction 1.5 must be in (0, 1]"),
+     "prefix_fraction must be in (0, 1], got 1.5"),
     ("regime_probe.py", "--prefix-fraction", "nan",
-     "prefix fraction nan must be in (0, 1]"),
+     "prefix_fraction must be in (0, 1], got nan"),
     ("frontier_sweep.py", "--redundancy", "2",
      "redundancy must be in [0, 1]"),
     ("frontier_sweep.py", "--decode-len", "0",
@@ -382,6 +381,55 @@ def test_scripts_reject_bad_budgets_as_usage_errors(tmp_path, script, flag,
     assert proc.returncode == 2
     assert "usage:" in proc.stderr
     assert detail in proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def run_regime_probe(tmp_path, *args):
+    repo = Path(__file__).resolve().parents[1]
+    src = str(Path(cask.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(repo / "scripts" / "regime_probe.py"), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("flag, value, detail", [
+    ("--budgets", "24,0", "budget must be >= 1, got 0"),
+    ("--prefix-fraction", "1.5",
+     "prefix_fraction must be in (0, 1], got 1.5"),
+    ("--prefix-fraction", "inf",
+     "prefix_fraction must be in (0, 1], got inf"),
+])
+def test_regime_probe_refuses_before_printing(tmp_path, flag, value, detail):
+    # Every StageConfig is built before the table header is printed.
+    proc = run_regime_probe(tmp_path, flag, value)
+    assert proc.returncode == 2
+    assert detail in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_regime_probe_takes_a_grid_in_any_order(tmp_path):
+    # Each budget is one probe line of its own.
+    lines = {}
+    for grid in ("24,64", "64,24"):
+        proc = run_regime_probe(tmp_path, "--budgets", grid)
+        assert proc.returncode == 0
+        lines[grid] = proc.stdout.splitlines()
+    header, cells = lines["24,64"][:2], lines["24,64"][2:]
+    swapped = [line for pair in zip(cells[1::2], cells[::2]) for line in pair]
+    assert lines["64,24"] == header + swapped
+
+
+@pytest.mark.parametrize("command", ["replay", "bridge"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_a_bad_budget_is_refused_before_the_manifest_is_read(
+        tmp_path, capsys, command, method):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--witness", str(tmp_path / "missing.json"),
+              "--method", method, "--budget", "0"])
+    assert exc.value.code == 2
+    assert "budget must be >= 1, got 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

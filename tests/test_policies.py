@@ -124,6 +124,22 @@ def test_detect_core_matches_brute_force(rng):
     assert core == expected
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: CaskConfig(anchor_quantile=1.5),
+     "anchor_quantile must be in [0, 1], got 1.5"),
+    (lambda: CaskConfig(merge_epsilon=-0.1),
+     "merge_epsilon must be >= 0, got -0.1"),
+    (lambda: StageConfig(budget=8, prefix_fraction=float("nan")),
+     "prefix_fraction must be in (0, 1], got nan"),
+    (lambda: make_witness("short-prompt-reasoning", 0, 8, 4, 2.0),
+     "redundancy must be in [0, 1], got 2.0"),
+], ids=["anchor_quantile", "merge_epsilon", "prefix_fraction", "redundancy"])
+def test_range_refusals_name_the_value(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
 def test_detect_core_empty_cache_raises():
     with pytest.raises(ValueError):
         detect_core(CacheState(budget=4), CaskConfig())
@@ -1306,6 +1322,14 @@ def test_k_beyond_population_clamps():
     cache = held_cache({0}, {0, 1})
     assert mass_diagnostics(cache, ref, k=10) \
         == mass_diagnostics(cache, ref, k=3)
+
+
+def test_a_top_k_without_mass_holds_no_share():
+    # The shares would be 0/0; the suite otherwise reaches this case only
+    # when hypothesis happens to draw it.
+    ref = reference_cache({0: 0.0, 1: 0.0, 2: 0.0})
+    diag = mass_diagnostics(held_cache({0}, {0, 1}), ref, k=2)
+    assert (diag.rho_core, diag.rho_rep) == (0.0, 0.0)
 
 
 def test_k_must_be_positive():

@@ -104,7 +104,14 @@ def test_record_stats_equal_per_step_loop(seed):
 @pytest.mark.parametrize("steps, reference, message", [
     (0, [], "empty record"),
     (2, [1], "reference must have one token per step"),
-], ids=["empty", "unaligned"])
+    # Numpy indexing used to wrap -1 to the last token, truncate 1.5 to
+    # token 1 and end 6 in a bare IndexError.
+    (1, [-1], "reference token -1 at step 0 out of vocab"),
+    (1, [6], "reference token 6 at step 0 out of vocab"),
+    (1, [1.5], "reference token 1.5 at step 0 out of vocab"),
+    (2, [0, 7], "reference token 7 at step 1 out of vocab"),
+], ids=["empty", "unaligned", "negative", "past-vocab", "fractional",
+        "second-step"])
 def test_record_refuses_an_empty_or_unaligned_run(steps, reference, message):
     # Every metric averages over the steps, so a record has at least one.
     with pytest.raises(ValueError, match=f"^{message}$"):
